@@ -296,10 +296,8 @@ def run_sweep(
                 cfg.validate()
                 result, _ = run_experiment(cfg)
                 every = cfg.checkpoint_every if cfg.checkpoint_every > 0 else cfg.n_agents
-                last = len(result.trace.records) - 1
-                for idx, rec in enumerate(result.trace.records):
-                    if idx % every and idx != last:
-                        continue
+                for k in result.trace.checkpoints(every).tolist():
+                    rec = result.trace.record(k)
                     rows.append([
                         run_index, overrides, seed_col, rec.k, rec.agent,
                         repr(rec.accuracy), repr(rec.aug_lagrangian),

@@ -75,7 +75,15 @@ class RidgeObjective:
         self.hessian = (2.0 / b) * (o.T @ o)
         self.linear = (2.0 / b) * (o.T @ data.targets)
         self._const = float(np.mean(data.targets**2))
-        self._lip = 2.0 * float(np.linalg.eigvalsh(o.T @ o / b)[-1])
+        if not (np.all(np.isfinite(self.hessian)) and np.all(np.isfinite(self.linear))):
+            raise ValueError("ridge data must be finite")
+        # H = V diag(lam) V' once, so every proximal step is two small
+        # products; H + rho_eff I then has eigenvalues >= rho_eff > 0
+        lam, self._eigvecs = np.linalg.eigh(self.hessian)
+        if lam[0] < -1e-12 * max(1.0, lam[-1]):
+            raise ValueError(f"ridge Hessian is not positive semidefinite ({lam[0]:.3e})")
+        self._eigvals = np.maximum(lam, 0.0)
+        self._lip = float(self._eigvals[-1])
 
     def value(self, x: np.ndarray) -> float:
         return float(0.5 * x @ self.hessian @ x - self.linear @ x + self._const)
@@ -90,14 +98,12 @@ class RidgeObjective:
         return self.hessian
 
     def prox(self, z: np.ndarray, y: np.ndarray, rho_eff: float) -> np.ndarray:
-        """argmin_x f(x) + (rho_eff/2) ||z - x + y/rho_eff||^2 via the normal
-        equations (H + rho_eff I) x = c + rho_eff z + y."""
+        """argmin_x f(x) + (rho_eff/2) ||z - x + y/rho_eff||^2, the solution of
+        (H + rho_eff I) x = c + rho_eff z + y, in the eigenbasis of H."""
         if rho_eff <= 0:
             raise ValueError("rho_eff must be positive")
-        p = len(z)
-        return solve_dense(
-            self.hessian + rho_eff * np.eye(p), self.linear + rho_eff * z + y
-        )
+        v = self._eigvecs
+        return v @ ((v.T @ (self.linear + rho_eff * z + y)) / (self._eigvals + rho_eff))
 
 
 class LogisticObjective:
@@ -210,6 +216,16 @@ def centralized_optimum(
         t = 1.0
         cand = x - t * direction
         fcand = sum(f.value(cand) for f in objectives)
+        # near the optimum the decrease Armijo asks for (~||g||^2) is below the
+        # rounding of the summed values, where backtracking would only stall:
+        # a full step that fails Armijo within that rounding is kept if it
+        # lowers the gradient norm
+        rounding = 64.0 * np.finfo(float).eps * abs(fval)
+        if fval - 1e-4 * slope < fcand <= fval + rounding and (
+            np.linalg.norm(sum(f.gradient(cand) for f in objectives)) < gnorm
+        ):
+            x, fval = cand, fcand
+            continue
         while fcand > fval - 1e-4 * t * slope and t > 1e-18:
             t *= 0.5
             cand = x - t * direction

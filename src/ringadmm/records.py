@@ -13,6 +13,7 @@ from typing import IO, Iterator
 import numpy as np
 
 SCHEMA_LINE = "#schema=1"
+CSV_EOL = "\r\n"  # the csv module's row terminator, kept by the fast writers
 
 TRACE_COLUMNS = [
     "k", "agent", "accuracy", "lagrangian", "r_primal", "r_dualstep",
@@ -33,46 +34,67 @@ class IterationRecord:
     gamma: float = math.nan      # drawn step-scale, nan when not drawn
     omega_norm: float = math.nan  # norm of injected primal noise, nan when none
 
+    @classmethod
+    def from_values(cls, k: int, agent: int, values: list[float]) -> "IterationRecord":
+        """Iteration k's record from its RunTrace.values row."""
+        acc, lagr, r_primal, r_dualstep, r_gradsum, gamma, omega = values
+        return cls(k, agent, acc, lagr, r_primal, r_dualstep, r_gradsum, k + 1, gamma, omega)
+
+
+# float columns of RunTrace.values, in trace CSV order
+TRACE_VALUES = TRACE_COLUMNS[2:7] + TRACE_COLUMNS[8:]
+
 
 @dataclass
 class RunTrace:
-    records: list[IterationRecord] = field(default_factory=list)
+    """Per-iteration metrics as columns.  Row k is iteration k: its active
+    agent, its TRACE_VALUES, and k + 1 communication units spent."""
+
+    agents: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    values: np.ndarray = field(default_factory=lambda: np.zeros((0, len(TRACE_VALUES))))
     diverged: bool = False
     stop_reason: str = ""
 
-    def append(self, rec: IterationRecord) -> None:
-        self.records.append(rec)
-
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.agents)
+
+    def record(self, k: int) -> IterationRecord:
+        return IterationRecord.from_values(k, int(self.agents[k]), self.values[k].tolist())
+
+    @property
+    def records(self) -> list[IterationRecord]:
+        return [self.record(k) for k in range(len(self))]
 
     def __iter__(self) -> Iterator[IterationRecord]:
         return iter(self.records)
 
     @property
     def final(self) -> IterationRecord:
-        return self.records[-1]
+        return self.record(len(self) - 1)
 
     def accuracies(self) -> np.ndarray:
-        return np.array([r.accuracy for r in self.records])
+        return self.values[:, 0].copy()
 
     def lagrangians(self) -> np.ndarray:
-        return np.array([r.aug_lagrangian for r in self.records])
+        return self.values[:, 1].copy()
+
+    def checkpoints(self, every: int) -> np.ndarray:
+        """Rows k with k % every == 0, plus the last row."""
+        ks = np.arange(0, len(self), every)
+        if len(self) and ks[-1] != len(self) - 1:
+            ks = np.append(ks, len(self) - 1)
+        return ks
 
     def write_csv(self, fh: IO[str], every: int = 1) -> None:
         """One row per `every` iterations; the last record is always kept."""
-        fh.write(SCHEMA_LINE + "\n")
-        w = csv.writer(fh)
-        w.writerow(TRACE_COLUMNS)
-        last = len(self.records) - 1
-        for idx, r in enumerate(self.records):
-            if idx % every and idx != last:
-                continue
-            w.writerow([
-                r.k, r.agent, repr(r.accuracy), repr(r.aug_lagrangian),
-                repr(r.r_primal), repr(r.r_dualstep), repr(r.r_gradsum),
-                r.comm_units, repr(r.gamma), repr(r.omega_norm),
-            ])
+        ks = self.checkpoints(every)
+        lines = [",".join(TRACE_COLUMNS)]
+        for k, agent, (acc, lagr, rp, rd, rg, gamma, omega) in zip(
+            ks.tolist(), self.agents[ks].tolist(), self.values[ks].tolist()
+        ):
+            lines.append(f"{k},{agent},{acc!r},{lagr!r},{rp!r},{rd!r},{rg!r},"
+                         f"{k + 1},{gamma!r},{omega!r}")
+        fh.write(SCHEMA_LINE + "\n" + CSV_EOL.join(lines) + CSV_EOL)
 
 
 @dataclass
@@ -122,14 +144,13 @@ class Transcript:
             f"deterministic_init={int(self.deterministic_init)} "
             f"stopped_by_eps={int(self.stopped_by_eps)} stop_eps={self.stop_eps!r}\n"
         )
-        w = csv.writer(fh)
-        p = self.dim
-        w.writerow(["k", "from_agent", "to_agent"] + [f"z{c + 1}" for c in range(p)])
-        for k in range(len(self.senders)):
-            w.writerow(
-                [k, int(self.senders[k]), int(self.receivers[k])]
-                + [repr(float(v)) for v in self.z_values[k]]
-            )
+        lines = [",".join(["k", "from_agent", "to_agent"]
+                          + [f"z{c + 1}" for c in range(self.dim)])]
+        for k, (s, r, z) in enumerate(
+            zip(self.senders.tolist(), self.receivers.tolist(), self.z_values.tolist())
+        ):
+            lines.append(f"{k},{s},{r}," + ",".join(map(repr, z)))
+        fh.write(CSV_EOL.join(lines) + CSV_EOL)
 
     @classmethod
     def read_csv(cls, fh: IO[str]) -> "Transcript":

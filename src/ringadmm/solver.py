@@ -25,8 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .objectives import ProxUnsupportedError
-from .records import IterationRecord, RunTrace, StateHistory, Transcript
+from .records import TRACE_VALUES, IterationRecord, RunTrace, StateHistory, Transcript
 from .topology import ActivationSchedule, Graph, next_agent
 
 
@@ -165,18 +164,24 @@ def sample_gamma(
     rho: float,
     lipschitz: float,
     n_agents: int,
-) -> float:
+    size: int | None = None,
+) -> float | np.ndarray:
+    """One draw, or an array of `size` draws equal to as many single draws."""
     if spec.kind == "constant":
         if spec.value <= 0:
             raise ValueError("gamma must be positive")
-        return spec.value
-    if spec.kind == "uniform":
+        value = spec.value
+    elif spec.kind == "uniform":
         if spec.lo <= 0:
             raise ValueError("gamma support touches zero")
+        if size is not None:
+            return rng.uniform(spec.lo, spec.hi, size=size)
         return float(rng.uniform(spec.lo, spec.hi))
-    if spec.kind == "floor":
-        return spec.margin * gamma_lower_bound(rho, lipschitz, n_agents)
-    raise ValueError(f"unknown gamma spec kind {spec.kind!r}")
+    elif spec.kind == "floor":
+        value = spec.margin * gamma_lower_bound(rho, lipschitz, n_agents)
+    else:
+        raise ValueError(f"unknown gamma spec kind {spec.kind!r}")
+    return value if size is None else np.full(size, value)
 
 
 def x_update(
@@ -224,22 +229,23 @@ def z_update_incremental(
 
 def accuracy(
     x: np.ndarray, x_star: np.ndarray, init_dist: np.ndarray
-) -> float:
+) -> float | np.ndarray:
     """Mean over agents of ||x_i - x*|| / ||x_i^0 - x*||.
 
-    Agents whose start coincides with x* are excluded (the mean runs over
-    the remaining agents) after a one-time warning; 0.0 if nobody remains.
+    x holds the (N, p) states, or a (C, N, p) stack of them with one value
+    per state.  Agents whose start coincides with x* are excluded (the mean
+    runs over the remaining agents) after a warning; 0.0 if nobody remains.
     """
     included = init_dist > 0.0
-    if not np.all(included):
+    if not included.all():
         warnings.warn(
             "accuracy: excluding agents initialized exactly at the optimum",
             stacklevel=2,
         )
-    if not included.any():
-        return 0.0
-    num = np.linalg.norm(x - x_star, axis=1)
-    return float(np.mean(num[included] / init_dist[included]))
+        x, init_dist = x[..., included, :], init_dist[included]
+    diff = x - x_star
+    ratio = np.sqrt(np.einsum("...ij,...ij->...i", diff, diff)) / init_dist
+    return ratio.sum(axis=-1) / max(len(init_dist), 1)
 
 
 def aug_lagrangian(
@@ -305,8 +311,41 @@ class RunResult:
     n_iterations: int
 
 
+def _block_rows(n_agents: int) -> int:
+    """Iterations per block, and so per metrics pass: one cycle, but at least
+    32 to share the pass's fixed cost, and few enough that its (rows, N, p)
+    arrays stay near 2**14 agent states."""
+    return max(1, min(max(n_agents, 32), 2**14 // n_agents))
+
+
+class _Block:
+    """Per-iteration values of up to `size` consecutive iterations: the active
+    agent and the receiver, the agent's new x and y and the token sent (the
+    three blocks of `states`), and the RunTrace.values row."""
+
+    def __init__(self, size: int, dim: int):
+        self.n = 0
+        self.agents = np.empty(size, dtype=np.int64)
+        self.receivers = np.empty(size, dtype=np.int64)
+        self.states = np.empty((size, 3 * dim))
+        self.x = self.states[:, :dim]
+        self.y = self.states[:, dim : 2 * dim]
+        self.z = self.states[:, 2 * dim :]
+        self.values = np.full((size, len(TRACE_VALUES)), math.nan)
+
+    @property
+    def free(self) -> int:
+        return len(self.agents) - self.n
+
+
 class Simulation:
-    """Drives one token-passing run; states live in (N, p) arrays."""
+    """Drives one token-passing run; states live in (N, p) arrays.
+
+    Each iteration only updates the states and records them in blocks of
+    about one cycle (see _block_rows).  The metrics of each chunk of
+    iterations are computed afterwards in one vectorised pass, which also
+    ends the run at the chunk's first diverging or converged iteration.
+    """
 
     def __init__(
         self,
@@ -330,152 +369,192 @@ class Simulation:
         self._x0 = self.x.copy()
         self._y0 = self.y.copy()
         self._init_dist = np.linalg.norm(self.x - problem.x_star, axis=1)
-        self._acc_mask = self._init_dist > 0.0
-        if not np.all(self._acc_mask):
-            warnings.warn(
-                "accuracy: excluding agents initialized exactly at the optimum",
-                stacklevel=2,
-            )
         self._fvals = np.array(
             [f.value(self.x[i]) for i, f in enumerate(problem.objectives)]
         )
         self.k = 0
-        self.comm_units = 0
         self.active = schedule.first_agent()
-        self.trace = RunTrace()
-        self._senders: list[int] = []
-        self._receivers: list[int] = []
-        self._z_sent: list[np.ndarray] = []
-        self._hist_agent: list[int] = []
-        self._hist_x: list[np.ndarray] = []
-        self._hist_y: list[np.ndarray] = []
+        self._blocks = [_Block(_block_rows(graph.n_agents), problem.dim)]
+        self._n_records = 0
 
     def step(self) -> IterationRecord:
+        """Advance one iteration; DivergenceError if its state or metrics
+        are not finite."""
+        # non-finite values are caught by the metrics pass, not by warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._room()
+            self._metrics(self._advance(1), stop_eps=-math.inf)
+        block = self._blocks[-1]
+        return IterationRecord.from_values(
+            self.k - 1, int(block.agents[block.n - 1]), block.values[block.n - 1].tolist()
+        )
+
+    def _room(self) -> int:
+        """Free rows of the last block; a full block is followed by a new one."""
+        if not self._blocks[-1].free:
+            self._blocks.append(_Block(len(self._blocks[-1].agents), self.problem.dim))
+        return self._blocks[-1].free
+
+    def _advance(self, n: int) -> tuple:
+        """n iterations of the state update, recorded in the next n rows of
+        the last block, which must have room for them.  Returns the chunk's
+        start for _metrics: its first row and iteration, the (x, y) states
+        side by side, z and the objective values."""
         cfg = self.config
-        k = self.k
-        agent = self.active
-        i = agent - 1
-        obj = self.problem.objectives[i]
-
-        gamma = math.nan
-        rho_eff = cfg.rho
+        block = self._blocks[-1]
+        lo = block.n
+        chunk = (lo, self.k, np.concatenate([self.x, self.y], axis=1), self.z, self._fvals)
+        rho_eff = [cfg.rho] * n
         if cfg.variant == Variant.PIADMM1:
-            gamma = sample_gamma(
-                cfg.gamma, self.rng, cfg.rho, self.lipschitz, self.graph.n_agents
-            )
-            rho_eff = cfg.rho * gamma
-
-        x_old = self.x[i].copy()
-        y_old = self.y[i].copy()
-        try:
-            x_new = x_update(obj, x_old, y_old, self.z, rho_eff, cfg.x_update)
-        except ProxUnsupportedError:
-            raise
-        omega_norm = math.nan
+            gamma = sample_gamma(cfg.gamma, self.rng, cfg.rho, self.lipschitz,
+                                 self.graph.n_agents, size=n)
+            block.values[lo : lo + n, 5] = gamma
+            rho_eff = (cfg.rho * gamma).tolist()
         if cfg.variant == Variant.PIADMM2:
-            omega = self.rng.normal(0.0, cfg.sigma, size=self.problem.dim)
-            x_new = x_new + omega
-            omega_norm = float(np.linalg.norm(omega))
-        y_new = y_update(y_old, self.z, x_new, rho_eff)
-        z_new = z_update_incremental(
-            self.z, x_old, y_old, x_new, y_new, cfg.rho, self.graph.n_agents
-        )
+            omega = self.rng.normal(0.0, cfg.sigma, size=(n, self.problem.dim))
+            block.values[lo : lo + n, 6] = np.sqrt(np.einsum("ij,ij->i", omega, omega))
 
-        if not (
-            np.all(np.isfinite(x_new))
-            and np.all(np.isfinite(y_new))
-            and np.all(np.isfinite(z_new))
-        ):
-            raise DivergenceError(
-                f"non-finite state at iteration {k} (agent {agent}); "
-                f"the configured step scale is likely unstable"
-            )
+        objectives, x, y, z = self.problem.objectives, self.x, self.y, self.z
+        agent, k = self.active, self.k
+        for j in range(n):
+            i = agent - 1
+            x_old, y_old = x[i], y[i]
+            x_new = x_update(objectives[i], x_old, y_old, z, rho_eff[j], cfg.x_update)
+            if cfg.variant == Variant.PIADMM2:
+                x_new = x_new + omega[j]
+            y_new = y_update(y_old, z, x_new, rho_eff[j])
+            z = z_update_incremental(z, x_old, y_old, x_new, y_new, cfg.rho,
+                                     self.graph.n_agents)
+            x[i], y[i] = x_new, y_new
+            row = lo + j
+            block.agents[row] = agent
+            block.x[row], block.y[row], block.z[row] = x_new, y_new, z
+            agent = next_agent(self.schedule, self.graph, k, agent)
+            block.receivers[row] = agent
+            k += 1
+        block.n = lo + n
+        self.z, self.active, self.k = z, agent, k
+        return chunk
 
-        self.x[i] = x_new
-        self.y[i] = y_new
-        self.z = z_new
-        self._fvals[i] = obj.value(x_new)
-        receiver = next_agent(self.schedule, self.graph, k, agent)
-        self.comm_units += 1
+    def _metrics(self, chunk: tuple, stop_eps: float) -> bool:
+        """Metrics of the chunk that _advance just recorded.
 
-        self._senders.append(agent)
-        self._receivers.append(receiver)
-        self._z_sent.append(z_new.copy())
-        self._hist_agent.append(agent)
-        self._hist_x.append(x_new.copy())
-        self._hist_y.append(y_new.copy())
+        At the chunk's first iteration that has a non-finite state, has
+        non-finite metrics, or has r_primal < stop_eps (checked in that
+        order), the run is rolled back to that iteration.  A non-finite
+        state drops the iteration; non-finite metrics keep its state and
+        transmission but not its trace row; a stop keeps it whole.
+        Divergence raises DivergenceError; a stop returns True.
+        """
+        block = self._blocks[-1]
+        lo, k0, start, z0, f0 = chunk
+        hi = block.n
+        c, n, p = hi - lo, self.graph.n_agents, self.problem.dim
+        agents = block.agents[lo:hi] - 1
+        rows = np.arange(c)
 
-        # metrics, vectorized over agents; gaps are formed before any reduction
-        # so near-consensus values do not cancel catastrophically
-        gap = self.z - self.x
-        pen = float(np.einsum("ij,ij->", gap, gap))
-        lin = float(np.einsum("ij,ij->", self.y, gap))
-        lagr = float(self._fvals.sum()) + lin + 0.5 * cfg.rho * pen
-        r_primal = float(np.sqrt(np.einsum("ij,ij->i", gap, gap).max()))
-        if self._acc_mask.any():
-            diff = self.x - self.problem.x_star
-            dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-            acc = float(np.mean(dist[self._acc_mask] / self._init_dist[self._acc_mask]))
+        # every agent's (x, y) after each iteration of the chunk: row `last`
+        # of `pool`, the start states followed by the chunk's updates
+        pool = np.concatenate([start, block.states[lo:hi, : 2 * p]])
+        last = np.empty((c, n), dtype=np.int64)
+        last[:] = np.arange(n)
+        last[rows, agents] = rows + n
+        np.maximum.accumulate(last, axis=0, out=last)
+        xy = pool[last]
+        x, y = xy[..., :p], xy[..., p:]
+        f_new = [self.problem.objectives[a].value(xi)
+                 for a, xi in zip(agents.tolist(), block.x[lo:hi])]
+        f = np.concatenate([f0, f_new])[last]
+        zs = block.z[lo:hi]
+        # gaps are formed before any reduction so near-consensus values do
+        # not cancel catastrophically
+        gap = zs[:, None, :] - x
+        sq = np.einsum("cij,cij->ci", gap, gap)
+        r_primal = np.sqrt(sq.max(axis=1))
+        vals = block.values[lo:hi]
+        vals[:, 0] = accuracy(x, self.problem.x_star, self._init_dist)
+        vals[:, 1] = f.sum(axis=1) + np.einsum("cij,cij->c", y, gap) \
+            + 0.5 * self.config.rho * sq.sum(axis=1)
+        vals[:, 2] = r_primal
+        before = np.where(rows > 0, last[rows - 1, agents], agents)
+        dy = block.y[lo:hi] - pool[before, p:]
+        vals[:, 3] = np.sqrt(np.einsum("ij,ij->i", dy, dy))
+        ysum = y.sum(axis=1)
+        vals[:, 4] = np.sqrt(np.einsum("ij,ij->i", ysum, ysum))
+
+        bad_state = ~np.isfinite(block.states[lo:hi]).all(axis=1)
+        bad_metrics = ~np.isfinite(vals[:, :3]).all(axis=1)
+        events = np.flatnonzero(bad_state | bad_metrics | (r_primal < stop_eps))
+        if not len(events):
+            self._fvals = f[-1]
+            self._n_records += c
+            return False
+
+        r = int(events[0])
+        k, agent = k0 + r, int(agents[r]) + 1
+        error = None
+        if bad_state[r]:
+            keep, records = r, r
+            error = (f"non-finite state at iteration {k} (agent {agent}); "
+                     f"the configured step scale is likely unstable")
+        elif bad_metrics[r]:
+            keep, records = r + 1, r
+            error = (f"metrics overflowed at iteration {k} (agent {agent}); "
+                     f"the run is diverging")
         else:
-            acc = 0.0  # every agent started at the optimum
-
-        rec = IterationRecord(
-            k=k,
-            agent=agent,
-            accuracy=acc,
-            aug_lagrangian=lagr,
-            r_primal=r_primal,
-            r_dualstep=float(np.linalg.norm(y_new - y_old)),
-            r_gradsum=float(np.linalg.norm(self.y.sum(axis=0))),
-            comm_units=self.comm_units,
-            gamma=gamma,
-            omega_norm=omega_norm,
-        )
-        if not (math.isfinite(lagr) and math.isfinite(acc) and math.isfinite(r_primal)):
-            raise DivergenceError(
-                f"metrics overflowed at iteration {k} (agent {agent}); "
-                f"the run is diverging"
-            )
-        self.trace.append(rec)
-        self.k += 1
-        self.active = receiver
-        return rec
+            keep, records = r + 1, r + 1
+            agent = int(block.receivers[lo + r])
+        block.n = lo + keep
+        self._n_records += records
+        self.k, self.active = k0 + records, agent
+        if keep:
+            self.x[:], self.y[:], self.z = x[keep - 1], y[keep - 1], zs[keep - 1].copy()
+            self._fvals = f[keep - 1]
+        else:
+            self.x[:], self.y[:], self.z, self._fvals = start[:, :p], start[:, p:], z0, f0
+        if error is not None:
+            raise DivergenceError(error)
+        return True
 
     def run(self) -> RunResult:
         cfg = self.config
         stopped_by_eps = False
+        stop_reason = "max_iters"
+        diverged = False
         try:
-            for _ in range(cfg.max_iters):
-                rec = self.step()
-                if rec.r_primal < cfg.stop_eps:
-                    stopped_by_eps = True
-                    self.trace.stop_reason = "primal_eps"
-                    break
-            else:
-                self.trace.stop_reason = "max_iters"
+            with np.errstate(over="ignore", invalid="ignore"):
+                while self.k < cfg.max_iters:
+                    chunk = self._advance(min(self._room(), cfg.max_iters - self.k))
+                    if self._metrics(chunk, cfg.stop_eps):
+                        stopped_by_eps = True
+                        stop_reason = "primal_eps"
+                        break
         except DivergenceError as exc:
-            self.trace.diverged = True
-            self.trace.stop_reason = f"diverged: {exc}"
+            diverged = True
+            stop_reason = f"diverged: {exc}"
+
+        def cat(name: str) -> np.ndarray:
+            return np.concatenate([getattr(b, name)[: b.n] for b in self._blocks])
+
+        senders = cat("agents")
+        trace = RunTrace(senders[: self._n_records], cat("values")[: self._n_records],
+                         diverged, stop_reason)
         transcript = Transcript(
             n_agents=self.graph.n_agents,
             rho=cfg.rho,
-            senders=np.array(self._senders, dtype=np.int64),
-            receivers=np.array(self._receivers, dtype=np.int64),
-            z_values=np.array(self._z_sent),
+            senders=senders,
+            receivers=cat("receivers"),
+            z_values=cat("z"),
             deterministic_init=cfg.variant not in RANDOMIZED_INIT_VARIANTS
             or cfg.init.kind == "zeros",
             stopped_by_eps=stopped_by_eps,
             stop_eps=cfg.stop_eps,
         )
         history = StateHistory(
-            x0=self._x0,
-            y0=self._y0,
-            agents=np.array(self._hist_agent, dtype=np.int64),
-            x_new=np.array(self._hist_x),
-            y_new=np.array(self._hist_y),
+            x0=self._x0, y0=self._y0, agents=senders, x_new=cat("x"), y_new=cat("y"),
         )
         return RunResult(
-            trace=self.trace,
+            trace=trace,
             transcript=transcript,
             history=history,
             x=self.x,

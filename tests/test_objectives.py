@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ringadmm.config import ExperimentConfig
+from ringadmm.harness import build_objectives
 from ringadmm.objectives import (
     Dataset,
     LogisticObjective,
@@ -234,3 +236,13 @@ def test_dataset_csv_roundtrip():
     again = read_dataset_csv(buf)
     assert np.array_equal(again.features, ds.features)
     assert np.array_equal(again.targets, ds.targets)
+
+
+@pytest.mark.parametrize("data_seed", [8, 75])
+def test_logistic_optimum_below_rounding_of_the_objective(data_seed):
+    # on these seeds Armijo's decrease falls below the rounding of the summed
+    # objective one step before the tolerance, where backtracking used to stall
+    cfg = ExperimentConfig(problem="logistic", n_agents=10, seed_data=data_seed)
+    objs = build_objectives(cfg)
+    x = centralized_optimum(objs, tol=1e-12)
+    assert np.linalg.norm(sum(f.gradient(x) for f in objs)) <= 1e-12

@@ -1,0 +1,176 @@
+"""The chunked run loop against the one-iteration step API.
+
+`Simulation.run` advances a chunk of iterations and scores them in one
+vectorised pass; `Simulation.step` scores every iteration on its own.  Both
+must produce the same records, states and stopping point bit for bit.
+"""
+
+import dataclasses
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from conftest import make_cfg
+from ringadmm.harness import build_problem
+from ringadmm.objectives import RidgeObjective
+from ringadmm.solver import (
+    DivergenceError,
+    GammaSpec,
+    InitSpec,
+    Problem,
+    Simulation,
+    Variant,
+    XUpdateMode,
+    aug_lagrangian,
+    run,
+)
+
+VARIANT_CONFIGS = {
+    "iadmm": dict(variant=Variant.IADMM),
+    "iadmm_randinit": dict(variant=Variant.IADMM_RANDINIT, init=InitSpec.uniform(-1, 1)),
+    "piadmm1": dict(variant=Variant.PIADMM1, init=InitSpec.uniform(-1, 1),
+                    gamma=GammaSpec.uniform(0.9, 1.1)),
+    "piadmm2": dict(variant=Variant.PIADMM2, init=InitSpec.uniform(-1, 1), sigma=1e-2),
+    "wadmm": dict(variant=Variant.WADMM_BASELINE),
+    "logistic": dict(problem="logistic", x_update=XUpdateMode.FIRST_ORDER),
+}
+
+
+def record_rows(records) -> np.ndarray:
+    return np.array([dataclasses.astuple(r) for r in records], dtype=float)
+
+
+def step_loop(problem, graph, config):
+    """Reference: step() one iteration at a time, with run()'s stop rule.
+
+    Returns the simulation, its records and tokens, and the divergence
+    message if one was raised."""
+    sim = Simulation(problem, graph, config)
+    records, tokens, error = [], [], None
+    try:
+        for _ in range(config.max_iters):
+            rec = sim.step()
+            records.append(rec)
+            tokens.append(sim.z.copy())
+            if rec.r_primal < config.stop_eps:
+                break
+    except DivergenceError as exc:
+        error = str(exc)
+    return sim, records, tokens, error
+
+
+def assert_same_run(res, sim, records, tokens):
+    assert res.n_iterations == sim.k == len(records)
+    assert np.array_equal(record_rows(res.trace.records), record_rows(records),
+                          equal_nan=True)
+    assert np.array_equal(res.transcript.z_values[: len(tokens)], np.array(tokens))
+    assert np.array_equal(res.x, sim.x)
+    assert np.array_equal(res.y, sim.y)
+    assert np.array_equal(res.z, sim.z)
+
+
+@pytest.mark.parametrize("kind", sorted(VARIANT_CONFIGS))
+def test_run_records_equal_step_loop(kind):
+    cfg = make_cfg(n_agents=7, max_iters=100, **VARIANT_CONFIGS[kind])
+    graph, problem = build_problem(cfg)
+    res = run(problem, graph, cfg.solver_config())
+    sim, records, tokens, error = step_loop(problem, graph, cfg.solver_config())
+    assert error is None and res.trace.stop_reason == "max_iters"
+    assert_same_run(res, sim, records, tokens)
+    assert np.array_equal(res.transcript.senders, [r.agent for r in records])
+
+
+@pytest.mark.parametrize("kind", ["piadmm2", "wadmm", "logistic"])
+def test_metrics_match_per_iteration_formulas(kind):
+    # step() scores through the same pass as run(), which rebuilds the states
+    # from the recorded updates; check it against formulas on the live states
+    cfg = make_cfg(n_agents=7, max_iters=60, **VARIANT_CONFIGS[kind])
+    graph, problem = build_problem(cfg)
+    sim = Simulation(problem, graph, cfg.solver_config())
+    x0 = sim.x.copy()
+    init_dist = np.linalg.norm(x0 - problem.x_star, axis=1)
+    for _ in range(cfg.max_iters):
+        y_before = sim.y.copy()
+        rec = sim.step()
+        i = rec.agent - 1
+        gap_norms = np.linalg.norm(sim.z - sim.x, axis=1)
+        ref_acc = np.mean(np.linalg.norm(sim.x - problem.x_star, axis=1) / init_dist)
+        assert rec.accuracy == pytest.approx(ref_acc, rel=1e-13)
+        assert rec.aug_lagrangian == pytest.approx(
+            aug_lagrangian(problem.objectives, sim.x, sim.y, sim.z, cfg.rho), rel=1e-12)
+        assert rec.r_primal == pytest.approx(gap_norms.max(), rel=1e-13)
+        assert rec.r_dualstep == pytest.approx(np.linalg.norm(sim.y[i] - y_before[i]),
+                                               rel=1e-13)
+        assert rec.r_gradsum == pytest.approx(np.linalg.norm(sim.y.sum(axis=0)),
+                                              rel=1e-12, abs=1e-14)
+
+
+def test_stop_in_the_middle_of_a_chunk():
+    cfg = make_cfg(n_agents=8, max_iters=50_000, stop_eps=1e-6)
+    graph, problem = build_problem(cfg)
+    res = run(problem, graph, cfg.solver_config())
+    assert res.trace.stop_reason == "primal_eps"
+    assert res.n_iterations % cfg.n_agents != 0  # the crossing is not at a chunk end
+    sim, records, tokens, error = step_loop(problem, graph, cfg.solver_config())
+    assert error is None
+    assert_same_run(res, sim, records, tokens)
+    assert len(res.transcript.senders) == res.n_iterations
+
+
+def test_metric_overflow_reports_the_same_iteration():
+    # first-order steps with rho far below the curvature blow up; the
+    # metrics overflow while the states are still finite
+    cfg = make_cfg(x_update=XUpdateMode.FIRST_ORDER, rho=0.01, max_iters=5000)
+    graph, problem = build_problem(cfg)
+    res = run(problem, graph, cfg.solver_config())
+    sim, records, tokens, error = step_loop(problem, graph, cfg.solver_config())
+    assert error is not None and "metrics overflowed" in error
+    assert res.trace.stop_reason == f"diverged: {error}"
+    assert res.trace.diverged
+    # the overflowing iteration was transmitted but not scored
+    assert len(res.transcript.senders) == len(records) + 1
+    assert np.array_equal(res.transcript.z_values[-1], sim.z)
+    assert_same_run(res, sim, records, tokens)
+
+
+class _BreaksAt(RidgeObjective):
+    """A ridge objective whose proximal step returns NaN from a given call on."""
+
+    calls = 0
+    fail_from = 0
+
+    def prox(self, z, y, rho_eff):
+        type(self).calls += 1
+        out = super().prox(z, y, rho_eff)
+        return out * math.nan if type(self).calls > type(self).fail_from else out
+
+
+def test_non_finite_state_reports_the_same_iteration():
+    cfg = make_cfg(n_agents=8, max_iters=200)
+    graph, problem = build_problem(cfg)
+    broken = Problem([_BreaksAt(f.data) for f in problem.objectives], problem.x_star)
+    _BreaksAt.calls, _BreaksAt.fail_from = 0, 13  # iteration 13, mid-chunk
+    res = run(broken, graph, cfg.solver_config())
+    _BreaksAt.calls = 0
+    sim, records, tokens, error = step_loop(broken, graph, cfg.solver_config())
+    assert error == "non-finite state at iteration 13 (agent 6); " \
+                    "the configured step scale is likely unstable"
+    assert res.trace.stop_reason == f"diverged: {error}"
+    # the non-finite iteration is dropped: states are those before it
+    assert len(res.transcript.senders) == len(records) == 13
+    assert_same_run(res, sim, records, tokens)
+
+
+def test_early_stop_allocates_nothing_of_max_iters_size():
+    cfg = make_cfg(max_iters=10**7, stop_eps=1e-8)
+    graph, problem = build_problem(cfg)
+    tracemalloc.start()
+    try:
+        res = run(problem, graph, cfg.solver_config())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.trace.stop_reason == "primal_eps"
+    assert peak < 4 * 2**20
