@@ -9,19 +9,27 @@ system; the attacks then assume a unit step scale, optionally add the
 stationarity row (sum of duals is zero) and pin the last observed cycle to
 the token, and take the least-squares solution.
 
+Every attack works on per-iteration tables: the active agent, its epoch (how
+often it was active before), and the token before and the token difference.
+An agent's states are constant between its own activations, so each attack
+estimates one value per (agent, epoch): a slot.  Agent a's epoch e sits in
+slot first[a] + e, with the agents' slot ranges laid out one after another.
+
 Ground truth enters only through `score_report`, never through estimation.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import IO
 
 import numpy as np
 
-from .linalg import LsqrResult, SparseSystem, lsqr
-from .records import StateHistory, Transcript
+from .linalg import SparseSystem, lsqr
+from .records import CSV_EOL, SCHEMA_LINE, StateHistory, Transcript
+
+REPORT_COLUMNS = ["k", "coordinate", "truth_x", "est_x", "truth_y", "est_y",
+                  "abs_err_x", "abs_err_y"]
 
 
 class AttackPreconditionError(RuntimeError):
@@ -64,31 +72,28 @@ class AttackReport:
 
     def write_csv(self, fh: IO[str], agent: int, coordinates: list[int] | None = None) -> None:
         """Columns: k, coordinate (1-indexed), truth_x, est_x, truth_y, est_y,
-        abs_err_x, abs_err_y.  Truth columns are empty when unscored."""
-        fh.write("#schema=1\n")
-        w = csv.writer(fh)
-        w.writerow(
-            ["k", "coordinate", "truth_x", "est_x", "truth_y", "est_y",
-             "abs_err_x", "abs_err_y"]
-        )
+        abs_err_x, abs_err_y.  Truth columns are empty when unscored.  The
+        bytes are those of the csv module writing the floats' reprs."""
         ex = self.est_x[agent]
-        ey = self.est_y[agent]
-        tx = self.truth_x.get(agent)
-        ty = self.truth_y.get(agent)
-        p = ex.shape[1]
-        coords = coordinates if coordinates is not None else list(range(1, p + 1))
-        for k in range(ex.shape[0]):
-            for c in coords:
-                j = c - 1
-                row = [k, c]
-                if tx is not None:
-                    row += [repr(float(tx[k, j])), repr(float(ex[k, j])),
-                            repr(float(ty[k, j])), repr(float(ey[k, j])),
-                            repr(abs(float(ex[k, j] - tx[k, j]))),
-                            repr(abs(float(ey[k, j] - ty[k, j])))]
-                else:
-                    row += ["", repr(float(ex[k, j])), "", repr(float(ey[k, j])), "", ""]
-                w.writerow(row)
+        kk, p = ex.shape
+        coords = list(range(1, p + 1)) if coordinates is None else list(coordinates)
+        if agent in self.truth_x:
+            cols = [self.truth_x[agent], ex, self.truth_y[agent], self.est_y[agent],
+                    self.err_x[agent], self.err_y[agent]]
+            fmt = "{!r},{!r},{!r},{!r},{!r},{!r}"
+        else:
+            cols = [ex, self.est_y[agent]]
+            fmt = ",{!r},,{!r},,"
+        vals = np.stack([c[:, np.array(coords, dtype=np.int64) - 1] for c in cols], axis=-1)
+        # states change only at the agent's activations: format each distinct
+        # row of k once (bitwise distinct, so -0.0 and nan keep their text)
+        bits = vals.reshape(kk, -1).view(np.uint64)
+        fresh = np.concatenate(([True], np.any(bits[1:] != bits[:-1], axis=1)))
+        texts = [[fmt.format(*v) for v in row] for row in vals[fresh].tolist()]
+        fh.write(SCHEMA_LINE + "\n" + ",".join(REPORT_COLUMNS) + CSV_EOL)
+        fh.writelines(f"{k},{c},{text}{CSV_EOL}"
+                      for k, o in enumerate((np.cumsum(fresh) - 1).tolist())
+                      for c, text in zip(coords, texts[o]))
 
 
 def score_report(report: AttackReport, history: StateHistory) -> AttackReport:
@@ -104,35 +109,45 @@ def score_report(report: AttackReport, history: StateHistory) -> AttackReport:
 
 
 def activations_of(transcript: Transcript, agent: int) -> list[int]:
-    return [k for k in range(transcript.last_iteration + 1) if transcript.senders[k] == agent]
+    return np.flatnonzero(transcript.senders == agent).tolist()
+
+
+def _epochs(senders: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per iteration, the active agent's epoch (its earlier activations) and
+    its slot before the update; per agent, its activation count."""
+    counts = np.bincount(senders - 1, minlength=n)
+    order = np.argsort(senders, kind="stable")
+    epoch = np.empty(len(senders), dtype=np.int64)
+    epoch[order] = np.arange(len(senders)) - (np.cumsum(counts) - counts)[senders[order] - 1]
+    return epoch, _first_slots(counts)[senders - 1] + epoch, counts
+
+
+def _first_slots(counts: np.ndarray) -> np.ndarray:
+    """Slot of each agent's epoch 0 when agent a holds counts[a-1] + 1 slots."""
+    return np.cumsum(counts + 1) - (counts + 1)
+
+
+def _token_steps(transcript: Transcript, last: int) -> tuple[np.ndarray, np.ndarray]:
+    """Token z^k before iteration k and the difference z^{k+1} - z^k, k <= last."""
+    z = transcript.z_values[: last + 1]
+    z_prev = np.concatenate((np.zeros((1, z.shape[1])), z[:-1]))
+    return z_prev, z - z_prev
 
 
 def _expand_epochs(
-    values_x: dict[tuple[int, int], np.ndarray],
-    values_y: dict[tuple[int, int], np.ndarray],
-    acts: dict[int, list[int]],
+    values_x: np.ndarray,
+    values_y: np.ndarray,
+    senders: np.ndarray,
+    first_slot: dict[int, int],
     agents: list[int],
-    last_k: int,
-    p: int,
 ) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
+    """Each agent's state at the start of iterations 0 .. K+1 from its
+    per-slot values, K+1 = len(senders)."""
     out_x: dict[int, np.ndarray] = {}
     out_y: dict[int, np.ndarray] = {}
     for a in agents:
-        xs = np.empty((last_k + 2, p))
-        ys = np.empty((last_k + 2, p))
-        e = 0
-        cur_x = values_x[(a, 0)]
-        cur_y = values_y[(a, 0)]
-        xs[0], ys[0] = cur_x, cur_y
-        act_set = set(acts[a])
-        for k in range(last_k + 1):
-            if k in act_set:
-                e += 1
-                cur_x = values_x[(a, e)]
-                cur_y = values_y[(a, e)]
-            xs[k + 1], ys[k + 1] = cur_x, cur_y
-        out_x[a] = xs
-        out_y[a] = ys
+        slots = first_slot[a] + np.concatenate(([0], np.cumsum(senders == a)))
+        out_x[a], out_y[a] = values_x[slots], values_y[slots]
     return out_x, out_y
 
 
@@ -143,32 +158,28 @@ def exact_recursion_attack(transcript: Transcript) -> AttackReport:
         x_new = (N*Delta + z^k + x_prev) / 2
         y_new = y_prev + (rho/2) (z^k - N*Delta - x_prev)
     With x_prev, y_prev known (zero at the start), both are determined, and
-    the gradient at the new point equals y_new.
+    the gradient at the new point equals y_new.  Agents are independent, so
+    each epoch updates every agent active in it at once.
     """
     n = transcript.n_agents
     rho = transcript.rho
-    p = transcript.dim
     last = transcript.last_iteration
-    cur_x = {a: np.zeros(p) for a in range(1, n + 1)}
-    cur_y = {a: np.zeros(p) for a in range(1, n + 1)}
-    vals_x: dict[tuple[int, int], np.ndarray] = {(a, 0): cur_x[a].copy() for a in cur_x}
-    vals_y: dict[tuple[int, int], np.ndarray] = {(a, 0): cur_y[a].copy() for a in cur_y}
-    epoch = {a: 0 for a in cur_x}
-    acts: dict[int, list[int]] = {a: [] for a in cur_x}
-    z_prev = np.zeros(p)
-    for k in range(last + 1):
-        a = int(transcript.senders[k])
-        delta = transcript.z_values[k] - z_prev
-        x_new = 0.5 * (n * delta + z_prev + cur_x[a])
-        y_new = cur_y[a] + 0.5 * rho * (z_prev - n * delta - cur_x[a])
-        cur_x[a] = x_new
-        cur_y[a] = y_new
-        epoch[a] += 1
-        vals_x[(a, epoch[a])] = x_new
-        vals_y[(a, epoch[a])] = y_new
-        acts[a].append(k)
-        z_prev = transcript.z_values[k]
-    est_x, est_y = _expand_epochs(vals_x, vals_y, acts, list(cur_x), last, p)
+    senders = transcript.senders
+    epoch, prev, counts = _epochs(senders, n)
+    z_prev, delta = _token_steps(transcript, last)
+    fwd_x = n * delta + z_prev
+    fwd_y = z_prev - n * delta
+    xs = np.zeros((len(senders) + n, transcript.dim))
+    ys = np.zeros_like(xs)
+    half_rho = 0.5 * rho
+    by_epoch = np.argsort(epoch, kind="stable")
+    for ks in np.split(by_epoch, np.cumsum(np.bincount(epoch))[:-1]):
+        s = prev[ks]
+        xs[s + 1] = 0.5 * (fwd_x[ks] + xs[s])
+        ys[s + 1] = ys[s] + half_rho * (fwd_y[ks] - xs[s])
+    first = _first_slots(counts)
+    agents = list(range(1, n + 1))
+    est_x, est_y = _expand_epochs(xs, ys, senders, {a: first[a - 1] for a in agents}, agents)
     return AttackReport(
         kind="exact_recursion",
         n_agents=n,
@@ -204,35 +215,21 @@ def terminal_backward_attack(transcript: Transcript, eps: float) -> AttackReport
         )
     n = transcript.n_agents
     rho = transcript.rho
-    p = transcript.dim
     last = transcript.last_iteration
     target = int(transcript.senders[last])
     acts = activations_of(transcript, target)
+    z_prev, delta = _token_steps(transcript, last)
+    z_a, nd_a = z_prev[acts], n * delta[acts]
 
-    # backward pass: post[idx] estimates the state set at activation acts[idx]
-    post = [np.zeros(p) for _ in acts]
-    pre = [np.zeros(p) for _ in acts]
-    post[-1] = transcript.z_values[last].copy()
-    for idx in range(len(acts) - 1, -1, -1):
-        k0 = acts[idx]
-        z_k = transcript.z_before(k0)
-        delta = transcript.z_values[k0] - z_k
-        pre[idx] = 2.0 * post[idx] - n * delta - z_k
-        if idx > 0:
-            post[idx - 1] = pre[idx]
-    x_init = pre[0]
-
-    # forward dual pass from y^0 = rho x^0
-    vals_x = {(target, 0): x_init}
-    vals_y = {(target, 0): rho * x_init}
-    y_cur = rho * x_init
-    for idx, k0 in enumerate(acts):
-        z_k = transcript.z_before(k0)
-        delta = transcript.z_values[k0] - z_k
-        y_cur = y_cur + 0.5 * rho * (z_k - n * delta - pre[idx])
-        vals_x[(target, idx + 1)] = post[idx]
-        vals_y[(target, idx + 1)] = y_cur.copy()
-    est_x, est_y = _expand_epochs(vals_x, vals_y, {target: acts}, [target], last, p)
+    # backward pass: xs[e] estimates the state after the target's e-th activation
+    xs = np.empty((len(acts) + 1, transcript.dim))
+    xs[-1] = transcript.z_values[last]
+    for e in range(len(acts) - 1, -1, -1):
+        xs[e] = 2.0 * xs[e + 1] - nd_a[e] - z_a[e]
+    # forward dual pass from y^0 = rho x^0 (accumulate adds in order)
+    steps = 0.5 * rho * (z_a - nd_a - xs[:-1])
+    ys = np.add.accumulate(np.concatenate((rho * xs[:1], steps)))
+    est_x, est_y = _expand_epochs(xs, ys, transcript.senders, {target: 0}, [target])
     return AttackReport(
         kind="terminal_backward",
         n_agents=n,
@@ -250,7 +247,8 @@ class MeasurementSystem:
 
     Unknowns are indexed per (agent, epoch, which) where an agent's epoch
     advances only at its own activations; states are constant in between, so
-    nothing is lost and the column count stays small.
+    nothing is lost and the column count stays small.  Column 2s is slot s's
+    x and 2s + 1 its y.
     """
 
     systems: list[SparseSystem]
@@ -264,6 +262,54 @@ class MeasurementSystem:
     @property
     def shape(self) -> tuple[int, int]:
         return self.systems[0].n_rows, self.systems[0].n_cols
+
+
+def _rows(base_cols, template, rhs: np.ndarray, tags: tuple[str, ...]):
+    """A block of len(rhs) rows sharing one pattern: for the i-th base column
+    c, each template entry (dr, dc, v) is the triplet (h*i + dr, c + dc, v),
+    h = len(rhs) // len(base_cols) rows per base column (0: all in one row)."""
+    base_cols = np.asarray(base_cols, dtype=np.int64)
+    dr, dc, vals = np.array(template, dtype=float).T
+    h = len(rhs) // len(base_cols)
+    rows = (h * np.arange(len(base_cols))[:, None] + dr.astype(np.int64)).ravel()
+    cols = (base_cols[:, None] + dc.astype(np.int64)).ravel()
+    return rows, cols, np.tile(vals, len(base_cols)), rhs, list(tags) * (len(rhs) // len(tags))
+
+
+def _recursion_rows(x_cols: np.ndarray, z_prev: np.ndarray, delta: np.ndarray,
+                    n: int, rho: float, g: float):
+    """The two token-difference relations of each activation under step
+    scale g, the pre-update (x, y) in columns (c, c + 1), the fresh pair in
+    (c + 2, c + 3):
+        x' - x / (1+g)              = (N*Delta + g z) / (1+g)
+        y' - y + rho g / (1+g) x    = rho g / (1+g) (z - N*Delta)"""
+    rhs = np.empty((2 * len(x_cols), z_prev.shape[1]))
+    rhs[0::2] = (n * delta + g * z_prev) / (1.0 + g)
+    rhs[1::2] = (rho * g / (1.0 + g)) * (z_prev - n * delta)
+    template = [(0, 2, 1.0), (0, 0, -1.0 / (1.0 + g)),
+                (1, 3, 1.0), (1, 1, -1.0), (1, 0, rho * g / (1.0 + g))]
+    return _rows(x_cols, template, rhs, ("recursion_x", "recursion_y"))
+
+
+def _measurement_system(blocks, agents, counts, n_agents, rho, last, activations):
+    """Stack row blocks into one matrix with a right-hand side per coordinate."""
+    offsets = np.cumsum([0] + [len(b[3]) for b in blocks])
+    columns = {key: c for c, key in enumerate(
+        (a, e, w) for a, m in zip(agents, counts) for e in range(m + 1) for w in "xy")}
+    rhs = np.ascontiguousarray(np.concatenate([b[3] for b in blocks]).T)
+    base = SparseSystem(int(offsets[-1]), len(columns),
+                        np.concatenate([b[0] + off for b, off in zip(blocks, offsets)]),
+                        np.concatenate([b[1] for b in blocks]),
+                        np.concatenate([b[2] for b in blocks]), rhs[0])
+    return MeasurementSystem(
+        systems=[base] + [base.with_rhs(b) for b in rhs[1:]],
+        columns=columns,
+        row_tags=[tag for b in blocks for tag in b[4]],
+        n_agents=n_agents,
+        rho=rho,
+        last_iteration=last,
+        activations=activations,
+    )
 
 
 def build_ls_system(
@@ -293,111 +339,52 @@ def build_ls_system(
     if pin_last_cycle and last + 1 < n:
         raise ValueError("pin_last_cycle needs at least one full cycle of iterations")
 
-    acts: dict[int, list[int]] = {a: [] for a in range(1, n + 1)}
-    for k in range(last + 1):
-        acts[int(transcript.senders[k])].append(k)
-    columns: dict[tuple[int, int, str], int] = {}
-    nc = 0
-    for a in range(1, n + 1):
-        for e in range(len(acts[a]) + 1):
-            columns[(a, e, "x")] = nc
-            nc += 1
-            columns[(a, e, "y")] = nc
-            nc += 1
-
-    triplets: list[tuple[int, int, float]] = []
-    rhs: list[list[float]] = [[] for _ in range(p)]
-    row_tags: list[str] = []
-    r = 0
-
-    def add_row(entries: list[tuple[int, float]], rv: np.ndarray, tag: str) -> None:
-        nonlocal r
-        for c, v in entries:
-            triplets.append((r, c, v))
-        for ci in range(p):
-            rhs[ci].append(float(rv[ci]))
-        row_tags.append(tag)
-        r += 1
-
-    zero = np.zeros(p)
-    for a in range(1, n + 1):
-        add_row(
-            [(columns[(a, 0, "x")], 1.0), (columns[(a, 0, "y")], -1.0 / rho)],
-            zero,
-            "init",
-        )
-        if transcript.deterministic_init:
-            add_row([(columns[(a, 0, "x")], 1.0)], zero, "init")
-            add_row([(columns[(a, 0, "y")], 1.0)], zero, "init")
-    epoch = {a: 0 for a in range(1, n + 1)}
-    z_prev = np.zeros(p)
-    for k in range(last + 1):
-        a = int(transcript.senders[k])
-        e = epoch[a]
-        delta = transcript.z_values[k] - z_prev
-        add_row(
-            [(columns[(a, e + 1, "x")], 1.0), (columns[(a, e, "x")], -0.5)],
-            0.5 * (n * delta + z_prev),
-            "recursion_x",
-        )
-        add_row(
-            [
-                (columns[(a, e + 1, "y")], 1.0),
-                (columns[(a, e, "y")], -1.0),
-                (columns[(a, e, "x")], rho / 2.0),
-            ],
-            (rho / 2.0) * (z_prev - n * delta),
-            "recursion_y",
-        )
-        epoch[a] += 1
-        z_prev = transcript.z_values[k]
-
+    senders = transcript.senders[: last + 1]
+    _, prev, counts = _epochs(senders, n)
+    first = _first_slots(counts)
+    init = [(0, 0, 1.0), (0, 1, -1.0 / rho)]  # x^0 - y^0 / rho = 0
+    if transcript.deterministic_init:
+        init += [(1, 0, 1.0), (2, 1, 1.0)]  # x^0 = 0, y^0 = 0
+    init_rows = 3 if transcript.deterministic_init else 1
+    blocks = [
+        _rows(2 * first, init, np.zeros((n * init_rows, p)), ("init",)),
+        _recursion_rows(2 * prev, *_token_steps(transcript, last), n, rho, 1.0),
+    ]
     if kkt_row:
-        ep_at_last = {a: 0 for a in range(1, n + 1)}
-        for k in range(last):
-            ep_at_last[int(transcript.senders[k])] += 1
-        add_row(
-            [(columns[(a, ep_at_last[a], "y")], 1.0) for a in range(1, n + 1)],
-            zero,
-            "kkt_sum",
-        )
+        at_last = counts.copy()
+        at_last[senders[-1] - 1] -= 1
+        blocks.append(_rows(2 * (first + at_last) + 1, [(0, 0, 1.0)], np.zeros((1, p)),
+                            ("kkt_sum",)))
     if pin_last_cycle:
-        for j in range(n):
-            k = last - j
-            a = int(transcript.senders[k])
-            add_row(
-                [(columns[(a, epoch[a], "x")], 1.0)],
-                transcript.z_values[k],
-                "convergence_pin",
-            )
-
-    base = SparseSystem.from_triplets(r, nc, triplets, np.array(rhs[0]))
-    systems = [base] + [base.with_rhs(np.array(rhs[ci])) for ci in range(1, p)]
-    return MeasurementSystem(
-        systems=systems,
-        columns=columns,
-        row_tags=row_tags,
-        n_agents=n,
-        rho=rho,
-        last_iteration=last,
-        activations=acts,
-    )
+        ks = last - np.arange(n)
+        final = senders[ks] - 1
+        blocks.append(_rows(2 * (first + counts)[final], [(0, 0, 1.0)],
+                            transcript.z_values[ks], ("convergence_pin",)))
+    agents = list(range(1, n + 1))
+    acts = {a: np.flatnonzero(senders == a).tolist() for a in agents}
+    return _measurement_system(blocks, agents, counts, n, rho, last, acts)
 
 
-def _solve_system(
-    ms: MeasurementSystem, tol: float, max_iter: int | None
-) -> tuple[list[LsqrResult], dict[tuple[int, int], np.ndarray], dict[tuple[int, int], np.ndarray]]:
-    p = len(ms.systems)
+def _lsq_report(kind: str, transcript: Transcript, ms: MeasurementSystem, tol: float,
+                max_iter: int | None, agents: list[int], notes: str = "") -> AttackReport:
+    """Solve each coordinate's system and read the agents' estimates off it."""
     results = [lsqr(sysm, tol=tol, max_iter=max_iter) for sysm in ms.systems]
-    vals_x: dict[tuple[int, int], np.ndarray] = {}
-    vals_y: dict[tuple[int, int], np.ndarray] = {}
-    for (a, e, which), c in ms.columns.items():
-        vec = np.array([results[ci].x[c] for ci in range(p)])
-        if which == "x":
-            vals_x[(a, e)] = vec
-        else:
-            vals_y[(a, e)] = vec
-    return results, vals_x, vals_y
+    sol = np.stack([res.x for res in results], axis=1)
+    first = {a: ms.columns[(a, 0, "x")] // 2 for a in agents}
+    senders = transcript.senders[: ms.last_iteration + 1]
+    est_x, est_y = _expand_epochs(sol[0::2], sol[1::2], senders, first, agents)
+    return AttackReport(
+        kind=kind,
+        n_agents=ms.n_agents,
+        rho=ms.rho,
+        last_iteration=ms.last_iteration,
+        est_x=est_x,
+        est_y=est_y,
+        dims=ms.shape,
+        residual_norms=[res.residual_norm for res in results],
+        lsqr_converged=all(res.converged for res in results),
+        notes=notes,
+    )
 
 
 def lsq_attack(
@@ -410,22 +397,8 @@ def lsq_attack(
 ) -> AttackReport:
     """Least-squares state reconstruction from the token transcript."""
     ms = build_ls_system(transcript, kkt_row=kkt_row, pin_last_cycle=pin_last_cycle)
-    results, vals_x, vals_y = _solve_system(ms, tol, max_iter)
     wanted = agents if agents is not None else list(range(1, ms.n_agents + 1))
-    est_x, est_y = _expand_epochs(
-        vals_x, vals_y, ms.activations, wanted, ms.last_iteration, transcript.dim
-    )
-    return AttackReport(
-        kind="lsq",
-        n_agents=ms.n_agents,
-        rho=ms.rho,
-        last_iteration=ms.last_iteration,
-        est_x=est_x,
-        est_y=est_y,
-        dims=ms.shape,
-        residual_norms=[res.residual_norm for res in results],
-        lsqr_converged=all(res.converged for res in results),
-    )
+    return _lsq_report("lsq", transcript, ms, tol, max_iter, wanted)
 
 
 def build_colluding_system(
@@ -452,75 +425,22 @@ def build_colluding_system(
     acts = activations_of(transcript, target)
     if not acts:
         raise ValueError(f"agent {target} never activates in the transcript")
-    columns: dict[tuple[int, int, str], int] = {}
-    nc = 0
-    for e in range(len(acts) + 1):
-        columns[(target, e, "x")] = nc
-        nc += 1
-        columns[(target, e, "y")] = nc
-        nc += 1
-    triplets: list[tuple[int, int, float]] = []
-    rhs: list[list[float]] = [[] for _ in range(p)]
-    row_tags: list[str] = []
-    r = 0
-
-    def add_row(entries: list[tuple[int, float]], rv: np.ndarray, tag: str) -> None:
-        nonlocal r
-        for c, v in entries:
-            triplets.append((r, c, v))
-        for ci in range(p):
-            rhs[ci].append(float(rv[ci]))
-        row_tags.append(tag)
-        r += 1
-
-    zero = np.zeros(p)
-    g = gamma_assumed
-    if g <= 0:
+    if gamma_assumed <= 0:
         raise ValueError("gamma_assumed must be positive")
-    add_row(
-        [(columns[(target, 0, "x")], 1.0), (columns[(target, 0, "y")], -1.0 / rho)],
-        zero,
-        "init",
-    )
-    for e, k in enumerate(acts):
-        z_k = transcript.z_before(k)
-        delta = transcript.z_values[k] - z_k
-        add_row(
-            [(columns[(target, e + 1, "x")], 1.0),
-             (columns[(target, e, "x")], -1.0 / (1.0 + g))],
-            (n * delta + g * z_k) / (1.0 + g),
-            "recursion_x",
-        )
-        add_row(
-            [
-                (columns[(target, e + 1, "y")], 1.0),
-                (columns[(target, e, "y")], -1.0),
-                (columns[(target, e, "x")], rho * g / (1.0 + g)),
-            ],
-            (rho * g / (1.0 + g)) * (z_k - n * delta),
-            "recursion_y",
-        )
-    e_final = len(acts)
+    z_prev, delta = _token_steps(transcript, last)
+    final = 2 * len(acts)  # the target's last x column
+    blocks = [
+        _rows([0], [(0, 0, 1.0), (0, 1, -1.0 / rho)], np.zeros((1, p)), ("init",)),
+        _recursion_rows(2 * np.arange(len(acts)), z_prev[acts], delta[acts], n, rho,
+                        gamma_assumed),
+    ]
     if colluder_final_y_sum is not None:
-        add_row(
-            [(columns[(target, e_final, "y")], 1.0)],
-            -np.asarray(colluder_final_y_sum, dtype=float),
-            "kkt_sum",
-        )
+        blocks.append(_rows([final + 1], [(0, 0, 1.0)],
+                            -np.asarray(colluder_final_y_sum, dtype=float)[None], ("kkt_sum",)))
     if pin:
-        add_row([(columns[(target, e_final, "x")], 1.0)], transcript.z_values[last],
-                "convergence_pin")
-    base = SparseSystem.from_triplets(r, nc, triplets, np.array(rhs[0]))
-    systems = [base] + [base.with_rhs(np.array(rhs[ci])) for ci in range(1, p)]
-    return MeasurementSystem(
-        systems=systems,
-        columns=columns,
-        row_tags=row_tags,
-        n_agents=n,
-        rho=rho,
-        last_iteration=last,
-        activations={target: acts},
-    )
+        blocks.append(_rows([final], [(0, 0, 1.0)], transcript.z_values[last][None],
+                            ("convergence_pin",)))
+    return _measurement_system(blocks, [target], [len(acts)], n, rho, last, {target: acts})
 
 
 def colluding_attack(
@@ -536,22 +456,8 @@ def colluding_attack(
     assuming a fixed step scale (1 unless overridden)."""
     ms = build_colluding_system(transcript, target, colluder_final_y_sum, pin,
                                 gamma_assumed)
-    results, vals_x, vals_y = _solve_system(ms, tol, max_iter)
-    est_x, est_y = _expand_epochs(
-        vals_x, vals_y, ms.activations, [target], ms.last_iteration, transcript.dim
-    )
-    return AttackReport(
-        kind="colluding",
-        n_agents=ms.n_agents,
-        rho=ms.rho,
-        last_iteration=ms.last_iteration,
-        est_x=est_x,
-        est_y=est_y,
-        dims=ms.shape,
-        residual_norms=[res.residual_norm for res in results],
-        lsqr_converged=all(res.converged for res in results),
-        notes=f"target agent {target}",
-    )
+    return _lsq_report("colluding", transcript, ms, tol, max_iter, [target],
+                       notes=f"target agent {target}")
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from .config import ConfigError, ExperimentConfig
-from .records import Transcript
+from .records import Transcript, TranscriptError
 
 
 def _load_config(path: str, seed_override: int | None) -> ExperimentConfig:
@@ -55,6 +55,9 @@ def cmd_attack(args: argparse.Namespace) -> int:
                 )
             else:
                 line += " (unscored: transcript did not match the config's run)"
+            if not rep.lsqr_converged:
+                norms = ",".join(f"{r:.3e}" for r in rep.residual_norms)
+                line += f" lsqr_converged=no residual_norms={norms}"
             print(line)
     return 0
 
@@ -128,6 +131,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.fn(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    except TranscriptError as exc:
+        print(f"transcript error: {exc}", file=sys.stderr)
         return 1
     except FileNotFoundError as exc:
         print(f"missing file: {exc}", file=sys.stderr)

@@ -71,6 +71,7 @@ class SparseSystem:
     vals: np.ndarray
     rhs: np.ndarray
     _csr: sp.csr_matrix | None = field(default=None, repr=False, compare=False)
+    _csr_t: sp.csr_matrix | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def from_triplets(
@@ -106,11 +107,19 @@ class SparseSystem:
             self._csr = coo.tocsr()
         return self._csr
 
+    def transpose(self) -> sp.csr_matrix:
+        """A' as CSR, built once: its row products add in the same order as
+        the CSC view `matrix().T`, so products with it are bit-identical."""
+        if self._csr_t is None:
+            self._csr_t = self.matrix().T.tocsr()
+        return self._csr_t
+
     def with_rhs(self, rhs: np.ndarray) -> "SparseSystem":
-        """Same matrix, different right-hand side (shares the assembled CSR)."""
+        """Same matrix, different right-hand side (shares the assembled CSR and
+        its transpose)."""
         out = SparseSystem(self.n_rows, self.n_cols, self.rows, self.cols, self.vals,
                            np.asarray(rhs, dtype=float))
-        out._csr = self.matrix()
+        out._csr, out._csr_t = self.matrix(), self.transpose()
         return out
 
 
@@ -153,6 +162,7 @@ def lsqr(system: SparseSystem, tol: float = 1e-10, max_iter: int | None = None) 
     if tol <= 0:
         raise ValueError("tol must be positive")
     a = system.matrix()
+    at = system.transpose()
     b = system.rhs.astype(float)
     m, n = a.shape
     if max_iter is None:
@@ -165,7 +175,7 @@ def lsqr(system: SparseSystem, tol: float = 1e-10, max_iter: int | None = None) 
     if beta == 0.0:
         return LsqrResult(x, 0.0, 0, True, np.array([0.0]))
     u /= beta
-    v = a.T @ u
+    v = at @ u
     alpha = float(np.linalg.norm(v))
     if alpha == 0.0:
         # A'b = 0: x = 0 already minimizes the residual.
@@ -185,7 +195,7 @@ def lsqr(system: SparseSystem, tol: float = 1e-10, max_iter: int | None = None) 
         beta = float(np.linalg.norm(u))
         if beta > 0.0:
             u /= beta
-        v = a.T @ u - beta * v
+        v = at @ u - beta * v
         alpha = float(np.linalg.norm(v))
         if alpha > 0.0:
             v /= alpha

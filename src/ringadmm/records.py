@@ -5,7 +5,6 @@ simulator for scoring attacks.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import IO, Iterator
@@ -15,10 +14,17 @@ import numpy as np
 SCHEMA_LINE = "#schema=1"
 CSV_EOL = "\r\n"  # the csv module's row terminator, kept by the fast writers
 
+# keys of the transcript's #meta line
+META_KEYS = ("n_agents", "rho", "deterministic_init", "stopped_by_eps", "stop_eps")
+
 TRACE_COLUMNS = [
     "k", "agent", "accuracy", "lagrangian", "r_primal", "r_dualstep",
     "r_gradsum", "comm_units", "gamma", "omega_norm",
 ]
+
+
+class TranscriptError(ValueError):
+    """A transcript file that breaks the schema."""
 
 
 @dataclass(frozen=True)
@@ -154,29 +160,43 @@ class Transcript:
 
     @classmethod
     def read_csv(cls, fh: IO[str]) -> "Transcript":
+        """Parse and check a transcript file; a file that breaks the schema
+        raises TranscriptError naming the first fault found."""
         first = fh.readline().strip()
         if first != SCHEMA_LINE:
-            raise ValueError(f"unsupported transcript schema line: {first!r}")
+            raise TranscriptError(f"unsupported transcript schema line: {first!r}")
         meta_line = fh.readline().strip()
         if not meta_line.startswith("#meta "):
-            raise ValueError("transcript missing #meta line")
-        meta = dict(tok.split("=", 1) for tok in meta_line[len("#meta "):].split())
-        rows = [r for r in csv.reader(fh) if r]
-        header, data = rows[0], rows[1:]
+            raise TranscriptError("transcript missing #meta line")
+        meta = dict(tok.partition("=")[::2] for tok in meta_line[len("#meta "):].split())
+        missing = [key for key in META_KEYS if key not in meta]
+        if missing:
+            raise TranscriptError(f"#meta line lacks {', '.join(missing)}")
+        lines = [line for line in fh.read().splitlines() if line]
+        header = lines[0].split(",") if lines else []
         p = len(header) - 3
-        senders = np.array([int(r[1]) for r in data])
-        receivers = np.array([int(r[2]) for r in data])
-        z = np.array([[float(x) for x in r[3 : 3 + p]] for r in data])
-        return cls(
-            n_agents=int(meta["n_agents"]),
-            rho=float(meta["rho"]),
-            senders=senders,
-            receivers=receivers,
-            z_values=z,
-            deterministic_init=bool(int(meta["deterministic_init"])),
-            stopped_by_eps=bool(int(meta["stopped_by_eps"])),
-            stop_eps=float(meta["stop_eps"]),
-        )
+        if p < 1 or header != ["k", "from_agent", "to_agent"] + [f"z{c + 1}" for c in range(p)]:
+            raise TranscriptError(f"header {','.join(header)!r} is not k,from_agent,to_agent,z1..")
+        if len(lines) < 2:
+            raise TranscriptError("transcript has no iterations")
+        try:
+            table = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2)
+            n = int(meta["n_agents"])
+            flags = {key: bool(int(meta[key])) for key in ("deterministic_init", "stopped_by_eps")}
+            rho, stop_eps = float(meta["rho"]), float(meta["stop_eps"])
+        except ValueError as exc:
+            raise TranscriptError(f"unparsable data: {exc}") from None
+        if table.shape[1] != p + 3:
+            raise TranscriptError(f"data rows have {table.shape[1]} fields, the header {p + 3}")
+        ks, ids, z = table[:, 0], table[:, 1:3].T, np.ascontiguousarray(table[:, 3:])
+        known = np.isin(ids, np.arange(1, n + 1))
+        for fault, bad in [("k is not sequential from 0", ks != np.arange(len(ks))),
+                           (f"agent id not in 1..{n}", ~np.all(known, axis=0)),
+                           ("non-finite z", ~np.all(np.isfinite(z), axis=1))]:
+            if np.any(bad):
+                raise TranscriptError(f"{fault} in data row {int(np.argmax(bad))}")
+        senders, receivers = ids.astype(np.int64, order="C")
+        return cls(n, rho, senders, receivers, z, stop_eps=stop_eps, **flags)
 
 
 @dataclass
@@ -198,27 +218,24 @@ class StateHistory:
     def last_iteration(self) -> int:
         return len(self.agents) - 1
 
+    def _stacked(self) -> tuple[np.ndarray, np.ndarray]:
+        """(x0; x_new) and (y0; y_new): row a-1 is agent a's start, row N+k
+        the state set at iteration k."""
+        return np.concatenate((self.x0, self.x_new)), np.concatenate((self.y0, self.y_new))
+
     def trajectory(self, agent: int) -> tuple[np.ndarray, np.ndarray]:
         """States x_agent^k, y_agent^k for k = 0 .. K+1 as (K+2, p) arrays."""
-        kk = self.last_iteration + 2
-        p = self.x0.shape[1]
-        xs = np.empty((kk, p))
-        ys = np.empty((kk, p))
-        x = self.x0[agent - 1]
-        y = self.y0[agent - 1]
-        xs[0], ys[0] = x, y
-        for k in range(kk - 1):
-            if self.agents[k] == agent:
-                x, y = self.x_new[k], self.y_new[k]
-            xs[k + 1], ys[k + 1] = x, y
-        return xs, ys
+        n = self.n_agents
+        # stacked row holding the agent's state after each iteration
+        last = np.where(self.agents == agent, n + np.arange(len(self.agents)), agent - 1)
+        src = np.concatenate(([agent - 1], np.maximum.accumulate(last)))
+        xs, ys = self._stacked()
+        return xs[src], ys[src]
 
     def states_at(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """All agents' (x, y) at the start of iteration k."""
-        x = self.x0.copy()
-        y = self.y0.copy()
-        for j in range(min(k, self.last_iteration + 1)):
-            a = self.agents[j] - 1
-            x[a] = self.x_new[j]
-            y[a] = self.y_new[j]
-        return x, y
+        m = int(np.clip(k, 0, len(self.agents)))
+        src = np.arange(self.n_agents)
+        np.maximum.at(src, self.agents[:m] - 1, self.n_agents + np.arange(m))
+        xs, ys = self._stacked()
+        return xs[src], ys[src]

@@ -1,5 +1,6 @@
 import io
 import os
+import re
 
 import numpy as np
 import pytest
@@ -235,6 +236,37 @@ class TestCli:
         assert code == 0
         assert "max_err_x" in capsys.readouterr().out
         assert os.path.exists(os.path.join(out, "attack_agent1.csv"))
+
+    def test_attack_reports_unconverged_lsqr(self, tmp_path, capsys):
+        text = BASE_CONFIG.replace("solver.variant = iadmm", "solver.variant = iadmm_randinit")
+        cfg = self.write(tmp_path, text + "solver.init = uniform:-1,1\nattack.kind = lsq\n")
+        capped = self.write(tmp_path, text + "solver.init = uniform:-1,1\nattack.kind = lsq\n"
+                            "attack.lsqr_max_iter = 2\n", name="capped.cfg")
+        out = str(tmp_path / "out")
+        assert main(["run", "--config", cfg, "--out", out, "--quiet"]) == 0
+        transcript = os.path.join(out, "transcript.csv")
+        assert main(["attack", "--config", capped, "--transcript", transcript]) == 0
+        line = capsys.readouterr().out.strip()
+        assert len(line.splitlines()) == 1
+        norms = line.split(" residual_norms=")[1].split(",")
+        assert " lsqr_converged=no " in line and len(norms) == 2
+        assert all(float(r) > 0 for r in norms)
+        assert main(["attack", "--config", cfg, "--transcript", transcript]) == 0
+        assert "lsqr_converged" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("fault", ["short_row", "k_not_sequential", "sender_zero",
+                                       "nan_z", "missing_meta_key", "header_without_z"])
+    def test_attack_on_malformed_transcript_exit_1(self, tmp_path, capsys, fault):
+        from test_records import MALFORMED, VALID
+
+        old, new, message = MALFORMED[fault]
+        text = BASE_CONFIG.replace("network.n_agents = 6", "network.n_agents = 3")
+        cfg = self.write(tmp_path, text.replace("network.eta = 0.5", "network.eta = 1.0"))
+        transcript = self.write(tmp_path, VALID.replace(old, new, 1), name="transcript.csv")
+        assert main(["attack", "--config", cfg, "--transcript", transcript, "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("transcript error: ") and re.search(message, err)
+        assert len(err.splitlines()) == 1
 
     def test_sweep_cli(self, tmp_path):
         cfg = self.write(tmp_path, BASE_CONFIG)
