@@ -4,7 +4,8 @@
 Runs the ring-order solver, its randomized/perturbed variants, and the
 random-walk baseline on the same synthetic problems over a grid of network
 settings, and writes one long-format CSV suitable for plotting accuracy
-against communication units.
+against communication units.  The grid runs through the harness's batched
+engine (`run_configs`), which steps runs of equal N and schedule together.
 
 Example:
     python scripts/convergence_experiment.py --out results/convergence.csv \
@@ -19,8 +20,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from ringadmm.config import ExperimentConfig
-from ringadmm.harness import build_problem
-from ringadmm.solver import GammaSpec, InitSpec, Variant, run
+from ringadmm.harness import run_configs
+from ringadmm.solver import GammaSpec, InitSpec, Variant, XUpdateMode
 
 VARIANTS = {
     Variant.IADMM: dict(init=InitSpec.zeros()),
@@ -43,7 +44,7 @@ def main() -> int:
     ap.add_argument("--seeds", type=int, default=3)
     args = ap.parse_args()
 
-    rows = []
+    cfgs = []
     for n in args.agents:
         for eta in args.etas:
             for seed in range(args.seeds):
@@ -51,8 +52,6 @@ def main() -> int:
                     cfg = ExperimentConfig()
                     cfg.problem = args.problem
                     if args.problem == "logistic":
-                        from ringadmm.solver import XUpdateMode
-
                         cfg.x_update = XUpdateMode.FIRST_ORDER
                     cfg.n_agents = n
                     cfg.eta = eta
@@ -65,16 +64,20 @@ def main() -> int:
                     cfg.seed_graph = seed
                     cfg.seed_data = seed + 1000
                     cfg.seed_solver = seed + 2000
-                    graph, problem = build_problem(cfg)
-                    result = run(problem, graph, cfg.solver_config())
-                    for rec in result.trace.records[:: n]:
-                        rows.append([
-                            args.problem, n, eta, variant.value, seed,
-                            rec.comm_units, repr(rec.accuracy),
-                            repr(rec.aug_lagrangian), repr(rec.r_primal),
-                        ])
-                    print(f"N={n} eta={eta} seed={seed} {variant.value}: "
-                          f"final accuracy {result.trace.final.accuracy:.3e}")
+                    cfgs.append((seed, cfg))
+
+    rows = []
+    for (seed, cfg), result in zip(cfgs, run_configs([cfg for _, cfg in cfgs])):
+        if isinstance(result, Exception):
+            raise result
+        for rec in result.trace.records[:: cfg.n_agents]:
+            rows.append([
+                args.problem, cfg.n_agents, cfg.eta, cfg.variant.value, seed,
+                rec.comm_units, repr(rec.accuracy),
+                repr(rec.aug_lagrangian), repr(rec.r_primal),
+            ])
+        print(f"N={cfg.n_agents} eta={cfg.eta} seed={seed} {cfg.variant.value}: "
+              f"final accuracy {result.trace.final.accuracy:.3e}")
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -60,6 +60,7 @@ class AttackReport:
     lsqr_converged: bool = True
     init_assumption_violated: bool = False
     notes: str = ""
+    unscored: str = ""  # why truth columns are empty, once scoring was tried
 
     @property
     def agents(self) -> list[int]:
@@ -96,9 +97,12 @@ class AttackReport:
                       for c, text in zip(coords, texts[o]))
 
 
-def score_report(report: AttackReport, history: StateHistory) -> AttackReport:
-    """Fill truth and absolute-error arrays from the simulator's history."""
-    for agent in report.agents:
+def score_report(
+    report: AttackReport, history: StateHistory, agents: list[int] | None = None
+) -> AttackReport:
+    """Fill truth and absolute-error arrays from the simulator's history,
+    for `agents` (default: every estimated agent)."""
+    for agent in report.agents if agents is None else agents:
         xs, ys = history.trajectory(agent)
         kk = report.est_x[agent].shape[0]
         report.truth_x[agent] = xs[:kk]

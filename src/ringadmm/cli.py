@@ -54,7 +54,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
                     f" max_err_y={rep.err_y[agent].max():.3e}"
                 )
             else:
-                line += " (unscored: transcript did not match the config's run)"
+                line += f" unscored: {rep.unscored}"
             if not rep.lsqr_converged:
                 norms = ",".join(f"{r:.3e}" for r in rep.residual_norms)
                 line += f" lsqr_converged=no residual_norms={norms}"

@@ -17,13 +17,14 @@ from . import adversary
 from .config import ConfigError, ExperimentConfig, parse_kv_text
 from .objectives import (
     LogisticObjective,
+    OptimizerError,
     RidgeObjective,
     centralized_optimum,
     generate_logistic_data,
     generate_ridge_data,
 )
 from .records import Transcript
-from .solver import Problem, RunResult, kkt_residuals, descent_regimes, run
+from .solver import Problem, RunResult, kkt_residuals, descent_regimes, run, run_batch
 from .topology import Graph, generate_graph, write_edgelist
 
 PLANTED_STREAM = 0  # sub-stream of seeds.data holding the hidden label model
@@ -155,8 +156,9 @@ def run_attack(
     """Run the configured attack on a transcript.
 
     The estimate uses the transcript alone.  For scoring, the run is
-    regenerated from the config's seeds; if the regenerated transcript does
-    not match the supplied one, truth columns are left empty.
+    regenerated once from the config's seeds; if that fails or its transcript
+    does not match the supplied one, truth columns are left empty and each
+    report's `unscored` says why.  Only the agents written out are scored.
     """
     cfg.validate()
     if transcript.n_agents != cfg.n_agents:
@@ -167,6 +169,13 @@ def run_attack(
         raise ConfigError(f"transcript rho={transcript.rho} differs from config rho={cfg.rho}")
 
     opts = cfg.attack
+    regen = _regenerate(cfg)
+    if isinstance(regen, str):
+        unscored = regen
+    elif not _transcripts_match(regen.transcript, transcript):
+        unscored = "transcript did not match the config's run"
+    else:
+        unscored = ""
     max_iter = opts.lsqr_max_iter if opts.lsqr_max_iter > 0 else None
     reports: dict[int, adversary.AttackReport] = {}
     if opts.kind == "exact":
@@ -189,8 +198,7 @@ def run_attack(
         reports[rep.agents[0]] = rep
     else:  # colluding
         y_final = None
-        regen = _regenerate(cfg)
-        if regen is not None and _transcripts_match(regen.transcript, transcript):
+        if not unscored:
             _, y_all = regen.history.states_at(regen.history.last_iteration + 1)
             mask = np.arange(1, cfg.n_agents + 1) != opts.target
             y_final = y_all[mask].sum(axis=0)
@@ -204,10 +212,13 @@ def run_attack(
         )
         reports[opts.target] = rep
 
-    regen = _regenerate(cfg)
-    if regen is not None and _transcripts_match(regen.transcript, transcript):
-        for rep in {id(r): r for r in reports.values()}.values():
-            adversary.score_report(rep, regen.history)
+    exported: dict[int, tuple[adversary.AttackReport, list[int]]] = {}
+    for agent, rep in reports.items():
+        exported.setdefault(id(rep), (rep, []))[1].append(agent)
+    for rep, agents in exported.values():
+        rep.unscored = unscored
+        if not unscored:
+            adversary.score_report(rep, regen.history, agents)
     if out_dir is not None:
         for agent, rep in reports.items():
             _atomic_write(
@@ -219,19 +230,14 @@ def run_attack(
     return reports
 
 
-_REGEN_CACHE: dict[str, RunResult] = {}
-
-
-def _regenerate(cfg: ExperimentConfig) -> RunResult | None:
-    key = cfg.to_text()
-    if key not in _REGEN_CACHE:
-        try:
-            graph, problem = build_problem(cfg)
-            _REGEN_CACHE.clear()  # keep a single entry; runs can be large
-            _REGEN_CACHE[key] = run(problem, graph, cfg.solver_config())
-        except Exception:
-            return None
-    return _REGEN_CACHE[key]
+def _regenerate(cfg: ExperimentConfig) -> RunResult | str:
+    """The run the config describes, or why the config or its optimum
+    cannot give it."""
+    try:
+        graph, problem = build_problem(cfg)
+        return run(problem, graph, cfg.solver_config())
+    except (ValueError, OptimizerError) as exc:  # ConfigError is a ValueError
+        return f"{type(exc).__name__}: {exc}"
 
 
 SWEEP_COLUMNS = [
@@ -267,10 +273,30 @@ def _apply_seed(cfg: ExperimentConfig, seed: int) -> ExperimentConfig:
     return cfg
 
 
+def run_configs(cfgs: list[ExperimentConfig]) -> list[RunResult | Exception]:
+    """Validate, build and run every config.  The runs that share N, p, the
+    x-update, the schedule kind and the objective kind step together as one
+    batch (solver.run_batch).  Returns, in order, each run's result or the
+    exception that stopped it."""
+    out: list = [None] * len(cfgs)
+    specs: dict[int, tuple] = {}
+    for i, cfg in enumerate(cfgs):
+        try:
+            cfg.validate()
+            graph, problem = build_problem(cfg)
+            specs[i] = (problem, graph, cfg.solver_config())
+        except Exception as exc:  # the caller records the failure
+            out[i] = exc
+    for i, result in zip(specs, run_batch(list(specs.values()))):
+        out[i] = result
+    return out
+
+
 def run_sweep(
     base_cfg_text: str, sweep_text: str, out_path: str, quiet: bool = True
 ) -> int:
-    """Cartesian grid x seeds; one long-format CSV row per checkpoint.
+    """Cartesian grid x seeds, run through run_configs; one long-format CSV
+    row per checkpoint.
 
     Failures of individual grid points are recorded in their rows' status
     column and the sweep continues.  Returns the number of failed runs.
@@ -279,40 +305,45 @@ def run_sweep(
     base_kv = parse_kv_text(base_cfg_text)
     keys = sorted(grid)
     combos = list(itertools.product(*(grid[k] for k in keys))) if keys else [()]
-    failures = 0
-    rows: list[list] = []
-    run_index = 0
+    points: list[tuple] = []  # (overrides, seed, config or why it has none)
     for combo in combos:
         for seed in seeds if seeds is not None else [None]:
             kv = dict(base_kv)
             kv.update(dict(zip(keys, combo)))
             overrides = ";".join(f"{k}={v}" for k, v in zip(keys, combo))
-            seed_col = "" if seed is None else seed
-            status = "ok"
             try:
                 cfg = ExperimentConfig.from_mapping(kv)
                 if seed is not None:
                     _apply_seed(cfg, seed)
-                cfg.validate()
-                result, _ = run_experiment(cfg)
-                every = cfg.checkpoint_every if cfg.checkpoint_every > 0 else cfg.n_agents
-                for k in result.trace.checkpoints(every).tolist():
-                    rec = result.trace.record(k)
-                    rows.append([
-                        run_index, overrides, seed_col, rec.k, rec.agent,
-                        repr(rec.accuracy), repr(rec.aug_lagrangian),
-                        repr(rec.r_primal), repr(rec.r_dualstep),
-                        repr(rec.r_gradsum), rec.comm_units, status,
-                    ])
             except Exception as exc:  # keep sweeping; record the failure
-                failures += 1
-                rows.append([
-                    run_index, overrides, seed_col, "", "", "", "", "", "", "", "",
-                    f"error:{type(exc).__name__}:{exc}",
-                ])
-                if not quiet:
-                    print(f"sweep point {overrides} seed={seed} failed: {exc}")
-            run_index += 1
+                cfg = exc
+            points.append((overrides, seed, cfg))
+    parsed = [i for i, point in enumerate(points) if isinstance(point[2], ExperimentConfig)]
+    results = dict(zip(parsed, run_configs([points[i][2] for i in parsed])))
+
+    failures = 0
+    rows: list[list] = []
+    for run_index, (overrides, seed, cfg) in enumerate(points):
+        result = results.get(run_index, cfg)
+        seed_col = "" if seed is None else seed
+        if isinstance(result, Exception):
+            failures += 1
+            rows.append([
+                run_index, overrides, seed_col, "", "", "", "", "", "", "", "",
+                f"error:{type(result).__name__}:{result}",
+            ])
+            if not quiet:
+                print(f"sweep point {overrides} seed={seed} failed: {result}")
+            continue
+        every = cfg.checkpoint_every if cfg.checkpoint_every > 0 else cfg.n_agents
+        for k in result.trace.checkpoints(every).tolist():
+            rec = result.trace.record(k)
+            rows.append([
+                run_index, overrides, seed_col, rec.k, rec.agent,
+                repr(rec.accuracy), repr(rec.aug_lagrangian),
+                repr(rec.r_primal), repr(rec.r_dualstep),
+                repr(rec.r_gradsum), rec.comm_units, "ok",
+            ])
 
     def write(fh):
         fh.write("#schema=1\n")

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import IO, Sequence
 
 import numpy as np
@@ -143,6 +144,139 @@ class LogisticObjective:
             "logistic loss has no closed-form proximal step; "
             "configure the first_order x-update"
         )
+
+
+class ObjectiveStack:
+    """The objectives of B runs over the same N agents, indexed agent-first.
+
+    `sel` picks one objective per output: an agent index picks that agent
+    of every run (a basic slice of the (N, B, ...) parameter arrays), and a
+    tuple (agents, runs) of index arrays picks any agent of any run.  This
+    class calls each objective's own methods; the subclasses evaluate them
+    all in one stacked expression whose results equal those calls bit for
+    bit.  rho_eff is a (B, 1) column.
+    """
+
+    def __init__(self, columns: Sequence[Sequence]):
+        self.columns = [list(c) for c in columns]  # columns[b][a]: run b, agent a
+
+    def _stacked(self, attr: str) -> np.ndarray:
+        get = attrgetter(attr)
+        return np.array([[get(c[a]) for c in self.columns] for a in range(len(self.columns[0]))])
+
+    def at(self, sel) -> "_Selection":
+        return _Selection(self, sel)
+
+    def _pairs(self, sel) -> list[tuple]:
+        if isinstance(sel, tuple):
+            a, b = np.broadcast_arrays(*sel)
+        else:
+            b = np.arange(len(self.columns))
+            a = np.full_like(b, sel)
+        return [(idx, self.columns[b[idx]][a[idx]]) for idx in np.ndindex(a.shape)]
+
+    def prox(self, sel, z: np.ndarray, y: np.ndarray, rho_eff: np.ndarray) -> np.ndarray:
+        return np.array([f.prox(z[i], y[i], float(rho_eff[i][0])) for (i,), f in self._pairs(sel)])
+
+    def gradient(self, sel, x: np.ndarray) -> np.ndarray:
+        return np.array([f.gradient(x[i]) for (i,), f in self._pairs(sel)])
+
+    def value(self, sel, x: np.ndarray) -> np.ndarray:
+        pairs = self._pairs(sel)
+        out = np.empty(x.shape[:-1])
+        for idx, f in pairs:
+            out[idx] = f.value(x[idx])
+        return out
+
+
+class _Selection:
+    """The objectives `sel` picks from a stack, behind one objective's
+    prox/gradient signatures."""
+
+    __slots__ = ("stack", "sel")
+
+    def __init__(self, stack: ObjectiveStack, sel):
+        self.stack, self.sel = stack, sel
+
+    def prox(self, z, y, rho_eff):
+        return self.stack.prox(self.sel, z, y, rho_eff)
+
+    def gradient(self, x):
+        return self.stack.gradient(self.sel, x)
+
+
+class RidgeStack(ObjectiveStack):
+    def __init__(self, columns: Sequence[Sequence]):
+        super().__init__(columns)
+        self.eigvecs = self._stacked("_eigvecs")
+        self._eigvecs_t = np.swapaxes(self.eigvecs, -1, -2)
+        self.eigvals = self._stacked("_eigvals")
+        n, b, p = self.eigvals.shape
+        # each objective's H, c and constant side by side: value() gathers once
+        self._quadratic = np.concatenate([self._stacked("hessian").reshape(n, b, p * p),
+                                          self._stacked("linear"),
+                                          self._stacked("_const")[..., None]], axis=-1)
+        self.hessian = self._quadratic[..., : p * p].reshape(n, b, p, p)
+        self.linear = self._quadratic[..., p * p : -1]
+
+    def prox(self, sel, z, y, rho_eff):
+        v = self.eigvecs[sel]
+        # V' as a transposed view, the memory layout of one objective's v.T
+        vt = np.swapaxes(v, -1, -2) if isinstance(sel, tuple) else self._eigvecs_t[sel]
+        u = vt @ (self.linear[sel] + rho_eff * z + y)[..., None]
+        u /= (self.eigvals[sel] + rho_eff)[..., None]
+        return (v @ u)[..., 0]
+
+    def gradient(self, sel, x):
+        return (self.hessian[sel] @ x[..., None])[..., 0] - self.linear[sel]
+
+    def value(self, sel, x):
+        q = self._quadratic[sel]
+        p = x.shape[-1]
+        hessian, linear = q[..., : p * p].reshape(*q.shape[:-1], p, p), q[..., None, p * p : -1]
+        col = x[..., None]
+        quad = ((0.5 * x)[..., None, :] @ hessian) @ col
+        return (quad - linear @ col)[..., 0, 0] + q[..., -1]
+
+
+class LogisticStack(ObjectiveStack):
+    """Logistic objectives with one sample count b; no proximal step."""
+
+    def __init__(self, columns: Sequence[Sequence]):
+        super().__init__(columns)
+        self.features = self._stacked("data.features")
+        self.targets = self._stacked("data.targets")
+
+    def _margins(self, sel, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        feats, t = self.features[sel], self.targets[sel]
+        return feats, t, t * (feats @ x[..., None])[..., 0]
+
+    def gradient(self, sel, x):
+        feats, t, margins = self._margins(sel, x)
+        slope = t * _sigmoid(-margins)
+        return -(np.swapaxes(feats, -1, -2) @ slope[..., None])[..., 0] / feats.shape[-2]
+
+    def value(self, sel, x):
+        return np.mean(np.logaddexp(0.0, -self._margins(sel, x)[2]), axis=-1)
+
+
+def stack_kind(objectives: Sequence) -> tuple:
+    """Runs whose objectives have equal kinds stack into one ObjectiveStack:
+    ridge, logistic with one sample count, or any others through their own
+    methods."""
+    types = {type(f) for f in objectives}
+    if types == {RidgeObjective}:
+        return ("ridge",)
+    sizes = {f.data.n_samples for f in objectives} if types == {LogisticObjective} else ()
+    if len(sizes) == 1:
+        return ("logistic", *sizes)
+    return ("objects",)
+
+
+def stack_objectives(columns: Sequence[Sequence]) -> ObjectiveStack:
+    kinds = {stack_kind(c) for c in columns}
+    kind = kinds.pop()[0] if len(kinds) == 1 else "objects"
+    return {"ridge": RidgeStack, "logistic": LogisticStack}.get(kind, ObjectiveStack)(columns)
 
 
 def _sigmoid(u: np.ndarray) -> np.ndarray:

@@ -25,6 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .objectives import stack_kind, stack_objectives
 from .records import TRACE_VALUES, IterationRecord, RunTrace, StateHistory, Transcript
 from .topology import ActivationSchedule, Graph, next_agent
 
@@ -189,24 +190,24 @@ def x_update(
     x_current: np.ndarray,
     y: np.ndarray,
     z: np.ndarray,
-    rho_eff: float,
+    rho_eff: float | np.ndarray,
     mode: XUpdateMode,
 ) -> np.ndarray:
     """New primal iterate of the active agent.
 
     exact_prox minimizes f(x) + (rho_eff/2)||z - x + y/rho_eff||^2 exactly;
     first_order takes the linearized step z + y/rho_eff - grad f(x)/rho_eff.
+    The states may be (B, p) rows of a batch, with rho_eff a (B, 1) column
+    and `objective` an ObjectiveStack selection.  rho_eff must be positive.
     """
-    if rho_eff <= 0:
-        raise ValueError("rho_eff must be positive")
     if mode == XUpdateMode.EXACT_PROX:
         return objective.prox(z, y, rho_eff)
     return z + y / rho_eff - objective.gradient(x_current) / rho_eff
 
 
-def y_update(y: np.ndarray, z: np.ndarray, x_new: np.ndarray, rho_eff: float) -> np.ndarray:
-    if rho_eff <= 0:
-        raise ValueError("rho_eff must be positive")
+def y_update(
+    y: np.ndarray, z: np.ndarray, x_new: np.ndarray, rho_eff: float | np.ndarray
+) -> np.ndarray:
     return y + rho_eff * (z - x_new)
 
 
@@ -216,7 +217,7 @@ def z_update_incremental(
     y_old: np.ndarray,
     x_new: np.ndarray,
     y_new: np.ndarray,
-    rho: float,
+    rho: float | np.ndarray,
     n_agents: int,
 ) -> np.ndarray:
     """Fold one agent's state change into the network average.
@@ -232,9 +233,12 @@ def accuracy(
 ) -> float | np.ndarray:
     """Mean over agents of ||x_i - x*|| / ||x_i^0 - x*||.
 
-    x holds the (N, p) states, or a (C, N, p) stack of them with one value
-    per state.  Agents whose start coincides with x* are excluded (the mean
-    runs over the remaining agents) after a warning; 0.0 if nobody remains.
+    x holds the (N, p) states, or a (..., N, p) stack of them with one value
+    per state; x_star (..., p) and init_dist (..., N) may carry leading axes
+    that broadcast against the stack's, as one per run of a batch does.
+    Agents whose start coincides with x* are excluded (the mean runs over
+    the remaining agents) after a warning, for a 1-D init_dist only; 0.0 if
+    nobody remains.
     """
     included = init_dist > 0.0
     if not included.all():
@@ -245,7 +249,7 @@ def accuracy(
         x, init_dist = x[..., included, :], init_dist[included]
     diff = x - x_star
     ratio = np.sqrt(np.einsum("...ij,...ij->...i", diff, diff)) / init_dist
-    return ratio.sum(axis=-1) / max(len(init_dist), 1)
+    return ratio.sum(axis=-1) / max(init_dist.shape[-1], 1)
 
 
 def aug_lagrangian(
@@ -311,41 +315,37 @@ class RunResult:
     n_iterations: int
 
 
-def _block_rows(n_agents: int) -> int:
+def _block_rows(n_agents: int, batch: int) -> int:
     """Iterations per block, and so per metrics pass: one cycle, but at least
-    32 to share the pass's fixed cost, and few enough that its (rows, N, p)
-    arrays stay near 2**14 agent states."""
-    return max(1, min(max(n_agents, 32), 2**14 // n_agents))
+    32 to share the pass's fixed cost, and few enough that its
+    (batch, rows, N, p) arrays stay near 2**14 agent states."""
+    return max(1, min(max(n_agents, 32), 2**14 // (n_agents * batch)))
 
 
 class _Block:
-    """Per-iteration values of up to `size` consecutive iterations: the active
-    agent and the receiver, the agent's new x and y and the token sent (the
-    three blocks of `states`), and the RunTrace.values row."""
+    """Per-iteration values of up to `size` consecutive iterations of a batch
+    of runs, as (iteration, run, ...) arrays: the active agent and the
+    receiver, the agent's new x and y and the token sent (the three blocks
+    of `states`), and the RunTrace.values row."""
 
-    def __init__(self, size: int, dim: int):
+    def __init__(self, size: int, batch: int, dim: int):
         self.n = 0
-        self.agents = np.empty(size, dtype=np.int64)
-        self.receivers = np.empty(size, dtype=np.int64)
-        self.states = np.empty((size, 3 * dim))
-        self.x = self.states[:, :dim]
-        self.y = self.states[:, dim : 2 * dim]
-        self.z = self.states[:, 2 * dim :]
-        self.values = np.full((size, len(TRACE_VALUES)), math.nan)
+        self.agents = np.empty((size, batch), dtype=np.int64)
+        self.receivers = np.empty((size, batch), dtype=np.int64)
+        self.states = np.empty((size, batch, 3 * dim))
+        self.x = self.states[..., :dim]
+        self.y = self.states[..., dim : 2 * dim]
+        self.z = self.states[..., 2 * dim :]
+        self.values = np.full((size, batch, len(TRACE_VALUES)), math.nan)
 
     @property
     def free(self) -> int:
         return len(self.agents) - self.n
 
 
-class Simulation:
-    """Drives one token-passing run; states live in (N, p) arrays.
-
-    Each iteration only updates the states and records them in blocks of
-    about one cycle (see _block_rows).  The metrics of each chunk of
-    iterations are computed afterwards in one vectorised pass, which also
-    ends the run at the chunk's first diverging or converged iteration.
-    """
+class _Run:
+    """One run of a batch: its inputs, random stream and start, the (block,
+    row) pairs that hold its iterations and, once it has ended, its result."""
 
     def __init__(
         self,
@@ -359,209 +359,338 @@ class Simulation:
         if schedule is None:
             kind = "random_walk" if config.variant == Variant.WADMM_BASELINE else "cyclic"
             schedule = ActivationSchedule(kind=kind, seed=config.seed)
-        self.problem = problem
-        self.graph = graph
-        self.config = config
-        self.schedule = schedule
+        self.problem, self.graph, self.config, self.schedule = problem, graph, config, schedule
         self.rng = np.random.default_rng(config.seed)
         self.lipschitz = problem.lipschitz()
-        self.x, self.y, self.z = initialize(graph, config, problem.dim, self.rng)
-        self._x0 = self.x.copy()
-        self._y0 = self.y.copy()
-        self._init_dist = np.linalg.norm(self.x - problem.x_star, axis=1)
-        self._fvals = np.array(
-            [f.value(self.x[i]) for i, f in enumerate(problem.objectives)]
-        )
+        if config.variant == Variant.PIADMM1 and config.gamma.kind == "floor":
+            gamma_lower_bound(config.rho, self.lipschitz, graph.n_agents)  # rho > L
+        self.x0, self.y0, _ = initialize(graph, config, problem.dim, self.rng)
+        self.init_dist = np.linalg.norm(self.x0 - problem.x_star, axis=1)
+        self.blocks: list[tuple[_Block, int]] = []
+        self.result: RunResult | None = None
+
+    def key(self) -> tuple:
+        """Runs with equal keys can step together in one batch."""
+        return (self.graph.n_agents, self.problem.dim, self.schedule.kind,
+                self.config.x_update, stack_kind(self.problem.objectives))
+
+
+class Simulation:
+    """Drives a batch of B token-passing runs with equal `_Run.key`; B=1 is
+    the ordinary run.
+
+    States are laid out agent-first as (N, B, p).  In a cyclic batch every
+    run activates the same agent, read and written with one basic slice;
+    random-walk runs gather theirs per run.  rho, the gamma draws, the noise
+    and the stopping rules are per-run columns.  Each iteration only updates
+    the states and records them in blocks of about one cycle (see
+    _block_rows).  The metrics of each chunk of iterations are computed
+    afterwards in one vectorised pass, which also ends each run at its
+    chunk's first diverging or converged iteration; ended runs leave the
+    batch.
+    """
+
+    def __init__(
+        self,
+        problem: Problem,
+        graph: Graph,
+        config: SolverConfig,
+        schedule: ActivationSchedule | None = None,
+    ):
+        self._start([_Run(problem, graph, config, schedule)])
+
+    @classmethod
+    def _batch(cls, runs: list[_Run]) -> "Simulation":
+        sim = cls.__new__(cls)
+        sim._start(runs)
+        return sim
+
+    def _start(self, runs: list[_Run]) -> None:
+        if len({r.key() for r in runs}) != 1:
+            raise ValueError("a batch needs one N, p, x-update, schedule kind and objective kind")
+        first = runs[0]
+        self.n_agents, self.dim = first.graph.n_agents, first.problem.dim
+        self.cyclic = first.schedule.kind == "cyclic"
+        self.runs, self._alive = runs, list(runs)
         self.k = 0
-        self.active = schedule.first_agent()
-        self._blocks = [_Block(_block_rows(graph.n_agents), problem.dim)]
-        self._n_records = 0
+        self.active = np.array([r.schedule.first_agent() for r in runs])
+        self._x = np.stack([r.x0 for r in runs], axis=1)
+        self._y = np.stack([r.y0 for r in runs], axis=1)
+        self._z = np.zeros((len(runs), self.dim))
+        self._columns()
+        x0 = np.array([r.x0 for r in runs])
+        self._fvals = self._stack.value(
+            (np.arange(self.n_agents), np.arange(len(runs))[:, None]), x0)
+
+    def _columns(self) -> None:
+        """Per-run columns of the runs still in the batch, and a new block."""
+        runs = self._alive
+        self._stack = stack_objectives([r.problem.objectives for r in runs])
+        self._at = [self._stack.at(i) for i in range(self.n_agents)]
+        self._rho = np.array([[r.config.rho] for r in runs])
+        self._stop_eps = np.array([[r.config.stop_eps] for r in runs])
+        self._x_star = np.array([r.problem.x_star for r in runs])[:, None, None]
+        self._init_dist = np.array([r.init_dist for r in runs])[:, None]
+        self._excluding = not (self._init_dist > 0.0).all()
+        self._col = np.arange(len(runs))[:, None]
+        self._gamma_rows = [b for b, r in enumerate(runs) if r.config.variant == Variant.PIADMM1]
+        self._noise_rows = [b for b, r in enumerate(runs) if r.config.variant == Variant.PIADMM2]
+        noisy = np.isin(np.arange(len(runs)), self._noise_rows)[:, None]
+        self._noise_mask = True if noisy.all() else noisy  # np.add's where=
+        self._new_block()
+
+    def _new_block(self) -> None:
+        self._block = _Block(_block_rows(self.n_agents, len(self._alive)),
+                             len(self._alive), self.dim)
+        for b, r in enumerate(self._alive):
+            r.blocks.append((self._block, b))
+
+    def _single(self) -> None:
+        if len(self.runs) != 1:
+            raise ValueError("this needs a simulation of a single run")
+
+    @property
+    def x(self) -> np.ndarray:
+        """The (N, p) states of a single run; likewise y and z."""
+        self._single()
+        return self._x[:, 0]
+
+    @property
+    def y(self) -> np.ndarray:
+        self._single()
+        return self._y[:, 0]
+
+    @property
+    def z(self) -> np.ndarray:
+        self._single()
+        return self._z[0]
 
     def step(self) -> IterationRecord:
-        """Advance one iteration; DivergenceError if its state or metrics
-        are not finite."""
+        """Advance a single run by one iteration; DivergenceError if its
+        state or metrics are not finite."""
+        self._single()
         # non-finite values are caught by the metrics pass, not by warnings
         with np.errstate(over="ignore", invalid="ignore"):
             self._room()
-            self._metrics(self._advance(1), stop_eps=-math.inf)
-        block = self._blocks[-1]
+            ended = self._metrics(self._advance(1), -math.inf)
+        if ended:
+            raise DivergenceError(ended[0][2].removeprefix("diverged: "))
+        block = self._block
         return IterationRecord.from_values(
-            self.k - 1, int(block.agents[block.n - 1]), block.values[block.n - 1].tolist()
-        )
+            self.k - 1, int(block.agents[block.n - 1, 0]),
+            block.values[block.n - 1, 0].tolist())
 
     def _room(self) -> int:
-        """Free rows of the last block; a full block is followed by a new one."""
-        if not self._blocks[-1].free:
-            self._blocks.append(_Block(len(self._blocks[-1].agents), self.problem.dim))
-        return self._blocks[-1].free
+        """Free rows of the current block; a full block is followed by a new one."""
+        if not self._block.free:
+            self._new_block()
+        return self._block.free
 
     def _advance(self, n: int) -> tuple:
-        """n iterations of the state update, recorded in the next n rows of
-        the last block, which must have room for them.  Returns the chunk's
-        start for _metrics: its first row and iteration, the (x, y) states
-        side by side, z and the objective values."""
-        cfg = self.config
-        block = self._blocks[-1]
-        lo = block.n
-        chunk = (lo, self.k, np.concatenate([self.x, self.y], axis=1), self.z, self._fvals)
-        rho_eff = [cfg.rho] * n
-        if cfg.variant == Variant.PIADMM1:
-            gamma = sample_gamma(cfg.gamma, self.rng, cfg.rho, self.lipschitz,
-                                 self.graph.n_agents, size=n)
-            block.values[lo : lo + n, 5] = gamma
-            rho_eff = (cfg.rho * gamma).tolist()
-        if cfg.variant == Variant.PIADMM2:
-            omega = self.rng.normal(0.0, cfg.sigma, size=(n, self.problem.dim))
-            block.values[lo : lo + n, 6] = np.sqrt(np.einsum("ij,ij->i", omega, omega))
+        """n iterations of the state update of every run in the batch,
+        recorded in the next n rows of the current block, which must have
+        room for them.  Returns the chunk's start for _metrics: its first
+        row and iteration, the (x, y) states side by side as (B, N, 2p), z
+        and the objective values."""
+        block, runs = self._block, self._alive
+        lo, k0, width = block.n, self.k, len(runs)
+        x, y, z, rho, stack = self._x, self._y, self._z, self._rho, self._stack
+        chunk = (lo, k0, np.concatenate([x, y], axis=2).transpose(1, 0, 2), z, self._fvals)
 
-        objectives, x, y, z = self.problem.objectives, self.x, self.y, self.z
-        agent, k = self.active, self.k
+        agents = block.agents[lo : lo + n]
+        receivers = block.receivers[lo : lo + n]
+        # the active agent (0-based) of each iteration: one for all runs (a
+        # cyclic batch, or a single run) is a basic slice of the (N, B, ...)
+        # arrays; otherwise each run's agent is gathered
+        if self.cyclic:
+            ring = np.arange(self.active[0] - 1, self.active[0] + n) % self.n_agents
+            agents[:], receivers[:] = ring[:-1, None] + 1, ring[1:, None] + 1
+            shared, walk = ring[:-1].tolist(), None
+        else:
+            for b, r in enumerate(runs):
+                path = [int(self.active[b])]
+                for j in range(n):
+                    path.append(next_agent(r.schedule, r.graph, k0 + j, path[-1]))
+                agents[:, b], receivers[:, b] = path[:-1], path[1:]
+            walk = (agents - 1, self._col[:, 0])
+            shared = walk[0][:, 0].tolist() if width == 1 else None
+
+        rho_eff = np.repeat(rho[None], n, axis=0) if self._gamma_rows else None
+        for b in self._gamma_rows:
+            r, cfg = runs[b], runs[b].config
+            gamma = sample_gamma(cfg.gamma, r.rng, cfg.rho, r.lipschitz, self.n_agents, size=n)
+            block.values[lo : lo + n, b, 5] = gamma
+            rho_eff[:, b, 0] = cfg.rho * gamma
+        noise = None
+        if self._noise_rows:
+            noise = np.zeros((n, width, self.dim))
+            for b in self._noise_rows:
+                omega = runs[b].rng.normal(0.0, runs[b].config.sigma, size=(n, self.dim))
+                block.values[lo : lo + n, b, 6] = np.sqrt(np.einsum("ij,ij->i", omega, omega))
+                noise[:, b] = omega
+
+        bx, by, bz = block.x, block.y, block.z
+        mode, at = runs[0].config.x_update, self._at
         for j in range(n):
-            i = agent - 1
-            x_old, y_old = x[i], y[i]
-            x_new = x_update(objectives[i], x_old, y_old, z, rho_eff[j], cfg.x_update)
-            if cfg.variant == Variant.PIADMM2:
-                x_new = x_new + omega[j]
-            y_new = y_update(y_old, z, x_new, rho_eff[j])
-            z = z_update_incremental(z, x_old, y_old, x_new, y_new, cfg.rho,
-                                     self.graph.n_agents)
-            x[i], y[i] = x_new, y_new
-            row = lo + j
-            block.agents[row] = agent
-            block.x[row], block.y[row], block.z[row] = x_new, y_new, z
-            agent = next_agent(self.schedule, self.graph, k, agent)
-            block.receivers[row] = agent
-            k += 1
+            sel = shared[j] if shared is not None else (walk[0][j], walk[1])
+            x_old, y_old = x[sel], y[sel]
+            re = rho if rho_eff is None else rho_eff[j]
+            f = stack.at(sel) if shared is None else at[sel]
+            x_new = x_update(f, x_old, y_old, z, re, mode)
+            if noise is not None:
+                np.add(x_new, noise[j], out=x_new, where=self._noise_mask)
+            y_new = y_update(y_old, z, x_new, re)
+            z = z_update_incremental(z, x_old, y_old, x_new, y_new, rho, self.n_agents)
+            x[sel], y[sel] = x_new, y_new
+            bx[lo + j], by[lo + j], bz[lo + j] = x_new, y_new, z
         block.n = lo + n
-        self.z, self.active, self.k = z, agent, k
+        self._z, self.k = z, k0 + n
+        self.active = receivers[-1].copy()
         return chunk
 
-    def _metrics(self, chunk: tuple, stop_eps: float) -> bool:
+    def _metrics(self, chunk: tuple, stop_eps) -> dict[int, tuple[int, int, str]]:
         """Metrics of the chunk that _advance just recorded.
 
-        At the chunk's first iteration that has a non-finite state, has
-        non-finite metrics, or has r_primal < stop_eps (checked in that
+        At a run's first iteration of the chunk that has a non-finite state,
+        has non-finite metrics, or has r_primal < stop_eps (checked in that
         order), the run is rolled back to that iteration.  A non-finite
         state drops the iteration; non-finite metrics keep its state and
-        transmission but not its trace row; a stop keeps it whole.
-        Divergence raises DivergenceError; a stop returns True.
+        transmission but not its trace row; a stop keeps it whole.  Returns,
+        per rolled-back row of the batch, the run's iterations, its
+        transmissions and its stop reason.
         """
-        block = self._blocks[-1]
         lo, k0, start, z0, f0 = chunk
+        block = self._block
         hi = block.n
-        c, n, p = hi - lo, self.graph.n_agents, self.problem.dim
-        agents = block.agents[lo:hi] - 1
+        c, n, p = hi - lo, self.n_agents, self.dim
+        col = self._col
+        agents = block.agents[lo:hi].T - 1
         rows = np.arange(c)
+        states = block.states[lo:hi].transpose(1, 0, 2)
 
         # every agent's (x, y) after each iteration of the chunk: row `last`
         # of `pool`, the start states followed by the chunk's updates
-        pool = np.concatenate([start, block.states[lo:hi, : 2 * p]])
-        last = np.empty((c, n), dtype=np.int64)
+        pool = np.concatenate([start, states[..., : 2 * p]], axis=1)
+        last = np.empty((len(col), c, n), dtype=np.int64)
         last[:] = np.arange(n)
-        last[rows, agents] = rows + n
-        np.maximum.accumulate(last, axis=0, out=last)
-        xy = pool[last]
+        last[col, rows, agents] = rows + n
+        np.maximum.accumulate(last, axis=1, out=last)
+        xy = pool[col[..., None], last]
         x, y = xy[..., :p], xy[..., p:]
-        f_new = [self.problem.objectives[a].value(xi)
-                 for a, xi in zip(agents.tolist(), block.x[lo:hi])]
-        f = np.concatenate([f0, f_new])[last]
-        zs = block.z[lo:hi]
+        f_new = self._stack.value((agents, col), states[..., :p])
+        f = np.concatenate([f0, f_new], axis=1)[col[..., None], last]
+        zs = states[..., 2 * p :]
         # gaps are formed before any reduction so near-consensus values do
         # not cancel catastrophically
-        gap = zs[:, None, :] - x
-        sq = np.einsum("cij,cij->ci", gap, gap)
-        r_primal = np.sqrt(sq.max(axis=1))
-        vals = block.values[lo:hi]
-        vals[:, 0] = accuracy(x, self.problem.x_star, self._init_dist)
-        vals[:, 1] = f.sum(axis=1) + np.einsum("cij,cij->c", y, gap) \
-            + 0.5 * self.config.rho * sq.sum(axis=1)
-        vals[:, 2] = r_primal
-        before = np.where(rows > 0, last[rows - 1, agents], agents)
-        dy = block.y[lo:hi] - pool[before, p:]
-        vals[:, 3] = np.sqrt(np.einsum("ij,ij->i", dy, dy))
-        ysum = y.sum(axis=1)
-        vals[:, 4] = np.sqrt(np.einsum("ij,ij->i", ysum, ysum))
+        gap = zs[:, :, None, :] - x
+        sq = np.einsum("bcij,bcij->bci", gap, gap)
+        r_primal = np.sqrt(sq.max(axis=2))
+        vals = block.values[lo:hi].transpose(1, 0, 2)
+        vals[..., 0] = self._accuracy(x)
+        vals[..., 1] = f.sum(axis=2) + np.einsum("bcij,bcij->bc", y, gap) \
+            + 0.5 * self._rho * sq.sum(axis=2)
+        vals[..., 2] = r_primal
+        before = np.where(rows > 0, last[col, rows - 1, agents], agents)
+        dy = states[..., p : 2 * p] - pool[col, before, p:]
+        vals[..., 3] = np.sqrt(np.einsum("bij,bij->bi", dy, dy))
+        ysum = y.sum(axis=2)
+        vals[..., 4] = np.sqrt(np.einsum("bij,bij->bi", ysum, ysum))
 
-        bad_state = ~np.isfinite(block.states[lo:hi]).all(axis=1)
-        bad_metrics = ~np.isfinite(vals[:, :3]).all(axis=1)
-        events = np.flatnonzero(bad_state | bad_metrics | (r_primal < stop_eps))
-        if not len(events):
-            self._fvals = f[-1]
-            self._n_records += c
-            return False
+        bad_state = ~np.isfinite(states).all(axis=2)
+        bad_metrics = ~np.isfinite(vals[..., :3]).all(axis=2)
+        events = bad_state | bad_metrics | (r_primal < stop_eps)
+        self._fvals = f[:, -1]
+        ended = {}
+        for b in np.flatnonzero(events.any(axis=1)).tolist():
+            r = int(events[b].argmax())
+            k, agent = k0 + r, int(agents[b, r]) + 1
+            if bad_state[b, r]:
+                keep, records = r, r
+                reason = (f"diverged: non-finite state at iteration {k} (agent {agent}); "
+                         f"the configured step scale is likely unstable")
+            elif bad_metrics[b, r]:
+                keep, records = r + 1, r
+                reason = (f"diverged: metrics overflowed at iteration {k} (agent {agent}); "
+                         f"the run is diverging")
+            else:
+                keep, records, reason = r + 1, r + 1, "primal_eps"
+                agent = int(block.receivers[lo + r, b])
+            if keep:
+                self._x[:, b], self._y[:, b] = x[b, keep - 1], y[b, keep - 1]
+                self._z[b], self._fvals[b] = zs[b, keep - 1], f[b, keep - 1]
+            else:
+                self._x[:, b], self._y[:, b] = start[b, :, :p], start[b, :, p:]
+                self._z[b], self._fvals[b] = z0[b], f0[b]
+            self.active[b] = agent
+            if len(col) == 1:  # a single run may step on from here
+                block.n, self.k = lo + keep, k0 + records
+            ended[b] = (k0 + records, k0 + keep, reason)
+        return ended
 
-        r = int(events[0])
-        k, agent = k0 + r, int(agents[r]) + 1
-        error = None
-        if bad_state[r]:
-            keep, records = r, r
-            error = (f"non-finite state at iteration {k} (agent {agent}); "
-                     f"the configured step scale is likely unstable")
-        elif bad_metrics[r]:
-            keep, records = r + 1, r
-            error = (f"metrics overflowed at iteration {k} (agent {agent}); "
-                     f"the run is diverging")
-        else:
-            keep, records = r + 1, r + 1
-            agent = int(block.receivers[lo + r])
-        block.n = lo + keep
-        self._n_records += records
-        self.k, self.active = k0 + records, agent
-        if keep:
-            self.x[:], self.y[:], self.z = x[keep - 1], y[keep - 1], zs[keep - 1].copy()
-            self._fvals = f[keep - 1]
-        else:
-            self.x[:], self.y[:], self.z, self._fvals = start[:, :p], start[:, p:], z0, f0
-        if error is not None:
-            raise DivergenceError(error)
-        return True
+    def _accuracy(self, x: np.ndarray) -> np.ndarray:
+        """accuracy() of every run's (chunk, N, p) states, as (B, chunk); run
+        by run when a run excludes agents."""
+        if self._excluding:
+            return np.array([accuracy(xb, xs[0, 0], d[0])
+                             for xb, xs, d in zip(x, self._x_star, self._init_dist)])
+        return accuracy(x, self._x_star, self._init_dist)
 
     def run(self) -> RunResult:
-        cfg = self.config
-        stopped_by_eps = False
-        stop_reason = "max_iters"
-        diverged = False
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                while self.k < cfg.max_iters:
-                    chunk = self._advance(min(self._room(), cfg.max_iters - self.k))
-                    if self._metrics(chunk, cfg.stop_eps):
-                        stopped_by_eps = True
-                        stop_reason = "primal_eps"
-                        break
-        except DivergenceError as exc:
-            diverged = True
-            stop_reason = f"diverged: {exc}"
+        """Run a single run to its end."""
+        self._single()
+        return self.run_all()[0]
+
+    def run_all(self) -> list[RunResult]:
+        """Run every run of the batch to its end; results in batch order."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            while self._alive:
+                ended = {b: (self.k, self.k, "max_iters") for b, r in enumerate(self._alive)
+                         if self.k >= r.config.max_iters}
+                if not ended:
+                    cap = min(r.config.max_iters for r in self._alive)
+                    ended = self._metrics(self._advance(min(self._room(), cap - self.k)),
+                                          self._stop_eps)
+                self._end(ended)
+        return [r.result for r in self.runs]
+
+    def _end(self, ended: dict[int, tuple[int, int, str]]) -> None:
+        """Results of the ended rows (row -> iterations, transmissions, stop
+        reason); the other rows stay in the batch."""
+        for b, (k, sent, stop_reason) in ended.items():
+            self._alive[b].result = self._result(b, k, sent, stop_reason)
+        stay = [b for b in range(len(self._alive)) if b not in ended]
+        if not stay:
+            self._alive = []  # the states stay as the last runs left them
+        elif ended:
+            self._x, self._y, self._z = self._x[:, stay], self._y[:, stay], self._z[stay]
+            self._fvals, self.active = self._fvals[stay], self.active[stay]
+            self._alive = [self._alive[b] for b in stay]
+            self._columns()
+
+    def _result(self, b: int, k: int, sent: int, stop_reason: str) -> RunResult:
+        run, cfg = self._alive[b], self._alive[b].config
 
         def cat(name: str) -> np.ndarray:
-            return np.concatenate([getattr(b, name)[: b.n] for b in self._blocks])
+            return np.concatenate([getattr(blk, name)[: blk.n, row] for blk, row in run.blocks])
 
-        senders = cat("agents")
-        trace = RunTrace(senders[: self._n_records], cat("values")[: self._n_records],
-                         diverged, stop_reason)
+        senders = cat("agents")[:sent]
+        trace = RunTrace(senders[:k], cat("values")[:k], stop_reason.startswith("diverged"),
+                         stop_reason)
         transcript = Transcript(
-            n_agents=self.graph.n_agents,
+            n_agents=self.n_agents,
             rho=cfg.rho,
             senders=senders,
-            receivers=cat("receivers"),
-            z_values=cat("z"),
+            receivers=cat("receivers")[:sent],
+            z_values=cat("z")[:sent],
             deterministic_init=cfg.variant not in RANDOMIZED_INIT_VARIANTS
             or cfg.init.kind == "zeros",
-            stopped_by_eps=stopped_by_eps,
+            stopped_by_eps=stop_reason == "primal_eps",
             stop_eps=cfg.stop_eps,
         )
-        history = StateHistory(
-            x0=self._x0, y0=self._y0, agents=senders, x_new=cat("x"), y_new=cat("y"),
-        )
-        return RunResult(
-            trace=trace,
-            transcript=transcript,
-            history=history,
-            x=self.x,
-            y=self.y,
-            z=self.z,
-            n_iterations=self.k,
-        )
+        history = StateHistory(x0=run.x0, y0=run.y0, agents=senders,
+                               x_new=cat("x")[:sent], y_new=cat("y")[:sent])
+        return RunResult(trace, transcript, history, self._x[:, b].copy(),
+                         self._y[:, b].copy(), self._z[b].copy(), k)
 
 
 def run(
@@ -571,6 +700,33 @@ def run(
     schedule: ActivationSchedule | None = None,
 ) -> RunResult:
     return Simulation(problem, graph, config, schedule).run()
+
+
+def run_batch(runs: Sequence[tuple]) -> list[RunResult | Exception]:
+    """Every (problem, graph, config[, schedule]) of `runs`, run to its end.
+
+    Runs with equal `_Run.key` (N, p, schedule kind, x-update and objective
+    kind) step together as one batch; each run's result equals `run` of it
+    alone, bit for bit.  Returns, in order, each run's RunResult or the
+    exception that stopped it, for the caller to record.
+    """
+    out: list = [None] * len(runs)
+    groups: dict[tuple, list[tuple[int, _Run]]] = {}
+    for i, spec in enumerate(runs):
+        try:
+            r = _Run(*spec)
+        except Exception as exc:  # a run that cannot start fails alone
+            out[i] = exc
+            continue
+        groups.setdefault(r.key(), []).append((i, r))
+    for members in groups.values():
+        try:
+            results = Simulation._batch([r for _, r in members]).run_all()
+        except Exception as exc:  # an error inside the loop fails its batch
+            results = [exc] * len(members)
+        for (i, _), res in zip(members, results):
+            out[i] = res
+    return out
 
 
 def descent_regimes(

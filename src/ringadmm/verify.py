@@ -170,23 +170,39 @@ def check_dual_gradient_identity() -> tuple[bool, str]:
     return worst <= 1e-9, f"worst |grad - dual| after activation {worst:.2e}"
 
 
+def _same_run(a: solver.RunResult, b: solver.RunResult) -> bool:
+    return (a.n_iterations == b.n_iterations
+            and np.array_equal(a.trace.values, b.trace.values, equal_nan=True)
+            and np.array_equal(a.transcript.senders, b.transcript.senders)
+            and np.array_equal(a.transcript.z_values, b.transcript.z_values)
+            and all(np.array_equal(getattr(a, s), getattr(b, s)) for s in "xyz"))
+
+
 def check_reductions() -> tuple[bool, str]:
-    base = _quick_cfg(variant=solver.Variant.IADMM_RANDINIT,
-                      init=solver.InitSpec.uniform(0, 100), stop_eps=0.0,
-                      max_iters=200)
-    graph, problem = build_problem(base)
-    ref = solver.run(problem, graph, base.solver_config())
-    for variant, gamma, sigma in (
-        (solver.Variant.PIADMM1, solver.GammaSpec.constant(1.0), 0.0),
-        (solver.Variant.PIADMM2, solver.GammaSpec.constant(1.0), 0.0),
-    ):
-        cfg = _quick_cfg(variant=variant, init=solver.InitSpec.uniform(0, 100),
-                         gamma=gamma, sigma=sigma, stop_eps=0.0, max_iters=200)
-        res = solver.run(problem, graph, cfg.solver_config())
-        if not (np.array_equal(res.x, ref.x) and np.array_equal(res.y, ref.y)
-                and np.array_equal(res.z, ref.z)):
-            return False, f"{variant.value} does not reduce bit-exactly"
-    return True, "unit step scale and zero noise reduce bit-exactly"
+    """piadmm1 with gamma = 1 and piadmm2 with sigma = 0 reproduce
+    iadmm_randinit bit for bit; the three run as one batch, and each must
+    also equal the same run alone."""
+    configs = [
+        _quick_cfg(variant=variant, init=solver.InitSpec.uniform(0, 100), gamma=gamma,
+                   sigma=sigma, stop_eps=0.0, max_iters=200)
+        for variant, gamma, sigma in (
+            (solver.Variant.IADMM_RANDINIT, solver.GammaSpec.constant(1.0), 0.0),
+            (solver.Variant.PIADMM1, solver.GammaSpec.constant(1.0), 0.0),
+            (solver.Variant.PIADMM2, solver.GammaSpec.constant(1.0), 0.0),
+        )
+    ]
+    graph, problem = build_problem(configs[0])
+    batch = solver.run_batch([(problem, graph, c.solver_config()) for c in configs])
+    ref = batch[0]
+    for cfg, res in zip(configs, batch):
+        if isinstance(res, Exception):
+            return False, f"{cfg.variant.value} raised {type(res).__name__}: {res}"
+        if not _same_run(res, solver.run(problem, graph, cfg.solver_config())):
+            return False, f"{cfg.variant.value} in a batch differs from the run alone"
+        if not (all(np.array_equal(getattr(res, s), getattr(ref, s)) for s in "xyz")
+                and np.array_equal(res.transcript.z_values, ref.transcript.z_values)):
+            return False, f"{cfg.variant.value} does not reduce bit-exactly"
+    return True, "unit step scale and zero noise reduce bit-exactly, batched and alone"
 
 
 def check_exact_attack() -> tuple[bool, str]:

@@ -1,0 +1,247 @@
+"""The batched run engine against single runs.
+
+`run_batch` steps every run that shares N, p, the x-update, the schedule
+kind and the objective kind in one (N, B, p) loop.  A run inside a batch
+must give exactly what `run` gives for it alone: same transcript, history,
+trace and final states, bit for bit, however its neighbours in the batch
+end.
+"""
+
+import csv
+import io
+import itertools
+import math
+
+import numpy as np
+import pytest
+
+from conftest import make_cfg
+from ringadmm import solver
+from ringadmm.config import ExperimentConfig, parse_kv_text
+from ringadmm.harness import _apply_seed, build_problem, parse_sweep_spec, run_experiment, run_sweep
+from ringadmm.objectives import RidgeObjective
+from ringadmm.solver import GammaSpec, InitSpec, Problem, Variant, XUpdateMode, run, run_batch
+
+KINDS = {
+    "iadmm": dict(variant=Variant.IADMM),
+    "iadmm_randinit": dict(variant=Variant.IADMM_RANDINIT, init=InitSpec.uniform(-1, 1)),
+    "piadmm1": dict(variant=Variant.PIADMM1, init=InitSpec.uniform(-1, 1),
+                    gamma=GammaSpec.uniform(0.9, 1.1)),
+    "piadmm2": dict(variant=Variant.PIADMM2, init=InitSpec.uniform(-1, 1), sigma=1e-2),
+    "wadmm": dict(variant=Variant.WADMM_BASELINE),
+    "logistic": dict(problem="logistic", x_update=XUpdateMode.FIRST_ORDER),
+    "logistic_wadmm": dict(problem="logistic", x_update=XUpdateMode.FIRST_ORDER,
+                           variant=Variant.WADMM_BASELINE),
+}
+
+
+def bits(a) -> tuple:
+    a = np.ascontiguousarray(a)
+    return a.shape, a.dtype.str, a.view(np.uint8).tobytes()
+
+
+def assert_identical(got: solver.RunResult, want: solver.RunResult) -> None:
+    assert got.n_iterations == want.n_iterations
+    assert (got.trace.stop_reason, got.trace.diverged) == (want.trace.stop_reason,
+                                                           want.trace.diverged)
+    g, w = got.transcript, want.transcript
+    assert (g.n_agents, g.rho, g.deterministic_init, g.stopped_by_eps) == \
+        (w.n_agents, w.rho, w.deterministic_init, w.stopped_by_eps)
+    assert bits(g.stop_eps) == bits(w.stop_eps)
+    pairs = [
+        (got.trace.agents, want.trace.agents), (got.trace.values, want.trace.values),
+        (g.senders, w.senders), (g.receivers, w.receivers), (g.z_values, w.z_values),
+        (got.history.x0, want.history.x0), (got.history.y0, want.history.y0),
+        (got.history.agents, want.history.agents),
+        (got.history.x_new, want.history.x_new), (got.history.y_new, want.history.y_new),
+        (got.x, want.x), (got.y, want.y), (got.z, want.z),
+    ]
+    for a, b in pairs:
+        assert bits(a) == bits(b)
+
+
+def spy_batches(monkeypatch) -> list[int]:
+    """Record the width of every batch the engine starts."""
+    widths = []
+    original = solver.Simulation._batch.__func__
+
+    def batch(cls, runs):
+        widths.append(len(runs))
+        return original(cls, runs)
+
+    monkeypatch.setattr(solver.Simulation, "_batch", classmethod(batch))
+    return widths
+
+
+def test_run_in_a_batch_equals_the_run_alone(monkeypatch):
+    specs = []
+    for kind, seed in itertools.product(KINDS, (1, 2, 3)):
+        cfg = make_cfg(n_agents=7, max_iters=150, seed_graph=seed, seed_data=seed + 10,
+                       seed_solver=seed + 20, **KINDS[kind])
+        graph, problem = build_problem(cfg)
+        specs.append((problem, graph, cfg.solver_config()))
+    widths = spy_batches(monkeypatch)
+    results = run_batch(specs)
+    # ridge cyclic (4 variants), ridge random walk, logistic cyclic and
+    # logistic random walk, three seeds each
+    assert sorted(widths) == [3, 3, 3, 12]
+    for spec, res in zip(specs, results):
+        assert_identical(res, run(*spec))
+
+
+def test_mixed_kinds_go_to_separate_batches():
+    cyclic = make_cfg(n_agents=5)
+    walk = make_cfg(n_agents=5, variant=Variant.WADMM_BASELINE)
+    runs = [solver._Run(*build_problem(c)[::-1], c.solver_config()) for c in (cyclic, walk)]
+    assert runs[0].key() != runs[1].key()
+    with pytest.raises(ValueError, match="a batch needs"):
+        solver.Simulation._batch(runs)
+
+
+class _Counter:
+    calls = 0
+
+
+class _FaultyRidge(RidgeObjective):
+    """Ridge objective whose prox output is scaled by `factor` from the run's
+    `start`-th prox call on (nan: a non-finite state; 1e200: a finite state
+    whose metrics overflow)."""
+
+    def __init__(self, data, counter, start=math.inf, factor=1.0):
+        super().__init__(data)
+        self.counter, self.start, self.factor = counter, start, factor
+
+    def prox(self, z, y, rho_eff):
+        self.counter.calls += 1
+        out = super().prox(z, y, rho_eff)
+        return out * self.factor if self.counter.calls > self.start else out
+
+
+def faulty_run(seed, start=math.inf, factor=1.0, **overrides):
+    cfg = make_cfg(n_agents=8, seed_data=seed, seed_solver=seed + 1, **overrides)
+    graph, problem = build_problem(cfg)
+    counter = _Counter()
+    objectives = [_FaultyRidge(f.data, counter, start, factor) for f in problem.objectives]
+    return lambda: (Problem(objectives, problem.x_star), graph, cfg.solver_config()), counter
+
+
+def test_ragged_batch_rows_end_as_they_would_alone(monkeypatch):
+    rows = [
+        faulty_run(1, stop_eps=1e-6, max_iters=50_000),     # stops on stop_eps
+        faulty_run(2, start=13, factor=math.nan),           # non-finite state, mid-chunk
+        faulty_run(3, start=70, factor=1e200),              # metrics overflow
+        faulty_run(4, max_iters=50),                        # a short max_iters
+        faulty_run(5, max_iters=3000, variant=Variant.PIADMM1,
+                   init=InitSpec.uniform(-1, 1), gamma=GammaSpec.uniform(0.9, 1.1)),
+        faulty_run(6, max_iters=3001, variant=Variant.PIADMM2,
+                   init=InitSpec.uniform(-1, 1), sigma=1e-3),
+    ]
+    widths = spy_batches(monkeypatch)
+    batch = run_batch([make() for make, _ in rows])
+    assert widths == [len(rows)]
+    reasons = [r.trace.stop_reason for r in batch]
+    assert reasons[0] == "primal_eps"
+    assert reasons[1].startswith("diverged: non-finite state at iteration 13 ")
+    assert reasons[2].startswith("diverged: metrics overflowed at iteration 70 ")
+    assert [r.n_iterations for r in batch[3:]] == [50, 3000, 3001]
+    assert len(batch[2].transcript.senders) == batch[2].n_iterations + 1
+    for (make, counter), res in zip(rows, batch):
+        counter.calls = 0
+        assert_identical(res, run(*make()))
+
+
+class _SignedZeroRidge(RidgeObjective):
+    """A prox that returns -0.0 in every coordinate."""
+
+    def prox(self, z, y, rho_eff):
+        return -0.0 * np.abs(super().prox(z, y, rho_eff))
+
+
+def test_noise_leaves_the_other_rows_bits_alone():
+    # adding a zero noise row to a quiet run would turn its -0.0 into +0.0
+    specs = []
+    for variant in (Variant.IADMM, Variant.PIADMM2):
+        cfg = make_cfg(n_agents=5, max_iters=40, variant=variant, sigma=1e-3,
+                       init=InitSpec.uniform(-1, 1))
+        graph, problem = build_problem(cfg)
+        objectives = [_SignedZeroRidge(f.data) for f in problem.objectives]
+        specs.append((Problem(objectives, problem.x_star), graph, cfg.solver_config()))
+    quiet, _ = run_batch(specs)
+    assert np.signbit(quiet.history.x_new).all()
+    assert_identical(quiet, run(*specs[0]))
+
+
+def test_errors_stay_with_their_run():
+    good = make_cfg(n_agents=6, max_iters=40)
+    floor = make_cfg(n_agents=6, max_iters=40, variant=Variant.PIADMM1, rho=1e-3,
+                     gamma=GammaSpec.floor(1.01))
+    specs = [(p, g, c.solver_config()) for c in (good, floor, good)
+             for g, p in [build_problem(c)]]
+    results = run_batch(specs)
+    assert isinstance(results[1], ValueError) and "need rho > L" in str(results[1])
+    assert_identical(results[0], run(*specs[0]))
+    assert_identical(results[2], results[0])
+
+
+BASE = """\
+p = 2
+b = 20
+network.n_agents = 6
+network.eta = 0.5
+solver.max_iters = 700
+solver.stop_eps = 0
+solver.init = uniform:-1,1
+solver.sigma = 0.01
+"""
+GRID = """\
+solver.variant = iadmm, piadmm1, wadmm
+solver.x_update = exact_prox, first_order
+solver.rho = 0.01, 10
+solver.gamma = uniform:0.9,1.1, descent_floor:1.01
+network.eta = 0.5, 2.0
+seed = 1, 2
+"""
+
+
+def reference_sweep(base_text: str, sweep_text: str) -> tuple[str, list[str]]:
+    """The sweep as one run_experiment per point, and every point's outcome."""
+    grid, seeds = parse_sweep_spec(sweep_text)
+    keys = sorted(grid)
+    rows, outcomes = [], []
+    points = itertools.product(itertools.product(*(grid[k] for k in keys)), seeds)
+    for run_index, (combo, seed) in enumerate(points):
+        kv = {**parse_kv_text(base_text), **dict(zip(keys, combo))}
+        overrides = ";".join(f"{k}={v}" for k, v in zip(keys, combo))
+        try:
+            cfg = _apply_seed(ExperimentConfig.from_mapping(kv), seed)
+            cfg.validate()
+            result, _ = run_experiment(cfg)
+        except Exception as exc:
+            rows.append([run_index, overrides, seed] + [""] * 8
+                        + [f"error:{type(exc).__name__}:{exc}"])
+            outcomes.append("error")
+            continue
+        outcomes.append(result.trace.stop_reason)
+        for k in result.trace.checkpoints(cfg.n_agents).tolist():
+            rec = result.trace.record(k)
+            rows.append([run_index, overrides, seed, rec.k, rec.agent, repr(rec.accuracy),
+                         repr(rec.aug_lagrangian), repr(rec.r_primal), repr(rec.r_dualstep),
+                         repr(rec.r_gradsum), rec.comm_units, "ok"])
+    out = io.StringIO()
+    out.write("#schema=1\n")
+    w = csv.writer(out)
+    w.writerow(["run_index", "overrides", "seed", "k", "agent", "accuracy", "lagrangian",
+                "r_primal", "r_dualstep", "r_gradsum", "comm_units", "status"])
+    w.writerows(rows)
+    return out.getvalue(), outcomes
+
+
+def test_sweep_csv_matches_a_per_point_loop(tmp_path):
+    want, outcomes = reference_sweep(BASE, GRID)
+    assert "error" in outcomes and "max_iters" in outcomes
+    assert any(o.startswith("diverged") for o in outcomes)
+    path = tmp_path / "sweep.csv"
+    failures = run_sweep(BASE, GRID, str(path))
+    assert failures == outcomes.count("error")
+    with open(path, newline="") as fh:
+        assert fh.read() == want

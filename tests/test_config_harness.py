@@ -130,6 +130,40 @@ class TestHarness:
         reports = run_attack(other, result.transcript)
         assert 1 not in reports[1].err_x
 
+    def test_attack_scores_only_the_exported_agents(self):
+        cfg = ExperimentConfig.from_text(BASE_CONFIG + "attack.kind = exact\n"
+                                         "attack.agents = 2,5\n")
+        result, _ = run_experiment(cfg)
+        rep = run_attack(cfg, result.transcript)[2]
+        assert rep.agents == [1, 2, 3, 4, 5, 6]
+        assert sorted(rep.err_x) == sorted(rep.truth_y) == [2, 5]
+        assert rep.unscored == ""
+
+    def test_attack_unscored_reason_from_the_config(self, monkeypatch):
+        cfg = ExperimentConfig.from_text(BASE_CONFIG + "attack.kind = exact\n")
+        result, _ = run_experiment(cfg)
+        # a config that validates but cannot run: its descent floor needs rho > L
+        bad = ExperimentConfig.from_text(
+            BASE_CONFIG.replace("solver.rho = 10.0", "solver.rho = 0.001")
+            .replace("solver.variant = iadmm", "solver.variant = piadmm1")
+            + "attack.kind = exact\nsolver.gamma = descent_floor:1.01\n")
+        monkeypatch.setattr(result.transcript, "rho", 0.001)
+        rep = run_attack(bad, result.transcript)[1]
+        assert rep.unscored.startswith("ValueError: need rho > L") and not rep.err_x
+
+    def test_attack_lets_other_errors_through(self, monkeypatch):
+        import ringadmm.harness as harness
+
+        cfg = ExperimentConfig.from_text(BASE_CONFIG + "attack.kind = exact\n")
+        result, _ = run_experiment(cfg)
+
+        def broken(cfg):
+            raise RuntimeError("not a config error")
+
+        monkeypatch.setattr(harness, "build_problem", broken)
+        with pytest.raises(RuntimeError, match="not a config error"):
+            run_attack(cfg, result.transcript)
+
     def test_attack_rejects_wrong_network(self):
         cfg = ExperimentConfig.from_text(BASE_CONFIG)
         result, _ = run_experiment(cfg)
@@ -236,6 +270,17 @@ class TestCli:
         assert code == 0
         assert "max_err_x" in capsys.readouterr().out
         assert os.path.exists(os.path.join(out, "attack_agent1.csv"))
+
+    def test_attack_prints_why_unscored(self, tmp_path, capsys):
+        cfg = self.write(tmp_path, BASE_CONFIG + "attack.kind = exact\n")
+        other = self.write(tmp_path, BASE_CONFIG.replace("seeds.data = 2", "seeds.data = 99")
+                           + "attack.kind = exact\n", name="other.cfg")
+        out = str(tmp_path / "out")
+        assert main(["run", "--config", cfg, "--out", out, "--quiet"]) == 0
+        transcript = os.path.join(out, "transcript.csv")
+        assert main(["attack", "--config", other, "--transcript", transcript]) == 0
+        line = capsys.readouterr().out.strip()
+        assert line.endswith(" unscored: transcript did not match the config's run")
 
     def test_attack_reports_unconverged_lsqr(self, tmp_path, capsys):
         text = BASE_CONFIG.replace("solver.variant = iadmm", "solver.variant = iadmm_randinit")
