@@ -31,20 +31,22 @@ PLANTED_STREAM = 0  # sub-stream of seeds.data holding the hidden label model
 
 
 def build_objectives(cfg: ExperimentConfig) -> list:
-    objs = []
-    for agent in range(1, cfg.n_agents + 1):
-        if cfg.problem == "ridge":
-            data = generate_ridge_data(cfg.b, cfg.p, seed=[cfg.seed_data, agent])
-            objs.append(RidgeObjective(data))
-        else:
-            data = generate_logistic_data(
-                cfg.b,
-                cfg.p,
-                planted_seed=[cfg.seed_data, PLANTED_STREAM],
-                data_seed=[cfg.seed_data, agent],
-            )
-            objs.append(LogisticObjective(data))
-    return objs
+    """One objective per agent, from the agent's own data stream
+    [seeds.data, agent]; ridge objectives share one parameter stack."""
+    agents = range(1, cfg.n_agents + 1)
+    if cfg.problem == "ridge":
+        return RidgeObjective.stack(
+            [generate_ridge_data(cfg.b, cfg.p, seed=[cfg.seed_data, a]) for a in agents]
+        )
+    planted = [cfg.seed_data, PLANTED_STREAM]
+    return [LogisticObjective(generate_logistic_data(
+        cfg.b, cfg.p, planted_seed=planted, data_seed=[cfg.seed_data, a])) for a in agents]
+
+
+def problem_key(cfg: ExperimentConfig) -> tuple:
+    """The config fields build_problem reads: configs with equal keys have
+    the same graph, data and optimum."""
+    return (cfg.problem, cfg.n_agents, cfg.p, cfg.b, cfg.eta, cfg.seed_graph, cfg.seed_data)
 
 
 def build_problem(cfg: ExperimentConfig) -> tuple[Graph, Problem]:
@@ -274,16 +276,22 @@ def _apply_seed(cfg: ExperimentConfig, seed: int) -> ExperimentConfig:
 
 
 def run_configs(cfgs: list[ExperimentConfig]) -> list[RunResult | Exception]:
-    """Validate, build and run every config.  The runs that share N, p, the
-    x-update, the schedule kind and the objective kind step together as one
-    batch (solver.run_batch).  Returns, in order, each run's result or the
+    """Validate, build and run every config.  Configs with equal
+    `problem_key` share one built (Graph, Problem), which no run changes;
+    the sharing ends with the call.  The runs that share N, p, the x-update,
+    the schedule kind and the objective kind step together as one batch
+    (solver.run_batch).  Returns, in order, each run's result or the
     exception that stopped it."""
     out: list = [None] * len(cfgs)
+    built: dict[tuple, tuple[Graph, Problem]] = {}
     specs: dict[int, tuple] = {}
     for i, cfg in enumerate(cfgs):
         try:
             cfg.validate()
-            graph, problem = build_problem(cfg)
+            key = problem_key(cfg)
+            if key not in built:
+                built[key] = build_problem(cfg)
+            graph, problem = built[key]
             specs[i] = (problem, graph, cfg.solver_config())
         except Exception as exc:  # the caller records the failure
             out[i] = exc

@@ -5,10 +5,9 @@ synthetic data generation and a centralized optimum oracle.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import IO, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -49,42 +48,75 @@ class Dataset:
         return self.features.shape[1]
 
 
-def write_dataset_csv(ds: Dataset, fh: IO[str]) -> None:
-    """One row per sample: p feature columns then the target column."""
-    w = csv.writer(fh)
-    for row, t in zip(ds.features, ds.targets):
-        w.writerow([repr(float(x)) for x in row] + [repr(float(t))])
+class RidgeParameters:
+    """The closed-form parameters of N ridge objectives as (N, ...) arrays:
+    H = (2/b) O'O, c = (2/b) O't, the constant mean(t^2), and H = V diag(lam) V'
+    with lam clipped at 0.  One batched product each for H and c, one mean
+    and one stacked eigh; every slice equals the single-agent computation
+    bit for bit."""
 
+    def __init__(self, datasets: Sequence[Dataset]):
+        feats = np.stack([d.features for d in datasets])
+        targets = np.stack([d.targets for d in datasets])
+        b = feats.shape[1]
+        feats_t = np.swapaxes(feats, -1, -2)
+        self.hessian = (2.0 / b) * (feats_t @ feats)
+        self.linear = (2.0 / b) * (feats_t @ targets[..., None])[..., 0]
+        self.const = np.mean(targets**2, axis=1)
+        if not (np.all(np.isfinite(self.hessian)) and np.all(np.isfinite(self.linear))):
+            raise ValueError("ridge data must be finite")
+        # every proximal step is then two small products; H + rho_eff I has
+        # eigenvalues >= rho_eff > 0
+        lam, self.eigvecs = np.linalg.eigh(self.hessian)
+        bad = lam[:, 0] < -1e-12 * np.maximum(1.0, lam[:, -1])
+        if bad.any():
+            raise ValueError(
+                f"ridge Hessian is not positive semidefinite ({lam[bad.argmax(), 0]:.3e})"
+            )
+        self.eigvals = np.maximum(lam, 0.0)
 
-def read_dataset_csv(fh: IO[str]) -> Dataset:
-    rows = [r for r in csv.reader(fh) if r]
-    arr = np.array([[float(x) for x in r] for r in rows])
-    return Dataset(arr[:, :-1], arr[:, -1])
+    @classmethod
+    def of(cls, objectives: Sequence["RidgeObjective"]) -> "RidgeParameters":
+        """The parameters of these objectives, in order: the stack they were
+        built from when they are all of it, else their rows gathered."""
+        first = objectives[0].params
+        if len(first.const) == len(objectives) and all(
+            f.params is first and f.row == a for a, f in enumerate(objectives)
+        ):
+            return first
+        out = cls.__new__(cls)
+        for name in ("hessian", "linear", "const", "eigvecs", "eigvals"):
+            setattr(out, name, np.stack([getattr(f.params, name)[f.row] for f in objectives]))
+        return out
 
 
 class RidgeObjective:
     """Mean squared residual f(x) = (1/b) sum_j (x'o_j - t_j)^2.
 
     Quadratic, so the value, gradient, curvature bound, and the proximal
-    minimizer are all available in closed form.
+    minimizer are all available in closed form.  Its parameters are row
+    `row` of a RidgeParameters stack; `RidgeObjective(data)` builds a stack
+    of one, and `RidgeObjective.stack` one objective per dataset over a
+    shared stack.
     """
 
-    def __init__(self, data: Dataset):
+    def __init__(self, data: Dataset, params: RidgeParameters | None = None, row: int = 0):
         self.data = data
-        b = data.n_samples
-        o = data.features
-        self.hessian = (2.0 / b) * (o.T @ o)
-        self.linear = (2.0 / b) * (o.T @ data.targets)
-        self._const = float(np.mean(data.targets**2))
-        if not (np.all(np.isfinite(self.hessian)) and np.all(np.isfinite(self.linear))):
-            raise ValueError("ridge data must be finite")
-        # H = V diag(lam) V' once, so every proximal step is two small
-        # products; H + rho_eff I then has eigenvalues >= rho_eff > 0
-        lam, self._eigvecs = np.linalg.eigh(self.hessian)
-        if lam[0] < -1e-12 * max(1.0, lam[-1]):
-            raise ValueError(f"ridge Hessian is not positive semidefinite ({lam[0]:.3e})")
-        self._eigvals = np.maximum(lam, 0.0)
+        self.params = RidgeParameters([data]) if params is None else params
+        self.row = row
+        self.hessian = self.params.hessian[row]
+        self.linear = self.params.linear[row]
+        self._const = float(self.params.const[row])
+        self._eigvecs = self.params.eigvecs[row]
+        self._eigvals = self.params.eigvals[row]
         self._lip = float(self._eigvals[-1])
+
+    @classmethod
+    def stack(cls, datasets: Sequence[Dataset]) -> list["RidgeObjective"]:
+        """One objective per dataset (one sample count and dimension), with
+        views into one RidgeParameters stack."""
+        params = RidgeParameters(datasets)
+        return [cls(d, params, a) for a, d in enumerate(datasets)]
 
     def value(self, x: np.ndarray) -> float:
         return float(0.5 * x @ self.hessian @ x - self.linear @ x + self._const)
@@ -208,14 +240,18 @@ class _Selection:
 class RidgeStack(ObjectiveStack):
     def __init__(self, columns: Sequence[Sequence]):
         super().__init__(columns)
-        self.eigvecs = self._stacked("_eigvecs")
+        params = [RidgeParameters.of(c) for c in self.columns]
+
+        def runs(name: str) -> np.ndarray:  # the (N, B, ...) stack of one parameter
+            return np.stack([getattr(q, name) for q in params], axis=1)
+
+        self.eigvecs = runs("eigvecs")
         self._eigvecs_t = np.swapaxes(self.eigvecs, -1, -2)
-        self.eigvals = self._stacked("_eigvals")
+        self.eigvals = runs("eigvals")
         n, b, p = self.eigvals.shape
         # each objective's H, c and constant side by side: value() gathers once
-        self._quadratic = np.concatenate([self._stacked("hessian").reshape(n, b, p * p),
-                                          self._stacked("linear"),
-                                          self._stacked("_const")[..., None]], axis=-1)
+        self._quadratic = np.concatenate([runs("hessian").reshape(n, b, p * p),
+                                          runs("linear"), runs("const")[..., None]], axis=-1)
         self.hessian = self._quadratic[..., : p * p].reshape(n, b, p, p)
         self.linear = self._quadratic[..., p * p : -1]
 

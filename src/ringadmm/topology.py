@@ -118,12 +118,3 @@ def write_edgelist(graph: Graph, fh: IO[str]) -> None:
     for u, v in sorted(graph.edges):
         fh.write(f"{u} {v}\n")
 
-
-def read_edgelist(fh: IO[str]) -> Graph:
-    lines = [ln.strip() for ln in fh if ln.strip()]
-    n = int(lines[0])
-    edges = set()
-    for ln in lines[1:]:
-        u, v = (int(tok) for tok in ln.split())
-        edges.add((min(u, v), max(u, v)))
-    return Graph(n, frozenset(edges))

@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 
 from conftest import make_cfg
-from ringadmm import solver
-from ringadmm.config import ExperimentConfig, parse_kv_text
+from ringadmm import harness, solver
+from ringadmm.config import ConfigError, ExperimentConfig, parse_kv_text
 from ringadmm.harness import _apply_seed, build_problem, parse_sweep_spec, run_experiment, run_sweep
 from ringadmm.objectives import RidgeObjective
 from ringadmm.solver import GammaSpec, InitSpec, Problem, Variant, XUpdateMode, run, run_batch
@@ -245,3 +245,87 @@ def test_sweep_csv_matches_a_per_point_loop(tmp_path):
     assert failures == outcomes.count("error")
     with open(path, newline="") as fh:
         assert fh.read() == want
+
+
+# ---- problem sharing inside one run_configs call
+
+
+def count_builds(monkeypatch) -> list[ExperimentConfig]:
+    """Record every config harness.build_problem is called with."""
+    built = []
+    original = harness.build_problem
+
+    def build(cfg):
+        built.append(cfg)
+        return original(cfg)
+
+    monkeypatch.setattr(harness, "build_problem", build)
+    return built
+
+
+def test_run_configs_builds_each_problem_once(monkeypatch):
+    cfgs = [make_cfg(n_agents=6, max_iters=60, seed_graph=seed, seed_data=seed + 10,
+                     seed_solver=seed + 20, **KINDS[kind])
+            for kind in ("iadmm", "iadmm_randinit", "piadmm1", "piadmm2", "wadmm")
+            for seed in (1, 2)]
+    built = count_builds(monkeypatch)
+    results = harness.run_configs(cfgs)
+    assert [c.seed_graph for c in built] == [1, 2]
+    for cfg, res in zip(cfgs, results):
+        assert_identical(res, run(*build_problem(cfg)[::-1], cfg.solver_config()))
+
+
+def test_points_differing_in_one_key_field_are_not_shared(monkeypatch):
+    base = dict(n_agents=6, max_iters=40, x_update=XUpdateMode.FIRST_ORDER)
+    changes = [{}, {"problem": "logistic"}, {"n_agents": 7}, {"p": 3}, {"b": 11},
+               {"eta": 0.6}, {"seed_graph": 5}, {"seed_data": 5}]
+    cfgs = [make_cfg(**{**base, **change}) for change in changes]
+    built = count_builds(monkeypatch)
+    results = harness.run_configs(cfgs)
+    assert len(built) == len(cfgs)
+    for cfg, res in zip(cfgs, results):
+        assert_identical(res, run(*build_problem(cfg)[::-1], cfg.solver_config()))
+
+
+def test_identical_points_match_the_run_alone(monkeypatch):
+    # the shared Problem serves four runs in one batch; none may change it
+    cfg = make_cfg(n_agents=7, max_iters=120, seed_solver=4, **KINDS["piadmm2"])
+    other = make_cfg(n_agents=7, max_iters=120, seed_solver=4, **KINDS["piadmm1"])
+    graph, problem = build_problem(cfg)
+    alone = run(problem, graph, cfg.solver_config())
+    built = count_builds(monkeypatch)
+    results = harness.run_configs([cfg, other, cfg, other])
+    assert len(built) == 1
+    assert_identical(results[0], alone)
+    assert_identical(results[2], alone)
+    assert_identical(results[3], results[1])
+
+
+def test_invalid_point_beside_valid_ones_fails_alone(monkeypatch):
+    good = make_cfg(n_agents=6, max_iters=80, seed_data=3)
+    bad_config = make_cfg(n_agents=6, max_iters=80, seed_data=3, rho=-1.0)
+    unbuildable = make_cfg(n_agents=6, max_iters=80, seed_data=4)
+    original = harness.build_problem
+
+    def build(cfg):
+        if cfg.seed_data == 4:
+            raise RuntimeError("no data for this seed")
+        return original(cfg)
+
+    monkeypatch.setattr(harness, "build_problem", build)
+    results = harness.run_configs([bad_config, good, unbuildable, good, unbuildable])
+    assert isinstance(results[0], ConfigError)
+    assert isinstance(results[2], RuntimeError) and isinstance(results[4], RuntimeError)
+    alone = run(*original(good)[::-1], good.solver_config())
+    assert_identical(results[1], alone)
+    assert_identical(results[3], alone)
+
+
+def test_ridge_objectives_built_alone_run_like_a_shared_stack():
+    cfg = make_cfg(n_agents=6, max_iters=90, **KINDS["piadmm1"])
+    graph, problem = build_problem(cfg)
+    alone = Problem([RidgeObjective(f.data) for f in problem.objectives], problem.x_star)
+    runs = [(p, graph, cfg.solver_config()) for p in (problem, alone)]
+    stacked, gathered = run_batch(runs)
+    assert_identical(gathered, stacked)
+    assert_identical(stacked, run(*runs[0]))

@@ -1,4 +1,4 @@
-import io
+import re
 
 import numpy as np
 import pytest
@@ -16,8 +16,6 @@ from ringadmm.objectives import (
     centralized_optimum,
     generate_logistic_data,
     generate_ridge_data,
-    read_dataset_csv,
-    write_dataset_csv,
 )
 
 
@@ -84,6 +82,67 @@ class TestRidge:
             g = obj.gradient(x)
             rel = np.linalg.norm(fd_gradient(obj, x) - g) / max(np.linalg.norm(g), 1e-12)
             assert rel <= 1e-9
+
+
+def reference_ridge(data: Dataset) -> dict:
+    """One agent's ridge parameters built on their own: H, c, the constant,
+    the clipped eigenvalues, the eigenvectors and the curvature bound."""
+    o, t, b = data.features, data.targets, data.n_samples
+    hessian = (2.0 / b) * (o.T @ o)
+    lam, vecs = np.linalg.eigh(hessian)
+    lam = np.maximum(lam, 0.0)
+    return {"hessian": hessian, "linear": (2.0 / b) * (o.T @ t),
+            "const": float(np.mean(t**2)), "eigvals": lam, "eigvecs": vecs,
+            "lipschitz": float(lam[-1])}
+
+
+def stacked_ridge(f: RidgeObjective) -> dict:
+    q, a = f.params, f.row
+    return {"hessian": f.hessian, "linear": f.linear, "const": float(q.const[a]),
+            "eigvals": q.eigvals[a], "eigvecs": q.eigvecs[a],
+            "lipschitz": f.lipschitz_bound()}
+
+
+def as_bytes(params: dict) -> dict:
+    return {k: (np.shape(v), np.asarray(v, dtype=float).tobytes()) for k, v in params.items()}
+
+
+class TestStackedRidgeBuild:
+    @pytest.mark.parametrize("p", [1, 2, 3, 5])
+    @pytest.mark.parametrize("n", [3, 10, 50])
+    def test_stack_matches_the_per_agent_build(self, p, n):
+        for seed, b in [(0, 30), (7, 30), (123, 4), (2024, 1)]:
+            datasets = [generate_ridge_data(b, p, seed=[seed, a]) for a in range(1, n + 1)]
+            objs = RidgeObjective.stack(datasets)
+            for a, (f, data) in enumerate(zip(objs, datasets)):
+                want = as_bytes(reference_ridge(data))
+                assert as_bytes(stacked_ridge(f)) == want
+                assert as_bytes(stacked_ridge(RidgeObjective(data))) == want
+                assert f.params is objs[0].params and f.row == a
+
+    def test_non_finite_data_rejected(self):
+        good = generate_ridge_data(5, 2, seed=1)
+        bad = Dataset(np.array([[np.inf, 1.0]] * 5), np.ones(5))
+        with pytest.raises(ValueError, match="^ridge data must be finite$"):
+            RidgeObjective(bad)
+        with pytest.raises(ValueError, match="^ridge data must be finite$"):
+            RidgeObjective.stack([good, bad, good])
+
+    def test_indefinite_hessian_rejected(self, monkeypatch):
+        # O'O is PSD, so an eigh that returns a negative eigenvalue stands in
+        eigh = np.linalg.eigh
+
+        def shifted(h):
+            lam, vecs = eigh(h)
+            lam[1:, 0] = -0.5  # every agent after the first
+            return lam, vecs
+
+        monkeypatch.setattr(np.linalg, "eigh", shifted)
+        data = [generate_ridge_data(5, 2, seed=[1, a]) for a in (1, 2, 3)]
+        msg = re.escape("ridge Hessian is not positive semidefinite (-5.000e-01)")
+        with pytest.raises(ValueError, match=msg):
+            RidgeObjective.stack(data)
+        RidgeObjective(data[1])  # a stack of one has no agent after the first
 
 
 class TestLogistic:
@@ -226,16 +285,6 @@ class TestCentralizedOptimum:
         objs = [LogisticObjective(generate_logistic_data(40, 2, 3, 7))]
         with pytest.raises(OptimizerError, match="gradient norm"):
             centralized_optimum(objs, tol=1e-12, max_iters=3)
-
-
-def test_dataset_csv_roundtrip():
-    ds = generate_ridge_data(7, 3, seed=44)
-    buf = io.StringIO()
-    write_dataset_csv(ds, buf)
-    buf.seek(0)
-    again = read_dataset_csv(buf)
-    assert np.array_equal(again.features, ds.features)
-    assert np.array_equal(again.targets, ds.targets)
 
 
 @pytest.mark.parametrize("data_seed", [8, 75])

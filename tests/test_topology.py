@@ -10,7 +10,6 @@ from ringadmm.topology import (
     Graph,
     generate_graph,
     next_agent,
-    read_edgelist,
     target_edge_count,
     write_edgelist,
 )
@@ -110,9 +109,8 @@ def test_edgelist_roundtrip():
     g = generate_graph(9, 0.4, seed=31)
     buf = io.StringIO()
     write_edgelist(g, buf)
-    buf.seek(0)
-    g2 = read_edgelist(buf)
-    assert g2.n_agents == g.n_agents
-    assert g2.edges == g.edges
-    first_line = buf.getvalue().splitlines()[0]
+    first_line, *edge_lines = buf.getvalue().splitlines()
     assert first_line == "9"
+    edges = {tuple(int(tok) for tok in ln.split()) for ln in edge_lines}
+    assert len(edges) == len(edge_lines)
+    assert edges == g.edges
