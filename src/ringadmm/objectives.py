@@ -189,6 +189,8 @@ class ObjectiveStack:
     bit.  rho_eff is a (B, 1) column.
     """
 
+    affine = False  # steps affine in the state, which the solver precomputes as operators
+
     def __init__(self, columns: Sequence[Sequence]):
         self.columns = [list(c) for c in columns]  # columns[b][a]: run b, agent a
 
@@ -238,6 +240,8 @@ class _Selection:
 
 
 class RidgeStack(ObjectiveStack):
+    affine = True
+
     def __init__(self, columns: Sequence[Sequence]):
         super().__init__(columns)
         params = [RidgeParameters.of(c) for c in self.columns]
@@ -246,7 +250,6 @@ class RidgeStack(ObjectiveStack):
             return np.stack([getattr(q, name) for q in params], axis=1)
 
         self.eigvecs = runs("eigvecs")
-        self._eigvecs_t = np.swapaxes(self.eigvecs, -1, -2)
         self.eigvals = runs("eigvals")
         n, b, p = self.eigvals.shape
         # each objective's H, c and constant side by side: value() gathers once
@@ -258,8 +261,7 @@ class RidgeStack(ObjectiveStack):
     def prox(self, sel, z, y, rho_eff):
         v = self.eigvecs[sel]
         # V' as a transposed view, the memory layout of one objective's v.T
-        vt = np.swapaxes(v, -1, -2) if isinstance(sel, tuple) else self._eigvecs_t[sel]
-        u = vt @ (self.linear[sel] + rho_eff * z + y)[..., None]
+        u = np.swapaxes(v, -1, -2) @ (self.linear[sel] + rho_eff * z + y)[..., None]
         u /= (self.eigvals[sel] + rho_eff)[..., None]
         return (v @ u)[..., 0]
 

@@ -367,6 +367,7 @@ class _Run:
         self.x0, self.y0, _ = initialize(graph, config, problem.dim, self.rng)
         self.init_dist = np.linalg.norm(self.x0 - problem.x_star, axis=1)
         self.blocks: list[tuple[_Block, int]] = []
+        self.gammas = np.empty(0)  # piadmm1's step scales, drawn ahead: iteration k's is [k]
         self.result: RunResult | None = None
 
     def key(self) -> tuple:
@@ -379,15 +380,15 @@ class Simulation:
     """Drives a batch of B token-passing runs with equal `_Run.key`; B=1 is
     the ordinary run.
 
-    States are laid out agent-first as (N, B, p).  In a cyclic batch every
-    run activates the same agent, read and written with one basic slice;
-    random-walk runs gather theirs per run.  rho, the gamma draws, the noise
-    and the stopping rules are per-run columns.  Each iteration only updates
-    the states and records them in blocks of about one cycle (see
-    _block_rows).  The metrics of each chunk of iterations are computed
-    afterwards in one vectorised pass, which also ends each run at its
-    chunk's first diverging or converged iteration; ended runs leave the
-    batch.
+    States are laid out agent-first as (N, B, 2p), x beside y.  In a cyclic
+    batch every run activates the same agent, read and written with one basic
+    slice; random-walk runs gather theirs per run.  rho, the gamma draws, the
+    noise and the stopping rules are per-run columns.  Each iteration only
+    updates the states (on an affine stack with one precomputed operator, see
+    _operators) and records them in blocks of about one cycle (_block_rows).
+    The metrics of each chunk of iterations are computed afterwards in one
+    vectorised pass, which also ends each run at its chunk's first diverging
+    or converged iteration; ended runs leave the batch.
     """
 
     def __init__(
@@ -414,8 +415,7 @@ class Simulation:
         self.runs, self._alive = runs, list(runs)
         self.k = 0
         self.active = np.array([r.schedule.first_agent() for r in runs])
-        self._x = np.stack([r.x0 for r in runs], axis=1)
-        self._y = np.stack([r.y0 for r in runs], axis=1)
+        self._xy = np.stack([np.hstack([r.x0, r.y0]) for r in runs], axis=1)
         self._z = np.zeros((len(runs), self.dim))
         self._columns()
         x0 = np.array([r.x0 for r in runs])
@@ -423,7 +423,7 @@ class Simulation:
             (np.arange(self.n_agents), np.arange(len(runs))[:, None]), x0)
 
     def _columns(self) -> None:
-        """Per-run columns of the runs still in the batch, and a new block."""
+        """Per-run columns and operators of the runs still in the batch, and a new block."""
         runs = self._alive
         self._stack = stack_objectives([r.problem.objectives for r in runs])
         self._at = [self._stack.at(i) for i in range(self.n_agents)]
@@ -433,11 +433,29 @@ class Simulation:
         self._init_dist = np.array([r.init_dist for r in runs])[:, None]
         self._excluding = not (self._init_dist > 0.0).all()
         self._col = np.arange(len(runs))[:, None]
-        self._gamma_rows = [b for b, r in enumerate(runs) if r.config.variant == Variant.PIADMM1]
+        self._gamma_rows = np.flatnonzero([r.config.variant == Variant.PIADMM1 for r in runs])
         self._noise_rows = [b for b, r in enumerate(runs) if r.config.variant == Variant.PIADMM2]
         noisy = np.isin(np.arange(len(runs)), self._noise_rows)[:, None]
         self._noise_mask = True if noisy.all() else noisy  # np.add's where=
+        self._ops = self._operators((np.arange(self.n_agents)[:, None], self._col[:, 0]),
+                                    self._rho, self._rho) if self._stack.affine else None
+        self._ahead = None  # piadmm1 rows' operators built ahead: (first iteration, operators)
         self._new_block()
+
+    def _operators(self, sel, rho_eff, rho) -> np.ndarray:
+        """The updates of the agents that the (n, B) index arrays `sel` pick, as
+        (n, B, 4p + 1, 3p) maps A: (x_i', y_i', z') = s @ A for s = (x_i, y_i, z,
+        omega, 1), omega the noise added to x'.  Read off x_update, y_update and
+        z_update_incremental at the unit vectors, less their value at 0, and at 0."""
+        eye, mode = np.eye(4 * self.dim + 1, 4 * self.dim)[:, None, None], \
+            self.runs[0].config.x_update
+        x, y, z, omega = [a.copy() for a in np.split(eye, 4, axis=-1)]  # contiguous: faster
+        x_new = x_update(self._stack.at(sel), x, y, z, rho_eff, mode) + omega
+        y_new = y_update(y, z, x_new, rho_eff)
+        z_new = z_update_incremental(z, x, y, x_new, y_new, rho, self.n_agents)
+        ops = np.concatenate([x_new, y_new, z_new], axis=-1)
+        ops[:-1] -= ops[-1]
+        return ops.transpose(1, 2, 0, 3).copy()
 
     def _new_block(self) -> None:
         self._block = _Block(_block_rows(self.n_agents, len(self._alive)),
@@ -453,12 +471,12 @@ class Simulation:
     def x(self) -> np.ndarray:
         """The (N, p) states of a single run; likewise y and z."""
         self._single()
-        return self._x[:, 0]
+        return self._xy[:, 0, : self.dim]
 
     @property
     def y(self) -> np.ndarray:
         self._single()
-        return self._y[:, 0]
+        return self._xy[:, 0, self.dim :]
 
     @property
     def z(self) -> np.ndarray:
@@ -493,19 +511,21 @@ class Simulation:
         row and iteration, the (x, y) states side by side as (B, N, 2p), z
         and the objective values."""
         block, runs = self._block, self._alive
-        lo, k0, width = block.n, self.k, len(runs)
-        x, y, z, rho, stack = self._x, self._y, self._z, self._rho, self._stack
-        chunk = (lo, k0, np.concatenate([x, y], axis=2).transpose(1, 0, 2), z, self._fvals)
+        lo, k0, width, p = block.n, self.k, len(runs), self.dim
+        xy, z, rho = self._xy, self._z, self._rho
+        chunk = (lo, k0, xy.copy().transpose(1, 0, 2), z, self._fvals)
 
-        agents = block.agents[lo : lo + n]
-        receivers = block.receivers[lo : lo + n]
+        agents, receivers = block.agents[lo : lo + n], block.receivers[lo : lo + n]
+        # piadmm1's gammas (the stream's draws, in order, in batches that double
+        # the run's buffer) and operators are made m iterations ahead
+        g, m = self._gamma_rows, max(n, 64) if self.cyclic else n
         # the active agent (0-based) of each iteration: one for all runs (a
         # cyclic batch, or a single run) is a basic slice of the (N, B, ...)
         # arrays; otherwise each run's agent is gathered
         if self.cyclic:
-            ring = np.arange(self.active[0] - 1, self.active[0] + n) % self.n_agents
-            agents[:], receivers[:] = ring[:-1, None] + 1, ring[1:, None] + 1
-            shared, walk = ring[:-1].tolist(), None
+            ring = np.arange(self.active[0] - 1, self.active[0] + m) % self.n_agents
+            agents[:], receivers[:] = ring[:n, None] + 1, ring[1 : n + 1, None] + 1
+            shared, walk = ring[:n].tolist(), None
         else:
             for b, r in enumerate(runs):
                 path = [int(self.active[b])]
@@ -515,34 +535,55 @@ class Simulation:
             walk = (agents - 1, self._col[:, 0])
             shared = walk[0][:, 0].tolist() if width == 1 else None
 
-        rho_eff = np.repeat(rho[None], n, axis=0) if self._gamma_rows else None
-        for b in self._gamma_rows:
+        rho_eff = np.repeat(rho[None], n, axis=0) if len(g) else None
+        for b in g:
             r, cfg = runs[b], runs[b].config
-            gamma = sample_gamma(cfg.gamma, r.rng, cfg.rho, r.lipschitz, self.n_agents, size=n)
-            block.values[lo : lo + n, b, 5] = gamma
-            rho_eff[:, b, 0] = cfg.rho * gamma
-        noise = None
-        if self._noise_rows:
-            noise = np.zeros((n, width, self.dim))
-            for b in self._noise_rows:
-                omega = runs[b].rng.normal(0.0, runs[b].config.sigma, size=(n, self.dim))
-                block.values[lo : lo + n, b, 6] = np.sqrt(np.einsum("ij,ij->i", omega, omega))
-                noise[:, b] = omega
+            if len(r.gammas) < k0 + m:
+                r.gammas = np.append(r.gammas, sample_gamma(cfg.gamma, r.rng, cfg.rho, r.lipschitz,
+                                                            self.n_agents, size=k0 + 2 * m))
+            block.values[lo : lo + n, b, 5] = r.gammas[k0 : k0 + n]
+            rho_eff[:, b, 0] = cfg.rho * r.gammas[k0 : k0 + n]
+        noise = np.zeros((n, width, p))
+        for b in self._noise_rows:
+            omega = runs[b].rng.normal(0.0, runs[b].config.sigma, size=(n, p))
+            block.values[lo : lo + n, b, 6] = np.sqrt(np.einsum("ij,ij->i", omega, omega))
+            noise[:, b] = omega
 
-        bx, by, bz = block.x, block.y, block.z
-        mode, at = runs[0].config.x_update, self._at
-        for j in range(n):
-            sel = shared[j] if shared is not None else (walk[0][j], walk[1])
-            x_old, y_old = x[sel], y[sel]
-            re = rho if rho_eff is None else rho_eff[j]
-            f = stack.at(sel) if shared is None else at[sel]
-            x_new = x_update(f, x_old, y_old, z, re, mode)
-            if noise is not None:
-                np.add(x_new, noise[j], out=x_new, where=self._noise_mask)
-            y_new = y_update(y_old, z, x_new, re)
-            z = z_update_incremental(z, x_old, y_old, x_new, y_new, rho, self.n_agents)
-            x[sel], y[sel] = x_new, y_new
-            bx[lo + j], by[lo + j], bz[lo + j] = x_new, y_new, z
+        if self._ops is not None:
+            # the active agents' operators applied to s = (x_i, y_i, z, omega, 1)
+            pick = ring[:n] if self.cyclic else walk
+            ops = self._ops[pick]
+            if len(g):
+                start, built = self._ahead or (k0, ops[:0])
+                if k0 + n > start + len(built):
+                    agent = ring[:m, None] if self.cyclic else pick[0][:, g]
+                    gamma = np.stack([runs[b].gammas[k0 : k0 + m] for b in g], axis=1)[..., None]
+                    start, built = k0, self._operators((agent, g), gamma * rho[g], rho[g])
+                    self._ahead = (start, built)
+                ops[:, g] = built[k0 - start : k0 - start + n]
+            s = np.ones((width, 1, 4 * p + 1))
+            head, out = s[:, 0, : 4 * p], block.states[lo : lo + n, :, None]
+            new_xy, new_z = block.states[lo : lo + n, :, : 2 * p], block.z[lo : lo + n]
+            for j in range(n):
+                sel = shared[j] if shared is not None else (walk[0][j], walk[1])
+                np.concatenate((xy[sel], z, noise[j]), axis=1, out=head)
+                np.matmul(s, ops[j], out=out[j])
+                xy[sel], z = new_xy[j], new_z[j]
+            z = z.copy()
+        else:
+            (x, y), mode, at = np.split(xy, 2, axis=2), runs[0].config.x_update, self._at
+            for j in range(n):
+                sel = shared[j] if shared is not None else (walk[0][j], walk[1])
+                x_old, y_old = x[sel], y[sel]
+                re = rho if rho_eff is None else rho_eff[j]
+                f = self._stack.at(sel) if shared is None else at[sel]
+                x_new = x_update(f, x_old, y_old, z, re, mode)
+                if self._noise_rows:
+                    np.add(x_new, noise[j], out=x_new, where=self._noise_mask)
+                y_new = y_update(y_old, z, x_new, re)
+                z = z_update_incremental(z, x_old, y_old, x_new, y_new, rho, self.n_agents)
+                x[sel], y[sel] = x_new, y_new
+                block.x[lo + j], block.y[lo + j], block.z[lo + j] = x_new, y_new, z
         block.n = lo + n
         self._z, self.k = z, k0 + n
         self.active = receivers[-1].copy()
@@ -616,11 +657,10 @@ class Simulation:
                 keep, records, reason = r + 1, r + 1, "primal_eps"
                 agent = int(block.receivers[lo + r, b])
             if keep:
-                self._x[:, b], self._y[:, b] = x[b, keep - 1], y[b, keep - 1]
-                self._z[b], self._fvals[b] = zs[b, keep - 1], f[b, keep - 1]
+                self._xy[:, b], self._z[b] = xy[b, keep - 1], zs[b, keep - 1]
+                self._fvals[b] = f[b, keep - 1]
             else:
-                self._x[:, b], self._y[:, b] = start[b, :, :p], start[b, :, p:]
-                self._z[b], self._fvals[b] = z0[b], f0[b]
+                self._xy[:, b], self._z[b], self._fvals[b] = start[b], z0[b], f0[b]
             self.active[b] = agent
             if len(col) == 1:  # a single run may step on from here
                 block.n, self.k = lo + keep, k0 + records
@@ -662,7 +702,7 @@ class Simulation:
         if not stay:
             self._alive = []  # the states stay as the last runs left them
         elif ended:
-            self._x, self._y, self._z = self._x[:, stay], self._y[:, stay], self._z[stay]
+            self._xy, self._z = self._xy[:, stay], self._z[stay]
             self._fvals, self.active = self._fvals[stay], self.active[stay]
             self._alive = [self._alive[b] for b in stay]
             self._columns()
@@ -689,8 +729,8 @@ class Simulation:
         )
         history = StateHistory(x0=run.x0, y0=run.y0, agents=senders,
                                x_new=cat("x")[:sent], y_new=cat("y")[:sent])
-        return RunResult(trace, transcript, history, self._x[:, b].copy(),
-                         self._y[:, b].copy(), self._z[b].copy(), k)
+        x, y = np.split(self._xy[:, b], 2, axis=1)
+        return RunResult(trace, transcript, history, x.copy(), y.copy(), self._z[b].copy(), k)
 
 
 def run(

@@ -205,6 +205,45 @@ def check_reductions() -> tuple[bool, str]:
     return True, "unit step scale and zero noise reduce bit-exactly, batched and alone"
 
 
+def step_equation_errors(problem: solver.Problem, config: solver.SolverConfig,
+                         result: solver.RunResult) -> dict[str, float]:
+    """Worst relative error of each scored iteration of `result` against the
+    update functions applied to the recorded states before it, with rho_eff =
+    rho * the trace's gamma.  piadmm2's noise, the recorded x less x_update,
+    is checked by its norm against the trace's omega_norm instead of x."""
+    h, values, noisy = result.history, result.trace.values, config.variant == "piadmm2"
+    x, y, z = h.x0.copy(), h.y0.copy(), np.zeros(problem.dim)
+    worst: dict[str, float] = {}
+    for k, a in enumerate(h.agents[: len(values)] - 1):
+        rho_eff = config.rho * (values[k, 5] if config.variant == "piadmm1" else 1.0)
+        x_new, y_new, z_new = h.x_new[k], h.y_new[k], result.transcript.z_values[k]
+        x_ref = solver.x_update(problem.objectives[a], x[a], y[a], z, rho_eff, config.x_update)
+        y_ref = solver.y_update(y[a], z, x_new, rho_eff)
+        z_ref = solver.z_update_incremental(z, x[a], y[a], x_new, y_new, config.rho, len(x))
+        omega = np.linalg.norm(x_new - x_ref)  # piadmm2's noise
+        first = ("omega", omega, values[k, 6]) if noisy else ("x", x_new, x_ref)
+        for key, got, want in (first, ("y", y_new, y_ref), ("z", z_new, z_ref)):
+            err = float(np.linalg.norm(got - want) / (np.linalg.norm(want) or 1.0))
+            worst[key] = max(worst.get(key, 0.0), err)
+        x[a], y[a], z = x_new, y_new, z_new
+    return worst
+
+
+def check_step_equations() -> tuple[bool, str]:
+    """Short runs of every ridge variant replayed through the update functions."""
+    worst = 0.0
+    for variant, mode in [(v, "exact_prox") for v in solver.Variant] + [("iadmm", "first_order")]:
+        cfg = _quick_cfg(variant=solver.Variant(variant), x_update=solver.XUpdateMode(mode),
+                         init=solver.InitSpec.uniform(-1, 1), stop_eps=0.0, sigma=1e-2,
+                         gamma=solver.GammaSpec.uniform(0.9, 1.1))
+        graph, problem = build_problem(cfg)
+        result = solver.run(problem, graph, cfg.solver_config())
+        worst = max(worst, *step_equation_errors(problem, cfg.solver_config(), result).values())
+        if worst > 1e-12 or result.n_iterations != cfg.max_iters:
+            return False, f"{cfg.variant.value} {mode}: worst error {worst:.2e}"
+    return True, f"worst relative step-equation error {worst:.2e}"
+
+
 def check_exact_attack() -> tuple[bool, str]:
     cfg = _quick_cfg(variant=solver.Variant.IADMM, max_iters=50 * 8, stop_eps=0.0)
     graph, problem = build_problem(cfg)
@@ -225,7 +264,6 @@ def check_backward_bounds() -> tuple[bool, str]:
     rep = adversary.terminal_backward_attack(result.transcript, eps=eps)
     adversary.score_report(rep, result.history)
     target = rep.agents[0]
-    acts = adversary.activations_of(result.transcript, target)
     total = result.transcript.last_iteration // cfg.n_agents
     last = result.transcript.last_iteration
     for n in range(1, total + 1):
@@ -235,7 +273,6 @@ def check_backward_bounds() -> tuple[bool, str]:
             return False, f"x bound violated at epoch {n}"
         if np.linalg.norm(rep.err_y[target][k_rep]) >= by:
             return False, f"y bound violated at epoch {n}"
-    _ = acts
     return True, f"bounds hold over {total} epochs"
 
 
@@ -276,6 +313,7 @@ ALL_CHECKS: list[tuple[str, Callable[[], tuple[bool, str]]]] = [
     ("prox_stationarity", check_prox_stationarity),
     ("token_conservation", check_token_conservation),
     ("dual_gradient_identity", check_dual_gradient_identity),
+    ("step_equations", check_step_equations),
     ("reduction_identities", check_reductions),
     ("exact_recursion_attack", check_exact_attack),
     ("backward_error_bounds", check_backward_bounds),

@@ -38,6 +38,15 @@ class TestExactRecursion:
         assert worst <= 1e-9
         assert not rep.init_assumption_violated
 
+    def test_reconstruction_precision_at_benchmark_size(self):
+        # the exact_iadmm benchmark shape; the token differences the attack
+        # inverts come from the solver's folded update, one rounding each
+        cfg = make_cfg(n_agents=20, eta=0.3, p=2, b=30, rho=10.0, max_iters=2000)
+        res = run_cfg(cfg)
+        rep = score_report(exact_recursion_attack(res.transcript), res.history)
+        worst = max(max(rep.err_x[a].max(), rep.err_y[a].max()) for a in rep.agents)
+        assert worst <= 1e-11
+
     def test_gradients_equal_dual_estimates(self):
         cfg = make_cfg(n_agents=6, eta=0.5, max_iters=120)
         res = run_cfg(cfg)

@@ -150,6 +150,53 @@ def test_ragged_batch_rows_end_as_they_would_alone(monkeypatch):
         assert_identical(res, run(*make()))
 
 
+def ridge_run(seed, **overrides):
+    cfg = make_cfg(n_agents=8, seed_data=seed, seed_solver=seed + 1, **overrides)
+    graph, problem = build_problem(cfg)
+    return problem, graph, cfg.solver_config()
+
+
+def test_ragged_operator_batch_rows_end_as_they_would_alone(monkeypatch):
+    # plain ridge objectives step as precomputed operators; each end of a
+    # row rebuilds the operators of the rows that stay
+    randinit = dict(init=InitSpec.uniform(-1, 1))
+    first_order = dict(x_update=XUpdateMode.FIRST_ORDER, max_iters=5000)
+    rows = [
+        ridge_run(1, stop_eps=1e-6, max_iters=50_000),      # stops on stop_eps
+        ridge_run(2, max_iters=50),                          # a short max_iters
+        ridge_run(3, max_iters=3000, variant=Variant.PIADMM1, gamma=GammaSpec.uniform(0.9, 1.1),
+                  **randinit),
+        ridge_run(4, max_iters=3001, variant=Variant.PIADMM2, sigma=1e-3, **randinit),
+        ridge_run(5, max_iters=700, variant=Variant.IADMM_RANDINIT, **randinit),
+        # ends inside a window of piadmm1 operators built ahead for both rows
+        ridge_run(8, max_iters=1440, variant=Variant.PIADMM1, gamma=GammaSpec.uniform(0.5, 2.0),
+                  **randinit),
+        ridge_run(6, rho=0.01, **first_order),               # diverges
+        ridge_run(7, **first_order),                         # converges
+    ]
+    widths = spy_batches(monkeypatch)
+    rebuilt = []
+    columns = solver.Simulation._columns
+
+    def spy_columns(sim):
+        columns(sim)
+        rebuilt.append((len(sim._alive), sim._ops.shape[:2]))
+
+    monkeypatch.setattr(solver.Simulation, "_columns", spy_columns)
+    batch = run_batch(rows)
+    assert sorted(widths) == [2, 6]
+    assert all(shape == (8, width) for width, shape in rebuilt)
+    assert [w for w, _ in rebuilt] == [6, 5, 4, 3, 2, 1, 2, 1]  # every row ends alone
+    reasons = [r.trace.stop_reason for r in batch]
+    assert reasons[0] == "primal_eps" and reasons[7] == "max_iters"
+    assert reasons[6].startswith("diverged: ")
+    assert [r.n_iterations for r in batch[1:6]] == [50, 3000, 3001, 700, 1440]
+    assert batch[0].n_iterations not in (50, 700, 1440, 3000, 3001)
+    monkeypatch.undo()
+    for spec, res in zip(rows, batch):
+        assert_identical(res, run(*spec))
+
+
 class _SignedZeroRidge(RidgeObjective):
     """A prox that returns -0.0 in every coordinate."""
 

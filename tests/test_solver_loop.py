@@ -1,8 +1,12 @@
-"""The chunked run loop against the one-iteration step API.
+"""The chunked run loop against the one-iteration step API and the step
+equations.
 
 `Simulation.run` advances a chunk of iterations and scores them in one
 vectorised pass; `Simulation.step` scores every iteration on its own.  Both
-must produce the same records, states and stopping point bit for bit.
+must produce the same records, states and stopping point bit for bit.  Every
+recorded iteration must also follow x_update, y_update and
+z_update_incremental applied to the states before it, whether the loop took
+the iteration as a precomputed operator (ridge) or through those functions.
 """
 
 import dataclasses
@@ -26,6 +30,7 @@ from ringadmm.solver import (
     aug_lagrangian,
     run,
 )
+from ringadmm.verify import step_equation_errors
 
 VARIANT_CONFIGS = {
     "iadmm": dict(variant=Variant.IADMM),
@@ -36,6 +41,22 @@ VARIANT_CONFIGS = {
     "wadmm": dict(variant=Variant.WADMM_BASELINE),
     "logistic": dict(problem="logistic", x_update=XUpdateMode.FIRST_ORDER),
 }
+
+
+STEP_KINDS = {**VARIANT_CONFIGS, "first_order": dict(x_update=XUpdateMode.FIRST_ORDER)}
+
+
+@pytest.mark.parametrize("kind", sorted(STEP_KINDS))
+def test_recorded_iterations_follow_the_step_equations(kind):
+    # an operator that folds the noise or the step scale in wrongly moves
+    # the states by far less than the other tests notice
+    cfg = make_cfg(n_agents=7, max_iters=150, **STEP_KINDS[kind])
+    graph, problem = build_problem(cfg)
+    res = run(problem, graph, cfg.solver_config())
+    assert res.trace.stop_reason == "max_iters"
+    errors = step_equation_errors(problem, cfg.solver_config(), res)
+    assert set(errors) == {"omega" if kind == "piadmm2" else "x", "y", "z"}
+    assert max(errors.values()) <= 1e-12, errors
 
 
 def record_rows(records) -> np.ndarray:
