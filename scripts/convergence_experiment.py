@@ -19,7 +19,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from ringadmm.config import ExperimentConfig
+from ringadmm.config import ExperimentConfig, apply_seed
 from ringadmm.harness import run_configs
 from ringadmm.solver import GammaSpec, InitSpec, Variant, XUpdateMode
 
@@ -61,10 +61,7 @@ def main() -> int:
                         setattr(cfg, key, val)
                     cfg.max_iters = args.cycles * n
                     cfg.stop_eps = 0.0
-                    cfg.seed_graph = seed
-                    cfg.seed_data = seed + 1000
-                    cfg.seed_solver = seed + 2000
-                    cfgs.append((seed, cfg))
+                    cfgs.append((seed, apply_seed(cfg, seed)))
 
     rows = []
     for (seed, cfg), result in zip(cfgs, run_configs([cfg for _, cfg in cfgs])):

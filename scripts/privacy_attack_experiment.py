@@ -20,7 +20,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np
 
 from ringadmm import adversary
-from ringadmm.config import ExperimentConfig
+from ringadmm.config import ExperimentConfig, apply_seed
 from ringadmm.harness import build_problem
 from ringadmm.solver import GammaSpec, InitSpec, Variant, XUpdateMode, run
 
@@ -62,9 +62,7 @@ def main() -> int:
             setattr(cfg, key, val)
         cfg.max_iters = args.iterations + 1
         cfg.stop_eps = 0.0
-        cfg.seed_graph = args.seed
-        cfg.seed_data = args.seed + 500
-        cfg.seed_solver = args.seed + 900
+        apply_seed(cfg, args.seed)
         graph, problem = build_problem(cfg)
         result = run(problem, graph, cfg.solver_config())
 

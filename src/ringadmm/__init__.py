@@ -24,10 +24,9 @@ from .solver import (
     gamma_lower_bound,
     run,
 )
-from .topology import ActivationSchedule, Graph, generate_graph, next_agent
+from .topology import Graph, generate_graph, next_agent
 
 __all__ = [
-    "ActivationSchedule",
     "AttackOptions",
     "ConfigError",
     "Dataset",

@@ -10,19 +10,14 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import ConfigError, ExperimentConfig
+from .config import ConfigError, ExperimentConfig, apply_seed
 from .records import Transcript, TranscriptError
 
 
 def _load_config(path: str, seed_override: int | None) -> ExperimentConfig:
     with open(path) as fh:
         cfg = ExperimentConfig.from_file(fh)
-    if seed_override is not None:
-        cfg.seed_graph = seed_override + 1
-        cfg.seed_data = seed_override + 2
-        cfg.seed_solver = seed_override + 3
-        cfg.seed_attack = seed_override + 4
-    return cfg
+    return cfg if seed_override is None else apply_seed(cfg, seed_override)
 
 
 def cmd_run(args: argparse.Namespace) -> int:

@@ -5,6 +5,7 @@ dependency.  Unknown keys are rejected so typos fail loudly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import IO
 
@@ -121,18 +122,25 @@ class ExperimentConfig:
     attack: AttackOptions = field(default_factory=AttackOptions)
 
     def validate(self) -> None:
-        errors: list[str] = []
+        numbers = {  # network.eta is range-checked below, which rejects nan and inf too
+            "solver.rho": [self.rho], "solver.sigma": [self.sigma],
+            "solver.gamma": [self.gamma.value, self.gamma.lo, self.gamma.hi, self.gamma.margin],
+            "solver.init": [self.init.lo, self.init.hi], "solver.stop_eps": [self.stop_eps],
+            "attack.eps": [self.attack.eps], "attack.lsqr_tol": [self.attack.lsqr_tol],
+        }
+        errors = [f"{key}: must be finite" for key, values in numbers.items()
+                  if not all(map(math.isfinite, values))]
         if self.problem not in ("ridge", "logistic"):
             errors.append(f"problem: unknown problem {self.problem!r}")
         if self.p < 1:
             errors.append("p: dimension must be >= 1")
         if self.b < 1:
             errors.append("b: need at least one sample per agent")
-        if self.n_agents < 3:
-            errors.append("network.n_agents: need at least 3 agents")
+        if not 3 <= self.n_agents <= 2**31:  # the bound keeps edge counts finite
+            errors.append("network.n_agents: need at least 3 and at most 2**31 agents")
         if not (0.0 < self.eta <= 1.0):
             errors.append(f"network.eta: must lie in (0, 1], got {self.eta}")
-        else:
+        elif self.n_agents <= 2**31:
             target = round(self.eta * self.n_agents * (self.n_agents - 1) / 2)
             if target < self.n_agents:
                 errors.append(
@@ -303,3 +311,12 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, fh: IO[str]) -> "ExperimentConfig":
         return cls.from_text(fh.read())
+
+
+def apply_seed(cfg: ExperimentConfig, seed: int) -> ExperimentConfig:
+    """Set every seeds.* field of `cfg` from one base seed, the one way seeds
+    are derived (--seed-override, the sweep's `seed`, the scripts); returns
+    `cfg`.  seeds.attack is set and stays parseable but is read by nothing."""
+    cfg.seed_graph, cfg.seed_data = seed, seed + 10_000
+    cfg.seed_solver, cfg.seed_attack = seed + 20_000, seed + 30_000
+    return cfg

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import adversary
-from .config import ConfigError, ExperimentConfig, parse_kv_text
+from .config import ConfigError, ExperimentConfig, apply_seed, parse_kv_text
 from .objectives import (
     LogisticObjective,
     OptimizerError,
@@ -24,7 +25,8 @@ from .objectives import (
     generate_ridge_data,
 )
 from .records import Transcript
-from .solver import Problem, RunResult, kkt_residuals, descent_regimes, run, run_batch
+from .solver import (DivergenceError, Problem, RunResult, descent_regimes, kkt_residuals,
+                     run, run_batch)
 from .topology import Graph, generate_graph, write_edgelist
 
 PLANTED_STREAM = 0  # sub-stream of seeds.data holding the hidden label model
@@ -113,8 +115,9 @@ def run_experiment(
     result = run(problem, graph, cfg.solver_config())
     kkt = kkt_residuals(problem.objectives, result.x, result.y, result.z)
     summary = RunSummary(
-        final_accuracy=result.trace.final.accuracy,
-        comm_units=result.trace.final.comm_units,
+        # a run that diverges at iteration 0 has no trace row
+        final_accuracy=result.trace.final.accuracy if len(result.trace) else math.nan,
+        comm_units=len(result.transcript.senders),
         kkt=kkt,
         regimes=descent_regimes(cfg.rho, problem.lipschitz(), cfg.n_agents, cfg.gamma),
         stop_reason=result.trace.stop_reason,
@@ -251,9 +254,8 @@ SWEEP_COLUMNS = [
 def parse_sweep_spec(text: str) -> tuple[dict[str, list[str]], list[int] | None]:
     """Sweep spec uses the config syntax; each value is a comma list.
 
-    The special key `seed` expands to the four seeds.* keys with fixed
-    offsets so grid points stay decoupled across seed axes; without it the
-    base config's seeds are kept.
+    The special key `seed` sets the four seeds.* keys through
+    config.apply_seed; without it the base config's seeds are kept.
     """
     kv = parse_kv_text(text)
     seeds: list[int] | None = None
@@ -265,14 +267,6 @@ def parse_sweep_spec(text: str) -> tuple[dict[str, list[str]], list[int] | None]
         else:
             grid[key] = vals
     return grid, seeds
-
-
-def _apply_seed(cfg: ExperimentConfig, seed: int) -> ExperimentConfig:
-    cfg.seed_graph = seed
-    cfg.seed_data = seed + 10_000
-    cfg.seed_solver = seed + 20_000
-    cfg.seed_attack = seed + 30_000
-    return cfg
 
 
 def run_configs(cfgs: list[ExperimentConfig]) -> list[RunResult | Exception]:
@@ -322,7 +316,7 @@ def run_sweep(
             try:
                 cfg = ExperimentConfig.from_mapping(kv)
                 if seed is not None:
-                    _apply_seed(cfg, seed)
+                    apply_seed(cfg, seed)
             except Exception as exc:  # keep sweeping; record the failure
                 cfg = exc
             points.append((overrides, seed, cfg))
@@ -334,6 +328,8 @@ def run_sweep(
     for run_index, (overrides, seed, cfg) in enumerate(points):
         result = results.get(run_index, cfg)
         seed_col = "" if seed is None else seed
+        if isinstance(result, RunResult) and not len(result.trace):  # diverged at iteration 0
+            result = DivergenceError(result.trace.stop_reason.removeprefix("diverged: "))
         if isinstance(result, Exception):
             failures += 1
             rows.append([

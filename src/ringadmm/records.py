@@ -186,10 +186,15 @@ class Transcript:
             rho, stop_eps = float(meta["rho"]), float(meta["stop_eps"])
         except ValueError as exc:
             raise TranscriptError(f"unparsable data: {exc}") from None
+        if not (math.isfinite(rho) and rho > 0):
+            raise TranscriptError(f"#meta rho={meta['rho']} is not a finite positive number")
+        if math.isinf(stop_eps):
+            raise TranscriptError(f"#meta stop_eps={meta['stop_eps']} is infinite")
         if table.shape[1] != p + 3:
             raise TranscriptError(f"data rows have {table.shape[1]} fields, the header {p + 3}")
         ks, ids, z = table[:, 0], table[:, 1:3].T, np.ascontiguousarray(table[:, 3:])
-        known = np.isin(ids, np.arange(1, n + 1))
+        # float64 holds every integer id up to 2**53 exactly
+        known = (ids >= 1) & (ids <= min(n, 2**53)) & (ids == np.floor(ids))
         for fault, bad in [("k is not sequential from 0", ks != np.arange(len(ks))),
                            (f"agent id not in 1..{n}", ~np.all(known, axis=0)),
                            ("non-finite z", ~np.all(np.isfinite(z), axis=1))]:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .objectives import stack_kind, stack_objectives
 from .records import TRACE_VALUES, IterationRecord, RunTrace, StateHistory, Transcript
-from .topology import ActivationSchedule, Graph, next_agent
+from .topology import Graph, next_agent
 
 
 class Variant(str, Enum):
@@ -297,10 +297,8 @@ def initialize(
     if config.variant in RANDOMIZED_INIT_VARIANTS and config.init.kind != "zeros":
         if config.init.kind != "uniform":
             raise ValueError(f"unknown init kind {config.init.kind!r}")
-        for i in range(n):
-            v = rng.uniform(config.init.lo, config.init.hi, size=dim)
-            y[i] = config.rho * v
-            x[i] = y[i] / config.rho
+        y = config.rho * rng.uniform(config.init.lo, config.init.hi, size=(n, dim))
+        x = y / config.rho
     return x, y, np.zeros(dim)
 
 
@@ -345,21 +343,18 @@ class _Block:
 
 class _Run:
     """One run of a batch: its inputs, random stream and start, the (block,
-    row) pairs that hold its iterations and, once it has ended, its result."""
+    row) pairs that hold its iterations and, once it has ended, its result.
 
-    def __init__(
-        self,
-        problem: Problem,
-        graph: Graph,
-        config: SolverConfig,
-        schedule: ActivationSchedule | None = None,
-    ):
+    The stream default_rng(config.seed) gives, in order, the random start,
+    then piadmm1's gammas or piadmm2's noise, or wadmm's walk: one uniform
+    per iteration, mapped to a neighbour by next_agent.  Agent 1 is active
+    first; wadmm walks, every other variant follows the ring."""
+
+    def __init__(self, problem: Problem, graph: Graph, config: SolverConfig):
         if graph.n_agents != problem.n_agents:
             raise ValueError("graph and problem disagree on the number of agents")
-        if schedule is None:
-            kind = "random_walk" if config.variant == Variant.WADMM_BASELINE else "cyclic"
-            schedule = ActivationSchedule(kind=kind, seed=config.seed)
-        self.problem, self.graph, self.config, self.schedule = problem, graph, config, schedule
+        self.problem, self.graph, self.config = problem, graph, config
+        self.cyclic = config.variant != Variant.WADMM_BASELINE
         self.rng = np.random.default_rng(config.seed)
         self.lipschitz = problem.lipschitz()
         if config.variant == Variant.PIADMM1 and config.gamma.kind == "floor":
@@ -372,7 +367,7 @@ class _Run:
 
     def key(self) -> tuple:
         """Runs with equal keys can step together in one batch."""
-        return (self.graph.n_agents, self.problem.dim, self.schedule.kind,
+        return (self.graph.n_agents, self.problem.dim, self.cyclic,
                 self.config.x_update, stack_kind(self.problem.objectives))
 
 
@@ -391,14 +386,8 @@ class Simulation:
     or converged iteration; ended runs leave the batch.
     """
 
-    def __init__(
-        self,
-        problem: Problem,
-        graph: Graph,
-        config: SolverConfig,
-        schedule: ActivationSchedule | None = None,
-    ):
-        self._start([_Run(problem, graph, config, schedule)])
+    def __init__(self, problem: Problem, graph: Graph, config: SolverConfig):
+        self._start([_Run(problem, graph, config)])
 
     @classmethod
     def _batch(cls, runs: list[_Run]) -> "Simulation":
@@ -411,10 +400,10 @@ class Simulation:
             raise ValueError("a batch needs one N, p, x-update, schedule kind and objective kind")
         first = runs[0]
         self.n_agents, self.dim = first.graph.n_agents, first.problem.dim
-        self.cyclic = first.schedule.kind == "cyclic"
+        self.cyclic = first.cyclic
         self.runs, self._alive = runs, list(runs)
         self.k = 0
-        self.active = np.array([r.schedule.first_agent() for r in runs])
+        self.active = np.ones(len(runs), dtype=np.int64)
         self._xy = np.stack([np.hstack([r.x0, r.y0]) for r in runs], axis=1)
         self._z = np.zeros((len(runs), self.dim))
         self._columns()
@@ -527,10 +516,15 @@ class Simulation:
             agents[:], receivers[:] = ring[:n, None] + 1, ring[1 : n + 1, None] + 1
             shared, walk = ring[:n].tolist(), None
         else:
+            # a walking run draws nothing but its walk from its stream (no
+            # random start, gamma or noise), so a chunk's draws at once equal
+            # as many per-step draws: run() equals a step() loop and a row of
+            # a batch equals its run alone.  (A step() that follows a diverged
+            # step() draws afresh for the iteration it re-executes.)
             for b, r in enumerate(runs):
                 path = [int(self.active[b])]
-                for j in range(n):
-                    path.append(next_agent(r.schedule, r.graph, k0 + j, path[-1]))
+                for u in r.rng.random(n).tolist():
+                    path.append(next_agent(r.graph, path[-1], u))
                 agents[:, b], receivers[:, b] = path[:-1], path[1:]
             walk = (agents - 1, self._col[:, 0])
             shared = walk[0][:, 0].tolist() if width == 1 else None
@@ -733,17 +727,12 @@ class Simulation:
         return RunResult(trace, transcript, history, x.copy(), y.copy(), self._z[b].copy(), k)
 
 
-def run(
-    problem: Problem,
-    graph: Graph,
-    config: SolverConfig,
-    schedule: ActivationSchedule | None = None,
-) -> RunResult:
-    return Simulation(problem, graph, config, schedule).run()
+def run(problem: Problem, graph: Graph, config: SolverConfig) -> RunResult:
+    return Simulation(problem, graph, config).run()
 
 
 def run_batch(runs: Sequence[tuple]) -> list[RunResult | Exception]:
-    """Every (problem, graph, config[, schedule]) of `runs`, run to its end.
+    """Every (problem, graph, config) of `runs`, run to its end.
 
     Runs with equal `_Run.key` (N, p, schedule kind, x-update and objective
     kind) step together as one batch; each run's result equals `run` of it

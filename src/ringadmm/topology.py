@@ -1,4 +1,4 @@
-"""Connected random graphs with an embedded ring, plus activation orders.
+"""Connected random graphs with an embedded ring, and the random walk on them.
 
 Agents are numbered 1..N.  Every generated graph contains the ring
 1 -> 2 -> ... -> N -> 1 by construction; extra edges are sampled uniformly
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import IO, Literal
+from typing import IO
 
 import numpy as np
 
@@ -83,33 +83,13 @@ def generate_graph(n_agents: int, eta: float, seed: int) -> Graph:
     return Graph(n_agents, frozenset(edges))
 
 
-@dataclass(frozen=True)
-class ActivationSchedule:
-    """Which agent is active at iteration k.
-
-    cyclic: agent (k mod N) + 1, the fixed ring order.
-    random_walk: a uniformly random neighbor of the previous agent, drawn
-    from a stream keyed by (seed, k) so the walk is reproducible and
-    queries are order-independent.
-    """
-
-    kind: Literal["cyclic", "random_walk"]
-    seed: int = 0
-
-    def first_agent(self) -> int:
-        return 1
-
-
-def next_agent(schedule: ActivationSchedule, graph: Graph, k: int, prev: int) -> int:
+def next_agent(graph: Graph, prev: int, u: float) -> int:
+    """The random walk's step from `prev`: the neighbour that the uniform
+    draw u in [0, 1) picks, each with probability 1/degree."""
     if not (1 <= prev <= graph.n_agents):
         raise ValueError(f"agent {prev} out of range")
-    if schedule.kind == "cyclic":
-        return graph.cycle_successor(prev)
     nbrs = graph.neighbors[prev]
-    if not nbrs:
-        raise ValueError(f"agent {prev} has no neighbors")
-    rng = np.random.default_rng([schedule.seed, k])
-    return nbrs[int(rng.integers(0, len(nbrs)))]
+    return nbrs[int(u * len(nbrs))]
 
 
 def write_edgelist(graph: Graph, fh: IO[str]) -> None:

@@ -74,16 +74,25 @@ def check_graphs() -> tuple[bool, str]:
             return False, f"graph N={n} eta={eta} not connected"
         if len(g.edges) != topology.target_edge_count(n, eta):
             return False, f"edge count mismatch at N={n} eta={eta}"
-    sched = topology.ActivationSchedule("cyclic")
-    g = topology.generate_graph(6, 1.0, 0)
-    order = []
-    agent = 1
-    for k in range(12):
-        order.append(agent)
-        agent = topology.next_agent(sched, g, k, agent)
+    cfg = _quick_cfg(n_agents=6, eta=1.0, max_iters=12, stop_eps=0.0)
+    graph, problem = build_problem(cfg)
+    order = solver.run(problem, graph, cfg.solver_config()).transcript.senders.tolist()
     if order != [1, 2, 3, 4, 5, 6, 1, 2, 3, 4, 5, 6]:
         return False, f"cyclic order wrong: {order}"
-    return True, "connectivity, density, and ring order verified"
+    # the walk replayed from the run's stream: one uniform per iteration
+    # picks among the sender's sorted neighbours, agent 1 first
+    cfg = _quick_cfg(n_agents=9, eta=0.4, max_iters=90, stop_eps=0.0,
+                     variant=solver.Variant.WADMM_BASELINE)
+    graph, problem = build_problem(cfg)
+    tr = solver.run(problem, graph, cfg.solver_config()).transcript
+    agent, walk = 1, []
+    for u in np.random.default_rng(cfg.seed_solver).random(len(tr.senders)):
+        nbrs = sorted({v for e in graph.edges if agent in e for v in e} - {agent})
+        walk.append((agent, nbrs[int(u * len(nbrs))]))
+        agent = walk[-1][1]
+    if walk != list(zip(tr.senders.tolist(), tr.receivers.tolist())):
+        return False, "random walk does not replay from the run's stream"
+    return True, "connectivity, density, ring order and walk replay verified"
 
 
 def check_gradients() -> tuple[bool, str]:

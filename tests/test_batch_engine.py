@@ -17,8 +17,8 @@ import pytest
 
 from conftest import make_cfg
 from ringadmm import harness, solver
-from ringadmm.config import ConfigError, ExperimentConfig, parse_kv_text
-from ringadmm.harness import _apply_seed, build_problem, parse_sweep_spec, run_experiment, run_sweep
+from ringadmm.config import ConfigError, ExperimentConfig, apply_seed, parse_kv_text
+from ringadmm.harness import build_problem, parse_sweep_spec, run_experiment, run_sweep
 from ringadmm.objectives import RidgeObjective
 from ringadmm.solver import GammaSpec, InitSpec, Problem, Variant, XUpdateMode, run, run_batch
 
@@ -197,6 +197,26 @@ def test_ragged_operator_batch_rows_end_as_they_would_alone(monkeypatch):
         assert_identical(res, run(*spec))
 
 
+def test_ragged_walk_batch_rows_end_as_they_would_alone(monkeypatch):
+    # each walking row draws its walk from its own stream, in chunks whose
+    # sizes follow the batch's width and the rows that stay
+    walk = dict(variant=Variant.WADMM_BASELINE)
+    rows = [
+        ridge_run(1, stop_eps=1e-6, max_iters=50_000, **walk),  # stops on stop_eps
+        ridge_run(2, max_iters=50, **walk),
+        ridge_run(3, max_iters=333, **walk),
+        ridge_run(4, max_iters=700, **walk),
+    ]
+    widths = spy_batches(monkeypatch)
+    batch = run_batch(rows)
+    assert widths == [len(rows)]
+    assert batch[0].trace.stop_reason == "primal_eps"
+    assert batch[0].n_iterations not in (50, 333, 700)
+    assert [r.n_iterations for r in batch[1:]] == [50, 333, 700]
+    for spec, res in zip(rows, batch):
+        assert_identical(res, run(*spec))
+
+
 class _SignedZeroRidge(RidgeObjective):
     """A prox that returns -0.0 in every coordinate."""
 
@@ -260,7 +280,7 @@ def reference_sweep(base_text: str, sweep_text: str) -> tuple[str, list[str]]:
         kv = {**parse_kv_text(base_text), **dict(zip(keys, combo))}
         overrides = ";".join(f"{k}={v}" for k, v in zip(keys, combo))
         try:
-            cfg = _apply_seed(ExperimentConfig.from_mapping(kv), seed)
+            cfg = apply_seed(ExperimentConfig.from_mapping(kv), seed)
             cfg.validate()
             result, _ = run_experiment(cfg)
         except Exception as exc:

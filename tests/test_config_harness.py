@@ -1,3 +1,4 @@
+import csv
 import io
 import os
 import re
@@ -29,6 +30,11 @@ seeds.graph = 1
 seeds.data = 2
 seeds.solver = 3
 """
+
+# a random start so far out that the first iteration leaves no finite state
+DIVERGES_AT_0 = BASE_CONFIG.replace(
+    "solver.variant = iadmm", "solver.variant = iadmm_randinit").replace(
+    "solver.rho = 10.0", "solver.rho = 1e10") + "solver.init = uniform:-1e300,1e300\n"
 
 
 class TestConfigFormat:
@@ -251,6 +257,43 @@ class TestCli:
         text = text.replace("solver.max_iters = 300", "solver.max_iters = 5000")
         cfg = self.write(tmp_path, text)
         assert main(["run", "--config", cfg, "--quiet"]) == 2
+
+    @pytest.mark.parametrize("key, value", [
+        ("solver.rho", "nan"), ("solver.rho", "inf"), ("solver.sigma", "nan"),
+        ("solver.gamma", "constant:nan"), ("solver.init", "uniform:nan,1"),
+    ])
+    def test_run_non_finite_number_exit_1(self, tmp_path, capsys, key, value):
+        text = BASE_CONFIG.replace("solver.rho = 10.0\n", "") + f"{key} = {value}\n"
+        assert main(["run", "--config", self.write(tmp_path, text), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and f"{key}: must be finite" in err
+
+    @pytest.mark.parametrize("rho, reason, rows", [
+        ("1e10", "non-finite state at iteration 0 ", 0),
+        ("10.0", "metrics overflowed at iteration 0 ", 1),
+    ])
+    def test_run_diverging_at_iteration_0_exit_2(self, tmp_path, capsys, rho, reason, rows):
+        text = DIVERGES_AT_0.replace("solver.rho = 1e10", f"solver.rho = {rho}")
+        out = tmp_path / "out"
+        assert main(["run", "--config", self.write(tmp_path, text), "--out", str(out)]) == 2
+        line = capsys.readouterr().out.strip()
+        assert line.startswith(f"accuracy=nan comm_units={rows} ")
+        assert f" stop=diverged: {reason}" in line and line.endswith(" DIVERGED")
+        assert (out / "summary.txt").read_text() == line + "\n"
+        assert len((out / "transcript.csv").read_text().splitlines()) == 3 + rows
+
+    def test_sweep_point_diverging_at_iteration_0_fails_with_one_row(self, tmp_path):
+        path = tmp_path / "sweep.csv"
+        assert run_sweep(DIVERGES_AT_0, "solver.variant = iadmm_randinit, iadmm\n",
+                         str(path)) == 1
+        with open(path, newline="") as fh:
+            fh.readline()
+            rows = list(csv.DictReader(fh))
+        diverged = [r for r in rows if r["run_index"] == "0"]
+        assert len(diverged) == 1 and diverged[0]["k"] == ""
+        assert diverged[0]["status"].startswith(
+            "error:DivergenceError:non-finite state at iteration 0 (agent 1); ")
+        assert {r["status"] for r in rows if r["run_index"] == "1"} == {"ok"}
 
     def test_seed_override_changes_run(self, tmp_path):
         cfg = self.write(tmp_path, BASE_CONFIG)

@@ -100,6 +100,11 @@ MALFORMED = {
     "missing_meta_key": (" stop_eps=nan", "", "lacks stop_eps"),
     "missing_meta_keys": ("n_agents=3 rho=10.0 ", "", "lacks n_agents, rho"),
     "unparsable_field": ("0.5,-0.25", "0.5,x", "unparsable"),
+    "nan_rho": ("rho=10.0", "rho=nan", "rho=nan is not a finite positive number"),
+    "zero_rho": ("rho=10.0", "rho=0.0", "rho=0.0 is not a finite positive number"),
+    "negative_rho": ("rho=10.0", "rho=-10.0", "rho=-10.0 is not a finite positive number"),
+    "inf_rho": ("rho=10.0", "rho=inf", "rho=inf is not a finite positive number"),
+    "inf_stop_eps": ("stop_eps=nan", "stop_eps=-inf", "stop_eps=-inf is infinite"),
     "no_rows": ("0,1,2,0.5,-0.25\n1,2,3,0.75,1e-300\n2,3,1,-0.0,2.0\n", "", "no iterations"),
 }
 

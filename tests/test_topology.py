@@ -1,12 +1,14 @@
 import io
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bfs_connected
+from conftest import bfs_connected, make_cfg
+from ringadmm.harness import build_problem
+from ringadmm.solver import Variant, run
 from ringadmm.topology import (
-    ActivationSchedule,
     Graph,
     generate_graph,
     next_agent,
@@ -60,41 +62,41 @@ class TestGenerateGraph:
 class TestSchedules:
     def test_cyclic_wraparound(self):
         g = generate_graph(5, 1.0, 0)
-        sched = ActivationSchedule("cyclic")
-        assert next_agent(sched, g, k=4, prev=5) == 1
-        assert next_agent(sched, g, k=1, prev=2) == 3
+        assert g.cycle_successor(5) == 1
+        assert g.cycle_successor(2) == 3
 
     def test_cyclic_visits_everyone_once_per_cycle(self):
         g = generate_graph(7, 1.0, 0)
-        sched = ActivationSchedule("cyclic")
         agent = 1
         for start in range(0, 21, 7):
             seen = set()
             for k in range(start, start + 7):
                 seen.add(agent)
-                agent = next_agent(sched, g, k, agent)
+                agent = g.cycle_successor(agent)
             assert seen == set(range(1, 8))
 
     def test_random_walk_stays_on_edges(self):
         g = generate_graph(12, 0.3, seed=5)
-        sched = ActivationSchedule("random_walk", seed=9)
         agent = 1
-        for k in range(200):
-            nxt = next_agent(sched, g, k, agent)
+        for u in np.random.default_rng(9).random(200):
+            nxt = next_agent(g, agent, u)
             assert nxt in g.neighbors[agent]
             agent = nxt
 
-    def test_random_walk_deterministic_per_seed_and_step(self):
-        g = generate_graph(10, 0.4, seed=2)
-        sched = ActivationSchedule("random_walk", seed=11)
-        a = [next_agent(sched, g, k, 3) for k in range(50)]
-        b = [next_agent(sched, g, k, 3) for k in range(50)]
-        assert a == b
+    def test_wadmm_walk_replays_from_the_run_stream(self):
+        cfg = make_cfg(n_agents=10, eta=0.4, max_iters=300, seed_solver=11,
+                       variant=Variant.WADMM_BASELINE)
+        graph, problem = build_problem(cfg)
+        tr = run(problem, graph, cfg.solver_config()).transcript
+        walk = [1]
+        for u in np.random.default_rng(cfg.seed_solver).random(len(tr.senders)):
+            walk.append(next_agent(graph, walk[-1], u))
+        assert tr.senders.tolist() == walk[:-1]
+        assert tr.receivers.tolist() == walk[1:]
 
     def test_random_walk_uniform_on_triangle(self):
         g = generate_graph(3, 1.0, 0)
-        sched = ActivationSchedule("random_walk", seed=123)
-        draws = [next_agent(sched, g, k, 1) for k in range(10_000)]
+        draws = [next_agent(g, 1, u) for u in np.random.default_rng(123).random(10_000)]
         frac2 = draws.count(2) / len(draws)
         assert draws.count(2) + draws.count(3) == len(draws)
         assert abs(frac2 - 0.5) <= 0.05
@@ -102,7 +104,7 @@ class TestSchedules:
     def test_invalid_prev_rejected(self):
         g = generate_graph(4, 1.0, 0)
         with pytest.raises(ValueError):
-            next_agent(ActivationSchedule("cyclic"), g, 0, prev=9)
+            next_agent(g, 9, 0.5)
 
 
 def test_edgelist_roundtrip():
