@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Eavesdropper reconstruction quality against the solver variants.
 
-For each variant this runs one experiment, lets the eavesdropper rebuild
+For each variant this runs one experiment (the three run together through
+the harness's batched engine, `run_configs`), lets the eavesdropper rebuild
 agent states from the token transcript (exact inversion for the
 deterministic start, least squares otherwise), and writes truth-versus-
 estimate trajectories per tracked agent so the privacy gap can be plotted.
@@ -21,8 +22,8 @@ import numpy as np
 
 from ringadmm import adversary
 from ringadmm.config import ExperimentConfig, apply_seed
-from ringadmm.harness import build_problem
-from ringadmm.solver import GammaSpec, InitSpec, Variant, XUpdateMode, run
+from ringadmm.harness import run_configs
+from ringadmm.solver import GammaSpec, InitSpec, Variant, XUpdateMode
 
 SETUPS = {
     "iadmm": dict(variant=Variant.IADMM, init=InitSpec.zeros()),
@@ -46,8 +47,7 @@ def main() -> int:
                     help="agent ids whose trajectories are exported")
     args = ap.parse_args()
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    cfgs = {}
     for name, extra in SETUPS.items():
         cfg = ExperimentConfig()
         cfg.problem = args.problem
@@ -62,10 +62,13 @@ def main() -> int:
             setattr(cfg, key, val)
         cfg.max_iters = args.iterations + 1
         cfg.stop_eps = 0.0
-        apply_seed(cfg, args.seed)
-        graph, problem = build_problem(cfg)
-        result = run(problem, graph, cfg.solver_config())
+        cfgs[name] = apply_seed(cfg, args.seed)
 
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, result in zip(cfgs, run_configs(list(cfgs.values()))):
+        if isinstance(result, Exception):
+            raise result
         if name == "iadmm":
             report = adversary.exact_recursion_attack(result.transcript)
         else:

@@ -7,7 +7,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import IO
+from operator import attrgetter
+from typing import IO, Any, Callable, NamedTuple
 
 from .solver import GammaSpec, InitSpec, SolverConfig, Variant, XUpdateMode
 
@@ -36,14 +37,35 @@ def parse_kv_text(text: str) -> dict[str, str]:
     return out
 
 
-def format_kv(mapping: dict[str, str]) -> str:
-    return "".join(f"{k} = {v}\n" for k, v in mapping.items())
-
-
 _BOOL = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
 
 
-def _parse_gamma(text: str) -> GammaSpec:
+def _parser(convert: Callable[[str], Any], error: str) -> Callable[[str, str], Any]:
+    """A (key, text) parser: convert(text), or a ConfigError from the `error`
+    template, which may name {key} and {text}."""
+    def parse(key: str, text: str):
+        try:
+            return convert(text)
+        except (ValueError, KeyError) as exc:
+            raise ConfigError(error.format(key=key, text=repr(text))) from exc
+    return parse
+
+
+def _parse_str(key: str, text: str) -> str:
+    return text
+
+
+_parse_int = _parser(int, "{key}: expected integer, got {text}")
+_parse_float = _parser(float, "{key}: expected number, got {text}")
+_parse_bool = _parser(lambda text: _BOOL[text.lower()], "{key}: expected boolean, got {text}")
+_parse_ints = _parser(lambda text: tuple(int(tok) for tok in text.split(",") if tok.strip()),
+                      "{key}: expected comma-separated ints")
+_parse_variant = _parser(Variant, "{key}: unknown variant {text} "
+                         f"(expected one of {[v.value for v in Variant]})")
+_parse_x_update = _parser(XUpdateMode, "{key}: unknown mode {text}")
+
+
+def _parse_gamma(key: str, text: str) -> GammaSpec:
     kind, _, rest = text.partition(":")
     kind = kind.strip()
     try:
@@ -67,7 +89,7 @@ def _format_gamma(spec: GammaSpec) -> str:
     return f"descent_floor:{spec.margin!r}"
 
 
-def _parse_init(text: str) -> InitSpec:
+def _parse_init(key: str, text: str) -> InitSpec:
     if text.strip() == "zeros":
         return InitSpec.zeros()
     kind, _, rest = text.partition(":")
@@ -84,6 +106,75 @@ def _format_init(spec: InitSpec) -> str:
     if spec.kind == "zeros":
         return "zeros"
     return f"uniform:{spec.lo!r},{spec.hi!r}"
+
+
+def _format_bool(value: bool) -> str:
+    return "true" if value else "false"
+
+
+def _format_ints(values: tuple[int, ...]) -> str:
+    return ",".join(str(v) for v in values)
+
+
+def _sweep_list(text: str) -> list[str]:
+    return [tok.strip() for tok in text.split(",") if tok.strip()]
+
+
+def _sweep_specs(text: str) -> list[str]:
+    """Spec values keep their commas: a token that does not begin a spec
+    (a kind prefix, or `zeros`) continues the one before it."""
+    values: list[str] = []
+    for tok in _sweep_list(text):
+        starts = tok.startswith(("constant:", "uniform:", "descent_floor:")) or tok == "zeros"
+        if values and not starts:
+            values[-1] += "," + tok
+        else:
+            values.append(tok)
+    return values
+
+
+class _Key(NamedTuple):
+    """One config key: where its value goes and how it reads and prints."""
+
+    name: str  # as written in config files; "attack." keys set AttackOptions
+    attr: str  # the ExperimentConfig or AttackOptions attribute
+    parse: Callable[[str, str], Any]  # (key, text) -> value, or ConfigError
+    format: Callable[[Any], str]
+    sweep: Callable[[str], list[str]] = _sweep_list  # a sweep value -> its points
+
+
+# Every config key once, in file order; to_mapping, from_mapping and the
+# sweep grammar all read this table.
+KEYS = (
+    _Key("problem", "problem", _parse_str, str),
+    _Key("p", "p", _parse_int, str),
+    _Key("b", "b", _parse_int, str),
+    _Key("network.n_agents", "n_agents", _parse_int, str),
+    _Key("network.eta", "eta", _parse_float, repr),
+    _Key("solver.variant", "variant", _parse_variant, attrgetter("value")),
+    _Key("solver.x_update", "x_update", _parse_x_update, attrgetter("value")),
+    _Key("solver.rho", "rho", _parse_float, repr),
+    _Key("solver.gamma", "gamma", _parse_gamma, _format_gamma, _sweep_specs),
+    _Key("solver.sigma", "sigma", _parse_float, repr),
+    _Key("solver.init", "init", _parse_init, _format_init, _sweep_specs),
+    _Key("solver.max_iters", "max_iters", _parse_int, str),
+    _Key("solver.stop_eps", "stop_eps", _parse_float, repr),
+    _Key("seeds.graph", "seed_graph", _parse_int, str),
+    _Key("seeds.data", "seed_data", _parse_int, str),
+    _Key("seeds.solver", "seed_solver", _parse_int, str),
+    _Key("seeds.attack", "seed_attack", _parse_int, str),
+    _Key("trace.checkpoint_every", "checkpoint_every", _parse_int, str),
+    _Key("attack.kind", "kind", _parse_str, str),
+    _Key("attack.kkt_row", "kkt_row", _parse_bool, _format_bool),
+    _Key("attack.pin_last_cycle", "pin_last_cycle", _parse_bool, _format_bool),
+    _Key("attack.agents", "agents", _parse_ints, _format_ints),
+    _Key("attack.coordinates", "coordinates", _parse_ints, _format_ints),
+    _Key("attack.eps", "eps", _parse_float, repr),
+    _Key("attack.target", "target", _parse_int, str),
+    _Key("attack.lsqr_tol", "lsqr_tol", _parse_float, repr),
+    _Key("attack.lsqr_max_iter", "lsqr_max_iter", _parse_int, str),
+)
+_BY_NAME = {key.name: key for key in KEYS}
 
 
 @dataclass
@@ -185,122 +276,22 @@ class ExperimentConfig:
 
     def to_mapping(self) -> dict[str, str]:
         a = self.attack
-        return {
-            "problem": self.problem,
-            "p": str(self.p),
-            "b": str(self.b),
-            "network.n_agents": str(self.n_agents),
-            "network.eta": repr(self.eta),
-            "solver.variant": self.variant.value,
-            "solver.x_update": self.x_update.value,
-            "solver.rho": repr(self.rho),
-            "solver.gamma": _format_gamma(self.gamma),
-            "solver.sigma": repr(self.sigma),
-            "solver.init": _format_init(self.init),
-            "solver.max_iters": str(self.max_iters),
-            "solver.stop_eps": repr(self.stop_eps),
-            "seeds.graph": str(self.seed_graph),
-            "seeds.data": str(self.seed_data),
-            "seeds.solver": str(self.seed_solver),
-            "seeds.attack": str(self.seed_attack),
-            "trace.checkpoint_every": str(self.checkpoint_every),
-            "attack.kind": a.kind,
-            "attack.kkt_row": "true" if a.kkt_row else "false",
-            "attack.pin_last_cycle": "true" if a.pin_last_cycle else "false",
-            "attack.agents": ",".join(str(x) for x in a.agents),
-            "attack.coordinates": ",".join(str(x) for x in a.coordinates),
-            "attack.eps": repr(a.eps),
-            "attack.target": str(a.target),
-            "attack.lsqr_tol": repr(a.lsqr_tol),
-            "attack.lsqr_max_iter": str(a.lsqr_max_iter),
-        }
+        return {name: fmt(getattr(a if name.startswith("attack.") else self, attr))
+                for name, attr, _, fmt, _ in KEYS}
 
     def to_text(self) -> str:
-        return format_kv(self.to_mapping())
+        return "".join(f"{k} = {v}\n" for k, v in self.to_mapping().items())
 
     @classmethod
     def from_mapping(cls, kv: dict[str, str]) -> "ExperimentConfig":
-        cfg = cls()
-        known = set(cfg.to_mapping())
-        unknown = set(kv) - known
+        unknown = kv.keys() - _BY_NAME.keys()
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-
-        def geti(key: str, cur: int) -> int:
-            if key not in kv:
-                return cur
-            try:
-                return int(kv[key])
-            except ValueError as exc:
-                raise ConfigError(f"{key}: expected integer, got {kv[key]!r}") from exc
-
-        def getf(key: str, cur: float) -> float:
-            if key not in kv:
-                return cur
-            try:
-                return float(kv[key])
-            except ValueError as exc:
-                raise ConfigError(f"{key}: expected number, got {kv[key]!r}") from exc
-
-        def getb(key: str, cur: bool) -> bool:
-            if key not in kv:
-                return cur
-            tok = kv[key].lower()
-            if tok not in _BOOL:
-                raise ConfigError(f"{key}: expected boolean, got {kv[key]!r}")
-            return _BOOL[tok]
-
-        def get_ints(key: str, cur: tuple[int, ...]) -> tuple[int, ...]:
-            if key not in kv:
-                return cur
-            try:
-                return tuple(int(tok) for tok in kv[key].split(",") if tok.strip())
-            except ValueError as exc:
-                raise ConfigError(f"{key}: expected comma-separated ints") from exc
-
-        cfg.problem = kv.get("problem", cfg.problem)
-        cfg.p = geti("p", cfg.p)
-        cfg.b = geti("b", cfg.b)
-        cfg.n_agents = geti("network.n_agents", cfg.n_agents)
-        cfg.eta = getf("network.eta", cfg.eta)
-        if "solver.variant" in kv:
-            try:
-                cfg.variant = Variant(kv["solver.variant"])
-            except ValueError:
-                raise ConfigError(
-                    f"solver.variant: unknown variant {kv['solver.variant']!r} "
-                    f"(expected one of {[v.value for v in Variant]})"
-                ) from None
-        if "solver.x_update" in kv:
-            try:
-                cfg.x_update = XUpdateMode(kv["solver.x_update"])
-            except ValueError:
-                raise ConfigError(
-                    f"solver.x_update: unknown mode {kv['solver.x_update']!r}"
-                ) from None
-        cfg.rho = getf("solver.rho", cfg.rho)
-        if "solver.gamma" in kv:
-            cfg.gamma = _parse_gamma(kv["solver.gamma"])
-        cfg.sigma = getf("solver.sigma", cfg.sigma)
-        if "solver.init" in kv:
-            cfg.init = _parse_init(kv["solver.init"])
-        cfg.max_iters = geti("solver.max_iters", cfg.max_iters)
-        cfg.stop_eps = getf("solver.stop_eps", cfg.stop_eps)
-        cfg.seed_graph = geti("seeds.graph", cfg.seed_graph)
-        cfg.seed_data = geti("seeds.data", cfg.seed_data)
-        cfg.seed_solver = geti("seeds.solver", cfg.seed_solver)
-        cfg.seed_attack = geti("seeds.attack", cfg.seed_attack)
-        cfg.checkpoint_every = geti("trace.checkpoint_every", cfg.checkpoint_every)
+        cfg = cls()
         a = cfg.attack
-        a.kind = kv.get("attack.kind", a.kind)
-        a.kkt_row = getb("attack.kkt_row", a.kkt_row)
-        a.pin_last_cycle = getb("attack.pin_last_cycle", a.pin_last_cycle)
-        a.agents = get_ints("attack.agents", a.agents)
-        a.coordinates = get_ints("attack.coordinates", a.coordinates)
-        a.eps = getf("attack.eps", a.eps)
-        a.target = geti("attack.target", a.target)
-        a.lsqr_tol = getf("attack.lsqr_tol", a.lsqr_tol)
-        a.lsqr_max_iter = geti("attack.lsqr_max_iter", a.lsqr_max_iter)
+        for name, attr, parse, _, _ in KEYS:
+            if name in kv:
+                setattr(a if name.startswith("attack.") else cfg, attr, parse(name, kv[name]))
         cfg.validate()
         return cfg
 
@@ -320,3 +311,20 @@ def apply_seed(cfg: ExperimentConfig, seed: int) -> ExperimentConfig:
     cfg.seed_graph, cfg.seed_data = seed, seed + 10_000
     cfg.seed_solver, cfg.seed_attack = seed + 20_000, seed + 30_000
     return cfg
+
+
+def sweep_grid(kv: dict[str, str]) -> tuple[dict[str, list[str]], list[int] | None]:
+    """A sweep spec's values per key, and its seeds.
+
+    Each value is a comma list; a gamma or init spec keeps its commas.  The
+    special key `seed` lists integers, each setting the four seeds.* keys
+    through apply_seed; without it (None) the base config's seeds are kept.
+    """
+    grid: dict[str, list[str]] = {}
+    for key, text in kv.items():
+        values = (_BY_NAME[key].sweep if key in _BY_NAME else _sweep_list)(text)
+        if not values:
+            raise ConfigError(f"{key}: expected at least one sweep value")
+        grid[key] = values
+    seeds = grid.pop("seed", None)
+    return grid, None if seeds is None else [_parse_int("seed", tok) for tok in seeds]

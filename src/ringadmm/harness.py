@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import adversary
-from .config import ConfigError, ExperimentConfig, apply_seed, parse_kv_text
+from .config import ConfigError, ExperimentConfig, apply_seed, parse_kv_text, sweep_grid
 from .objectives import (
     LogisticObjective,
     OptimizerError,
@@ -113,7 +113,8 @@ def run_experiment(
     cfg.validate()
     graph, problem = build_problem(cfg)
     result = run(problem, graph, cfg.solver_config())
-    kkt = kkt_residuals(problem.objectives, result.x, result.y, result.z)
+    with np.errstate(over="ignore", invalid="ignore"):  # divergence is in the summary
+        kkt = kkt_residuals(problem.objectives, result.x, result.y, result.z)
     summary = RunSummary(
         # a run that diverges at iteration 0 has no trace row
         final_accuracy=result.trace.final.accuracy if len(result.trace) else math.nan,
@@ -252,21 +253,8 @@ SWEEP_COLUMNS = [
 
 
 def parse_sweep_spec(text: str) -> tuple[dict[str, list[str]], list[int] | None]:
-    """Sweep spec uses the config syntax; each value is a comma list.
-
-    The special key `seed` sets the four seeds.* keys through
-    config.apply_seed; without it the base config's seeds are kept.
-    """
-    kv = parse_kv_text(text)
-    seeds: list[int] | None = None
-    grid: dict[str, list[str]] = {}
-    for key, val in kv.items():
-        vals = [tok.strip() for tok in val.split(",") if tok.strip()]
-        if key == "seed":
-            seeds = [int(tok) for tok in vals]
-        else:
-            grid[key] = vals
-    return grid, seeds
+    """Sweep spec uses the config syntax; config.sweep_grid gives its values."""
+    return sweep_grid(parse_kv_text(text))
 
 
 def run_configs(cfgs: list[ExperimentConfig]) -> list[RunResult | Exception]:

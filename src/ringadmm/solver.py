@@ -359,8 +359,9 @@ class _Run:
         self.lipschitz = problem.lipschitz()
         if config.variant == Variant.PIADMM1 and config.gamma.kind == "floor":
             gamma_lower_bound(config.rho, self.lipschitz, graph.n_agents)  # rho > L
-        self.x0, self.y0, _ = initialize(graph, config, problem.dim, self.rng)
-        self.init_dist = np.linalg.norm(self.x0 - problem.x_star, axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite start diverges
+            self.x0, self.y0, _ = initialize(graph, config, problem.dim, self.rng)
+            self.init_dist = np.linalg.norm(self.x0 - problem.x_star, axis=1)
         self.blocks: list[tuple[_Block, int]] = []
         self.gammas = np.empty(0)  # piadmm1's step scales, drawn ahead: iteration k's is [k]
         self.result: RunResult | None = None
@@ -408,8 +409,9 @@ class Simulation:
         self._z = np.zeros((len(runs), self.dim))
         self._columns()
         x0 = np.array([r.x0 for r in runs])
-        self._fvals = self._stack.value(
-            (np.arange(self.n_agents), np.arange(len(runs))[:, None]), x0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._fvals = self._stack.value(
+                (np.arange(self.n_agents), np.arange(len(runs))[:, None]), x0)
 
     def _columns(self) -> None:
         """Per-run columns and operators of the runs still in the batch, and a new block."""

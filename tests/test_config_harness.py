@@ -67,6 +67,21 @@ class TestConfigFormat:
         again = ExperimentConfig.from_text(cfg.to_text())
         assert again == cfg
 
+    def test_to_text_writes_every_key_in_file_order(self):
+        cfg = ExperimentConfig.from_text(
+            "solver.variant = piadmm1\nsolver.gamma = uniform:0.9, 1.1\n"
+            "solver.init = uniform:-1,1\nattack.kkt_row = no\nattack.agents = 3, 1\n")
+        assert cfg.to_text() == (
+            "problem = ridge\np = 2\nb = 30\nnetwork.n_agents = 20\nnetwork.eta = 0.3\n"
+            "solver.variant = piadmm1\nsolver.x_update = exact_prox\nsolver.rho = 10.0\n"
+            "solver.gamma = uniform:0.9,1.1\nsolver.sigma = 0.0\nsolver.init = uniform:-1.0,1.0\n"
+            "solver.max_iters = 10000\nsolver.stop_eps = 1e-10\nseeds.graph = 1\n"
+            "seeds.data = 2\nseeds.solver = 3\nseeds.attack = 4\n"
+            "trace.checkpoint_every = 0\nattack.kind = lsq\nattack.kkt_row = false\n"
+            "attack.pin_last_cycle = true\nattack.agents = 3,1\nattack.coordinates = 1\n"
+            "attack.eps = 0.0001\nattack.target = 1\nattack.lsqr_tol = 1e-10\n"
+            "attack.lsqr_max_iter = 0\n")
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
             ExperimentConfig.from_text(BASE_CONFIG + "solver.typo = 1\n")
@@ -197,6 +212,34 @@ class TestHarness:
         _, no_seeds = parse_sweep_spec("solver.rho = 1\n")
         assert no_seeds is None
 
+    @pytest.mark.parametrize("variant, key, values", [
+        ("piadmm1", "solver.gamma", ["uniform:0.9,1.1", "constant:1.0"]),
+        ("iadmm_randinit", "solver.init", ["zeros", "uniform:-1,1"]),
+    ])
+    def test_sweep_lists_specs_that_hold_commas(self, tmp_path, variant, key, values):
+        spec = f"solver.variant = {variant}\n{key} = {', '.join(values)}\n"
+        assert parse_sweep_spec(spec)[0][key] == values
+        out = tmp_path / "sweep.csv"
+        assert run_sweep(BASE_CONFIG, spec, str(out)) == 0
+        with open(out, newline="") as fh:
+            fh.readline()
+            rows = list(csv.DictReader(fh))
+        points = {r["run_index"]: r["overrides"] for r in rows}
+        assert len(points) == 2 and {r["status"] for r in rows} == {"ok"}
+        assert [o.split(";")[0] for o in points.values()] == [f"{key}={v}" for v in values]
+
+    def test_sweep_spec_value_grammar(self):
+        grid, seeds = parse_sweep_spec(
+            "solver.gamma = descent_floor:1.01,uniform:1, 2,constant:1\n"
+            "solver.init = uniform:-1, 1 ,zeros\nattack.agents = 1,2\nseed = 7\n")
+        assert grid == {"solver.gamma": ["descent_floor:1.01", "uniform:1,2", "constant:1"],
+                        "solver.init": ["uniform:-1,1", "zeros"], "attack.agents": ["1", "2"]}
+        assert seeds == [7]
+        with pytest.raises(ConfigError, match=r"^seed: expected integer, got '1.5'$"):
+            parse_sweep_spec("seed = 1, 1.5\n")
+        with pytest.raises(ConfigError, match=r"^solver.rho: expected at least one sweep value$"):
+            parse_sweep_spec("solver.rho = ,\n")
+
     def test_sweep_without_seed_key_keeps_base_seeds(self, tmp_path):
         out = tmp_path / "sweep.csv"
         run_sweep(BASE_CONFIG, "solver.rho = 10.0\n", str(out))
@@ -282,6 +325,17 @@ class TestCli:
         assert (out / "summary.txt").read_text() == line + "\n"
         assert len((out / "transcript.csv").read_text().splitlines()) == 3 + rows
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("rho", ["1e10", "10.0"])
+    def test_diverging_at_iteration_0_raises_no_warning(self, tmp_path, capsys, rho):
+        text = DIVERGES_AT_0.replace("solver.rho = 1e10", f"solver.rho = {rho}")
+        out = str(tmp_path / "out")
+        assert main(["run", "--config", self.write(tmp_path, text), "--out", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "" and captured.out.rstrip().endswith(" DIVERGED")
+        assert run_sweep(text, "solver.variant = iadmm_randinit\n",
+                         str(tmp_path / "sweep.csv")) == 1
+
     def test_sweep_point_diverging_at_iteration_0_fails_with_one_row(self, tmp_path):
         path = tmp_path / "sweep.csv"
         assert run_sweep(DIVERGES_AT_0, "solver.variant = iadmm_randinit, iadmm\n",
@@ -363,6 +417,13 @@ class TestCli:
                      "--out", str(tmp_path), "--quiet"])
         assert code == 0
         assert (tmp_path / "sweep.csv").exists()
+
+    def test_sweep_cli_bad_seed_exit_1(self, tmp_path, capsys):
+        cfg = self.write(tmp_path, BASE_CONFIG)
+        spec = self.write(tmp_path, "solver.rho = 5\nseed = 1, x\n", name="sweep.cfg")
+        assert main(["sweep", "--config", cfg, "--sweep", spec, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "config error: seed: expected integer, got 'x'\n"
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_verify_cli_passes(self, capsys):
         assert main(["verify", "--quiet"]) == 0

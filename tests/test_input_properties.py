@@ -1,4 +1,4 @@
-"""Arbitrary text given to the two input parsers either parses into finite,
+"""Arbitrary text given to the input parsers either parses into finite,
 in-range values or fails with the parser's own error type, never another."""
 
 import io
@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ringadmm.config import ConfigError, ExperimentConfig
+from ringadmm.harness import parse_sweep_spec
 from ringadmm.records import META_KEYS, SCHEMA_LINE, Transcript, TranscriptError
 
 # tokens near every edge the parsers check: signs, zero, huge and tiny
@@ -111,3 +112,39 @@ def test_config_parser_gives_valid_values_or_config_error(text):
     assert all(math.isfinite(v) for v in floats)
     assert cfg.rho > 0 and cfg.sigma >= 0 and cfg.max_iters >= 1 and cfg.n_agents >= 3
     assert ExperimentConfig.from_text(cfg.to_text()).to_mapping() == cfg.to_mapping()
+
+
+SEEDS = _mostly(st.integers(-5, 2**40).map(str))
+
+
+@st.composite
+def sweep_texts(draw) -> str:
+    """A sweep spec: config keys and `seed`, each with a comma list of the
+    config strategy's values, specs and mangled tokens included."""
+    keys = draw(st.lists(st.sampled_from(list(DEFAULTS) + ["seed"]), max_size=6, unique=True))
+    lines = []
+    for key in keys:
+        good = SEEDS if key == "seed" else _mostly(GOOD_VALUES.get(key, TOKENS), TOKENS | SPECS)
+        lines.append(f"{key} = {draw(_joined(good, draw(st.sampled_from([',', ', ', ' , ']))))}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=400, deadline=None)
+@given(sweep_texts() | st.text())
+def test_sweep_spec_gives_value_lists_and_integer_seeds_or_config_error(text):
+    try:
+        grid, seeds = parse_sweep_spec(text)
+    except ConfigError:
+        return
+    assert "seed" not in grid
+    for values in grid.values():
+        assert values and all(isinstance(v, str) and v == v.strip() and v for v in values)
+    assert seeds is None or (seeds and all(type(s) is int for s in seeds))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["solver.gamma", "solver.init"]).flatmap(
+    lambda key: st.tuples(st.just(key), st.lists(GOOD_VALUES[key], min_size=1, max_size=4))))
+def test_sweep_spec_keeps_each_listed_spec_whole(key_values):
+    key, values = key_values
+    assert parse_sweep_spec(f"{key} = {', '.join(values)}\n") == ({key: values}, None)
