@@ -59,7 +59,6 @@ class AttackReport:
     residual_norms: list[float] = field(default_factory=list)
     lsqr_converged: bool = True
     init_assumption_violated: bool = False
-    notes: str = ""
     unscored: str = ""  # why truth columns are empty, once scoring was tried
 
     @property
@@ -192,8 +191,6 @@ def exact_recursion_attack(transcript: Transcript) -> AttackReport:
         est_x=est_x,
         est_y=est_y,
         init_assumption_violated=not transcript.deterministic_init,
-        notes="" if transcript.deterministic_init else
-        "transcript declares a randomized start; zero-start recursion will be off",
     )
 
 
@@ -241,7 +238,6 @@ def terminal_backward_attack(transcript: Transcript, eps: float) -> AttackReport
         last_iteration=last,
         est_x=est_x,
         est_y=est_y,
-        notes=f"target agent {target}, eps={eps}",
     )
 
 
@@ -370,7 +366,7 @@ def build_ls_system(
 
 
 def _lsq_report(kind: str, transcript: Transcript, ms: MeasurementSystem, tol: float,
-                max_iter: int | None, agents: list[int], notes: str = "") -> AttackReport:
+                max_iter: int | None, agents: list[int]) -> AttackReport:
     """Solve each coordinate's system and read the agents' estimates off it."""
     results = [lsqr(sysm, tol=tol, max_iter=max_iter) for sysm in ms.systems]
     sol = np.stack([res.x for res in results], axis=1)
@@ -387,7 +383,6 @@ def _lsq_report(kind: str, transcript: Transcript, ms: MeasurementSystem, tol: f
         dims=ms.shape,
         residual_norms=[res.residual_norm for res in results],
         lsqr_converged=all(res.converged for res in results),
-        notes=notes,
     )
 
 
@@ -460,8 +455,7 @@ def colluding_attack(
     assuming a fixed step scale (1 unless overridden)."""
     ms = build_colluding_system(transcript, target, colluder_final_y_sum, pin,
                                 gamma_assumed)
-    return _lsq_report("colluding", transcript, ms, tol, max_iter, [target],
-                       notes=f"target agent {target}")
+    return _lsq_report("colluding", transcript, ms, tol, max_iter, [target])
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from operator import attrgetter
 from typing import IO, Any, Callable, NamedTuple
 
 from .solver import GammaSpec, InitSpec, SolverConfig, Variant, XUpdateMode
+from .topology import target_edge_count
 
 
 class ConfigError(ValueError):
@@ -191,23 +192,19 @@ class AttackOptions:
 
 
 @dataclass
-class ExperimentConfig:
+class ExperimentConfig(SolverConfig):
+    """Everything one config file sets: the solver's settings plus the
+    problem, the network, the other seeds, the trace cadence and the attack.
+    SolverConfig's checks run at construction and when a run starts;
+    validate() checks every key."""
+
     problem: str = "ridge"          # ridge | logistic
     p: int = 2
     b: int = 30
     n_agents: int = 20
     eta: float = 0.3
-    rho: float = 10.0
-    variant: Variant = Variant.IADMM
-    x_update: XUpdateMode = XUpdateMode.EXACT_PROX
-    gamma: GammaSpec = field(default_factory=lambda: GammaSpec.constant(1.0))
-    sigma: float = 0.0
-    init: InitSpec = field(default_factory=InitSpec.zeros)
-    max_iters: int = 10_000
-    stop_eps: float = 1e-10
     seed_graph: int = 1
     seed_data: int = 2
-    seed_solver: int = 3
     seed_attack: int = 4
     checkpoint_every: int = 0       # trace CSV row cadence; 0 means one per cycle
     attack: AttackOptions = field(default_factory=AttackOptions)
@@ -232,7 +229,7 @@ class ExperimentConfig:
         if not (0.0 < self.eta <= 1.0):
             errors.append(f"network.eta: must lie in (0, 1], got {self.eta}")
         elif self.n_agents <= 2**31:
-            target = round(self.eta * self.n_agents * (self.n_agents - 1) / 2)
+            target = target_edge_count(self.n_agents, self.eta)
             if target < self.n_agents:
                 errors.append(
                     f"network.eta: {target} edges cannot host the {self.n_agents}-agent ring"
@@ -260,19 +257,6 @@ class ExperimentConfig:
             errors.append("attack.target: agent id out of range")
         if errors:
             raise ConfigError("; ".join(errors))
-
-    def solver_config(self) -> SolverConfig:
-        return SolverConfig(
-            rho=self.rho,
-            variant=self.variant,
-            x_update=self.x_update,
-            gamma=self.gamma,
-            sigma=self.sigma,
-            init=self.init,
-            seed=self.seed_solver,
-            max_iters=self.max_iters,
-            stop_eps=self.stop_eps,
-        )
 
     def to_mapping(self) -> dict[str, str]:
         a = self.attack

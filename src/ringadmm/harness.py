@@ -24,7 +24,7 @@ from .objectives import (
     generate_logistic_data,
     generate_ridge_data,
 )
-from .records import Transcript
+from .records import SCHEMA_LINE, Transcript
 from .solver import (DivergenceError, Problem, RunResult, descent_regimes, kkt_residuals,
                      run, run_batch)
 from .topology import Graph, generate_graph, write_edgelist
@@ -56,6 +56,12 @@ def build_problem(cfg: ExperimentConfig) -> tuple[Graph, Problem]:
     objectives = build_objectives(cfg)
     x_star = centralized_optimum(objectives, tol=1e-12)
     return graph, Problem(objectives=objectives, x_star=x_star)
+
+
+def _trace_every(cfg: ExperimentConfig) -> int:
+    """Iterations between written trace rows: trace.checkpoint_every, or one
+    cycle when it is 0."""
+    return cfg.checkpoint_every if cfg.checkpoint_every > 0 else cfg.n_agents
 
 
 def _atomic_write(path: str, writer) -> None:
@@ -112,7 +118,7 @@ def run_experiment(
 ) -> tuple[RunResult, RunSummary]:
     cfg.validate()
     graph, problem = build_problem(cfg)
-    result = run(problem, graph, cfg.solver_config())
+    result = run(problem, graph, cfg)
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is in the summary
         kkt = kkt_residuals(problem.objectives, result.x, result.y, result.z)
     summary = RunSummary(
@@ -126,10 +132,9 @@ def run_experiment(
         n_iterations=result.n_iterations,
     )
     if out_dir is not None:
-        every = cfg.checkpoint_every if cfg.checkpoint_every > 0 else cfg.n_agents
         _atomic_write(
             os.path.join(out_dir, "run_trace.csv"),
-            lambda fh: result.trace.write_csv(fh, every=every),
+            lambda fh: result.trace.write_csv(fh, every=_trace_every(cfg)),
         )
         _atomic_write(
             os.path.join(out_dir, "transcript.csv"), result.transcript.write_csv
@@ -171,6 +176,8 @@ def run_attack(
         raise ConfigError(
             f"transcript has {transcript.n_agents} agents, config says {cfg.n_agents}"
         )
+    if transcript.dim != cfg.p:
+        raise ConfigError(f"transcript has dimension {transcript.dim}, config says p = {cfg.p}")
     if abs(transcript.rho - cfg.rho) > 1e-12 * max(1.0, cfg.rho):
         raise ConfigError(f"transcript rho={transcript.rho} differs from config rho={cfg.rho}")
 
@@ -200,7 +207,10 @@ def run_attack(
         for agent in opts.agents:
             reports[agent] = rep
     elif opts.kind == "backward":
-        rep = adversary.terminal_backward_attack(transcript, eps=opts.eps)
+        try:
+            rep = adversary.terminal_backward_attack(transcript, eps=opts.eps)
+        except adversary.AttackPreconditionError as exc:  # the transcript does not fit the config
+            raise ConfigError(str(exc)) from exc
         reports[rep.agents[0]] = rep
     else:  # colluding
         y_final = None
@@ -241,7 +251,7 @@ def _regenerate(cfg: ExperimentConfig) -> RunResult | str:
     cannot give it."""
     try:
         graph, problem = build_problem(cfg)
-        return run(problem, graph, cfg.solver_config())
+        return run(problem, graph, cfg)
     except (ValueError, OptimizerError) as exc:  # ConfigError is a ValueError
         return f"{type(exc).__name__}: {exc}"
 
@@ -274,7 +284,7 @@ def run_configs(cfgs: list[ExperimentConfig]) -> list[RunResult | Exception]:
             if key not in built:
                 built[key] = build_problem(cfg)
             graph, problem = built[key]
-            specs[i] = (problem, graph, cfg.solver_config())
+            specs[i] = (problem, graph, cfg)
         except Exception as exc:  # the caller records the failure
             out[i] = exc
     for i, result in zip(specs, run_batch(list(specs.values()))):
@@ -327,8 +337,7 @@ def run_sweep(
             if not quiet:
                 print(f"sweep point {overrides} seed={seed} failed: {result}")
             continue
-        every = cfg.checkpoint_every if cfg.checkpoint_every > 0 else cfg.n_agents
-        for k in result.trace.checkpoints(every).tolist():
+        for k in result.trace.checkpoints(_trace_every(cfg)).tolist():
             rec = result.trace.record(k)
             rows.append([
                 run_index, overrides, seed_col, rec.k, rec.agent,
@@ -338,7 +347,7 @@ def run_sweep(
             ])
 
     def write(fh):
-        fh.write("#schema=1\n")
+        fh.write(SCHEMA_LINE + "\n")
         w = csv.writer(fh)
         w.writerow(SWEEP_COLUMNS)
         w.writerows(rows)

@@ -110,13 +110,15 @@ class InitSpec:
 
 @dataclass
 class SolverConfig:
-    rho: float
+    """The solver's settings, which config.ExperimentConfig extends."""
+
+    rho: float = 10.0
     variant: Variant = Variant.IADMM
     x_update: XUpdateMode = XUpdateMode.EXACT_PROX
     gamma: GammaSpec = field(default_factory=lambda: GammaSpec.constant(1.0))
     sigma: float = 0.0
     init: InitSpec = field(default_factory=InitSpec.zeros)
-    seed: int = 0
+    seed_solver: int = 3
     max_iters: int = 10_000
     stop_eps: float = 1e-10
 
@@ -345,23 +347,25 @@ class _Run:
     """One run of a batch: its inputs, random stream and start, the (block,
     row) pairs that hold its iterations and, once it has ended, its result.
 
-    The stream default_rng(config.seed) gives, in order, the random start,
-    then piadmm1's gammas or piadmm2's noise, or wadmm's walk: one uniform
-    per iteration, mapped to a neighbour by next_agent.  Agent 1 is active
-    first; wadmm walks, every other variant follows the ring."""
+    The stream default_rng(config.seed_solver) gives, in order, the random
+    start, then piadmm1's gammas or piadmm2's noise, or wadmm's walk: one
+    uniform per iteration, mapped to a neighbour by next_agent.  Agent 1 is
+    active first; wadmm walks, every other variant follows the ring."""
 
     def __init__(self, problem: Problem, graph: Graph, config: SolverConfig):
         if graph.n_agents != problem.n_agents:
             raise ValueError("graph and problem disagree on the number of agents")
+        config.__post_init__()  # again: fields may have been set after construction
         self.problem, self.graph, self.config = problem, graph, config
         self.cyclic = config.variant != Variant.WADMM_BASELINE
-        self.rng = np.random.default_rng(config.seed)
+        self.rng = np.random.default_rng(config.seed_solver)
         self.lipschitz = problem.lipschitz()
         if config.variant == Variant.PIADMM1 and config.gamma.kind == "floor":
             gamma_lower_bound(config.rho, self.lipschitz, graph.n_agents)  # rho > L
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite start diverges
             self.x0, self.y0, _ = initialize(graph, config, problem.dim, self.rng)
             self.init_dist = np.linalg.norm(self.x0 - problem.x_star, axis=1)
+        self.finite_start = bool(np.isfinite(self.x0).all() and np.isfinite(self.y0).all())
         self.blocks: list[tuple[_Block, int]] = []
         self.gammas = np.empty(0)  # piadmm1's step scales, drawn ahead: iteration k's is [k]
         self.result: RunResult | None = None
@@ -643,8 +647,10 @@ class Simulation:
             k, agent = k0 + r, int(agents[b, r]) + 1
             if bad_state[b, r]:
                 keep, records = r, r
-                reason = (f"diverged: non-finite state at iteration {k} (agent {agent}); "
-                         f"the configured step scale is likely unstable")
+                cause = ("the configured step scale is likely unstable"
+                         if self._alive[b].finite_start else
+                         "the random start is not finite (solver.init times solver.rho overflows)")
+                reason = f"diverged: non-finite state at iteration {k} (agent {agent}); {cause}"
             elif bad_metrics[b, r]:
                 keep, records = r + 1, r
                 reason = (f"diverged: metrics overflowed at iteration {k} (agent {agent}); "

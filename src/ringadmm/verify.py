@@ -76,7 +76,7 @@ def check_graphs() -> tuple[bool, str]:
             return False, f"edge count mismatch at N={n} eta={eta}"
     cfg = _quick_cfg(n_agents=6, eta=1.0, max_iters=12, stop_eps=0.0)
     graph, problem = build_problem(cfg)
-    order = solver.run(problem, graph, cfg.solver_config()).transcript.senders.tolist()
+    order = solver.run(problem, graph, cfg).transcript.senders.tolist()
     if order != [1, 2, 3, 4, 5, 6, 1, 2, 3, 4, 5, 6]:
         return False, f"cyclic order wrong: {order}"
     # the walk replayed from the run's stream: one uniform per iteration
@@ -84,7 +84,7 @@ def check_graphs() -> tuple[bool, str]:
     cfg = _quick_cfg(n_agents=9, eta=0.4, max_iters=90, stop_eps=0.0,
                      variant=solver.Variant.WADMM_BASELINE)
     graph, problem = build_problem(cfg)
-    tr = solver.run(problem, graph, cfg.solver_config()).transcript
+    tr = solver.run(problem, graph, cfg).transcript
     agent, walk = 1, []
     for u in np.random.default_rng(cfg.seed_solver).random(len(tr.senders)):
         nbrs = sorted({v for e in graph.edges if agent in e for v in e} - {agent})
@@ -159,7 +159,7 @@ def check_token_conservation() -> tuple[bool, str]:
         cfg = _quick_cfg(variant=variant, init=init, gamma=gamma, sigma=sigma,
                          stop_eps=0.0)
         graph, problem = build_problem(cfg)
-        sim = solver.Simulation(problem, graph, cfg.solver_config())
+        sim = solver.Simulation(problem, graph, cfg)
         for _ in range(cfg.max_iters):
             sim.step()
             worst = max(worst, solver.token_gap(sim.x, sim.y, sim.z, cfg.rho))
@@ -169,7 +169,7 @@ def check_token_conservation() -> tuple[bool, str]:
 def check_dual_gradient_identity() -> tuple[bool, str]:
     cfg = _quick_cfg(variant=solver.Variant.IADMM)
     graph, problem = build_problem(cfg)
-    sim = solver.Simulation(problem, graph, cfg.solver_config())
+    sim = solver.Simulation(problem, graph, cfg)
     worst = 0.0
     for _ in range(200):
         rec = sim.step()
@@ -201,12 +201,12 @@ def check_reductions() -> tuple[bool, str]:
         )
     ]
     graph, problem = build_problem(configs[0])
-    batch = solver.run_batch([(problem, graph, c.solver_config()) for c in configs])
+    batch = solver.run_batch([(problem, graph, c) for c in configs])
     ref = batch[0]
     for cfg, res in zip(configs, batch):
         if isinstance(res, Exception):
             return False, f"{cfg.variant.value} raised {type(res).__name__}: {res}"
-        if not _same_run(res, solver.run(problem, graph, cfg.solver_config())):
+        if not _same_run(res, solver.run(problem, graph, cfg)):
             return False, f"{cfg.variant.value} in a batch differs from the run alone"
         if not (all(np.array_equal(getattr(res, s), getattr(ref, s)) for s in "xyz")
                 and np.array_equal(res.transcript.z_values, ref.transcript.z_values)):
@@ -246,8 +246,8 @@ def check_step_equations() -> tuple[bool, str]:
                          init=solver.InitSpec.uniform(-1, 1), stop_eps=0.0, sigma=1e-2,
                          gamma=solver.GammaSpec.uniform(0.9, 1.1))
         graph, problem = build_problem(cfg)
-        result = solver.run(problem, graph, cfg.solver_config())
-        worst = max(worst, *step_equation_errors(problem, cfg.solver_config(), result).values())
+        result = solver.run(problem, graph, cfg)
+        worst = max(worst, *step_equation_errors(problem, cfg, result).values())
         if worst > 1e-12 or result.n_iterations != cfg.max_iters:
             return False, f"{cfg.variant.value} {mode}: worst error {worst:.2e}"
     return True, f"worst relative step-equation error {worst:.2e}"
@@ -256,7 +256,7 @@ def check_step_equations() -> tuple[bool, str]:
 def check_exact_attack() -> tuple[bool, str]:
     cfg = _quick_cfg(variant=solver.Variant.IADMM, max_iters=50 * 8, stop_eps=0.0)
     graph, problem = build_problem(cfg)
-    result = solver.run(problem, graph, cfg.solver_config())
+    result = solver.run(problem, graph, cfg)
     rep = adversary.exact_recursion_attack(result.transcript)
     adversary.score_report(rep, result.history)
     worst = max(
@@ -268,7 +268,7 @@ def check_exact_attack() -> tuple[bool, str]:
 def check_backward_bounds() -> tuple[bool, str]:
     cfg = _quick_cfg(variant=solver.Variant.IADMM, max_iters=50_000, stop_eps=1e-4)
     graph, problem = build_problem(cfg)
-    result = solver.run(problem, graph, cfg.solver_config())
+    result = solver.run(problem, graph, cfg)
     eps = cfg.stop_eps
     rep = adversary.terminal_backward_attack(result.transcript, eps=eps)
     adversary.score_report(rep, result.history)
@@ -291,7 +291,7 @@ def check_system_oracle() -> tuple[bool, str]:
     cfg = _quick_cfg(variant=solver.Variant.IADMM_RANDINIT,
                      init=solver.InitSpec.uniform(0, 10), max_iters=1_000)
     graph, problem = build_problem(cfg)
-    result = solver.run(problem, graph, cfg.solver_config())
+    result = solver.run(problem, graph, cfg)
     ms = adversary.build_ls_system(result.transcript, kkt_row=False,
                                    pin_last_cycle=False)
     resid = adversary.system_truth_residual(ms, result.history)

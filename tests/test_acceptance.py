@@ -43,7 +43,7 @@ def test_criterion_01_convergence_ridge_exact_prox():
     cfg.seed_graph, cfg.seed_data, cfg.seed_solver = 0, 100, 200
     t0 = time.perf_counter()
     graph, problem = build_problem(cfg)
-    res = run(problem, graph, cfg.solver_config())
+    res = run(problem, graph, cfg)
     elapsed = time.perf_counter() - t0
     acc = res.trace.final.accuracy
     kkt = kkt_residuals(problem.objectives, res.x, res.y, res.z)
@@ -59,7 +59,7 @@ def test_criterion_02_fixed_step_descent_regime():
     cfg = make_cfg(n_agents=4, eta=1.0, max_iters=4 * 200)
     cfg.seed_graph, cfg.seed_data, cfg.seed_solver = 0, 50, 99
     graph, problem = build_problem(cfg)
-    sc = cfg.solver_config()
+    sc = cfg
     sc.rho = 2.0 * problem.lipschitz() + 2.0
     res = run(problem, graph, sc)
     worst = float(np.max(np.diff(res.trace.lagrangians())))
@@ -77,7 +77,7 @@ def test_criterion_03_perturbed_step_descent_regime():
                    max_iters=12_000)
     graph, problem = build_problem(cfg)
     lips = problem.lipschitz()
-    sc = cfg.solver_config()
+    sc = cfg
     sc.rho = lips + 1.0
     res = run(problem, graph, sc)
     lag = res.trace.lagrangians()
@@ -108,7 +108,7 @@ def test_criterion_04_token_conservation_all_variants():
                            gamma=gamma, sigma=sigma, max_iters=100 * 10)
             cfg.seed_graph, cfg.seed_data, cfg.seed_solver = seed, seed + 31, seed + 62
             graph, problem = build_problem(cfg)
-            sim = Simulation(problem, graph, cfg.solver_config())
+            sim = Simulation(problem, graph, cfg)
             for _ in range(cfg.max_iters):
                 sim.step()
                 worst = max(worst, token_gap(sim.x, sim.y, sim.z, cfg.rho))
@@ -123,7 +123,7 @@ def test_criterion_04_token_conservation_all_variants():
 def test_criterion_05_exact_attack_reproduction():
     cfg = make_cfg(n_agents=10, eta=0.3, max_iters=50 * 10)
     graph, problem = build_problem(cfg)
-    res = run(problem, graph, cfg.solver_config())
+    res = run(problem, graph, cfg)
     rep = adversary.score_report(
         adversary.exact_recursion_attack(res.transcript), res.history
     )
@@ -152,7 +152,7 @@ def test_criterion_06_backward_attack_error_bounds():
         cfg = make_cfg(n_agents=10, eta=0.3, max_iters=100_000, stop_eps=eps)
         cfg.seed_graph, cfg.seed_data, cfg.seed_solver = seed, seed + 9, seed + 18
         graph, problem = build_problem(cfg)
-        res = run(problem, graph, cfg.solver_config())
+        res = run(problem, graph, cfg)
         rep = adversary.score_report(
             adversary.terminal_backward_attack(res.transcript, eps=eps), res.history
         )
@@ -205,7 +205,7 @@ def privacy_attack_errors():
                            max_iters=2001)
             cfg.seed_graph, cfg.seed_data, cfg.seed_solver = seed, seed + 500, seed + 900
             graph, problem = build_problem(cfg)
-            res = run(problem, graph, cfg.solver_config())
+            res = run(problem, graph, cfg)
             rep = adversary.score_report(
                 adversary.lsq_attack(res.transcript, agents=[1]), res.history
             )
@@ -253,7 +253,7 @@ def test_criterion_09_primal_noise_error_floor():
                        init=InitSpec.uniform(0, 100), sigma=sigma,
                        max_iters=cycles * n)
         graph, problem = build_problem(cfg)
-        res = run(problem, graph, cfg.solver_config())
+        res = run(problem, graph, cfg)
         return float(np.min(res.trace.accuracies()))
 
     best_plain = best_accuracy(Variant.IADMM, 0.0)
@@ -263,10 +263,10 @@ def test_criterion_09_primal_noise_error_floor():
     cfg_a = make_cfg(variant=Variant.IADMM_RANDINIT, init=InitSpec.uniform(0, 100),
                      max_iters=300)
     graph, problem = build_problem(cfg_a)
-    ref = run(problem, graph, cfg_a.solver_config())
+    ref = run(problem, graph, cfg_a)
     cfg_b = make_cfg(variant=Variant.PIADMM2, init=InitSpec.uniform(0, 100),
                      sigma=0.0, max_iters=300)
-    res = run(problem, graph, cfg_b.solver_config())
+    res = run(problem, graph, cfg_b)
     bit_identical = (
         np.array_equal(res.x, ref.x)
         and np.array_equal(res.y, ref.y)
@@ -290,7 +290,7 @@ def test_criterion_10_ring_order_beats_random_walk():
                            max_iters=budget)
             cfg.seed_graph, cfg.seed_data, cfg.seed_solver = seed, seed + 70, seed + 140
             graph, problem = build_problem(cfg)
-            res = run(problem, graph, cfg.solver_config())
+            res = run(problem, graph, cfg)
             rec = res.trace.records[-1]
             assert rec.comm_units == budget
             accs[variant].append(rec.accuracy)

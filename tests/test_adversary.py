@@ -26,7 +26,7 @@ from ringadmm.topology import generate_graph
 
 def run_cfg(cfg):
     graph, problem = build_problem(cfg)
-    return run(problem, graph, cfg.solver_config())
+    return run(problem, graph, cfg)
 
 
 class TestExactRecursion:
@@ -65,7 +65,7 @@ class TestExactRecursion:
         data = Dataset(np.array([[1.0, 0.0], [0.0, 1.0]]), np.zeros(2))
         problem = Problem([RidgeObjective(data) for _ in range(4)], np.zeros(2))
         graph = generate_graph(4, 1.0, 0)
-        cfg = make_cfg(n_agents=4, max_iters=40).solver_config()
+        cfg = make_cfg(n_agents=4, max_iters=40)
         res = run(problem, graph, cfg)
         rep = score_report(exact_recursion_attack(res.transcript), res.history)
         for a in rep.agents:
@@ -114,7 +114,7 @@ class TestTerminalBackward:
         data = Dataset(np.array([[1.0, 0.0], [0.0, 1.0]]), np.zeros(2))
         problem = Problem([RidgeObjective(data) for _ in range(4)], np.zeros(2))
         graph = generate_graph(4, 1.0, 0)
-        cfg = make_cfg(n_agents=4, max_iters=100, stop_eps=1e-15).solver_config()
+        cfg = make_cfg(n_agents=4, max_iters=100, stop_eps=1e-15)
         res = run(problem, graph, cfg)
         rep = score_report(
             terminal_backward_attack(res.transcript, eps=1e-12), res.history

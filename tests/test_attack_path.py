@@ -303,7 +303,7 @@ def runs():
     for name, over in RUNS.items():
         cfg = make_cfg(eta=0.6, **over)
         graph, problem = build_problem(cfg)
-        out[name] = run(problem, graph, cfg.solver_config())
+        out[name] = run(problem, graph, cfg)
     # the random walk's transcript with the zero start undeclared: ragged
     # epochs without the deterministic-init rows
     walk = out["walk_zero_start"]
@@ -374,7 +374,7 @@ def test_exact_attack_matches_loop(runs, name):
 def test_backward_attack_matches_loop():
     cfg = make_cfg(n_agents=5, max_iters=20_000, stop_eps=1e-4)
     graph, problem = build_problem(cfg)
-    tr = run(problem, graph, cfg.solver_config()).transcript
+    tr = run(problem, graph, cfg).transcript
     rep = terminal_backward_attack(tr, eps=1e-4)
     want_x, want_y = ref_backward(tr)
     (target,) = want_x

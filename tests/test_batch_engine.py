@@ -79,7 +79,7 @@ def test_run_in_a_batch_equals_the_run_alone(monkeypatch):
         cfg = make_cfg(n_agents=7, max_iters=150, seed_graph=seed, seed_data=seed + 10,
                        seed_solver=seed + 20, **KINDS[kind])
         graph, problem = build_problem(cfg)
-        specs.append((problem, graph, cfg.solver_config()))
+        specs.append((problem, graph, cfg))
     widths = spy_batches(monkeypatch)
     results = run_batch(specs)
     # ridge cyclic (4 variants), ridge random walk, logistic cyclic and
@@ -92,7 +92,7 @@ def test_run_in_a_batch_equals_the_run_alone(monkeypatch):
 def test_mixed_kinds_go_to_separate_batches():
     cyclic = make_cfg(n_agents=5)
     walk = make_cfg(n_agents=5, variant=Variant.WADMM_BASELINE)
-    runs = [solver._Run(*build_problem(c)[::-1], c.solver_config()) for c in (cyclic, walk)]
+    runs = [solver._Run(*build_problem(c)[::-1], c) for c in (cyclic, walk)]
     assert runs[0].key() != runs[1].key()
     with pytest.raises(ValueError, match="a batch needs"):
         solver.Simulation._batch(runs)
@@ -122,7 +122,7 @@ def faulty_run(seed, start=math.inf, factor=1.0, **overrides):
     graph, problem = build_problem(cfg)
     counter = _Counter()
     objectives = [_FaultyRidge(f.data, counter, start, factor) for f in problem.objectives]
-    return lambda: (Problem(objectives, problem.x_star), graph, cfg.solver_config()), counter
+    return lambda: (Problem(objectives, problem.x_star), graph, cfg), counter
 
 
 def test_ragged_batch_rows_end_as_they_would_alone(monkeypatch):
@@ -153,7 +153,7 @@ def test_ragged_batch_rows_end_as_they_would_alone(monkeypatch):
 def ridge_run(seed, **overrides):
     cfg = make_cfg(n_agents=8, seed_data=seed, seed_solver=seed + 1, **overrides)
     graph, problem = build_problem(cfg)
-    return problem, graph, cfg.solver_config()
+    return problem, graph, cfg
 
 
 def test_ragged_operator_batch_rows_end_as_they_would_alone(monkeypatch):
@@ -232,7 +232,7 @@ def test_noise_leaves_the_other_rows_bits_alone():
                        init=InitSpec.uniform(-1, 1))
         graph, problem = build_problem(cfg)
         objectives = [_SignedZeroRidge(f.data) for f in problem.objectives]
-        specs.append((Problem(objectives, problem.x_star), graph, cfg.solver_config()))
+        specs.append((Problem(objectives, problem.x_star), graph, cfg))
     quiet, _ = run_batch(specs)
     assert np.signbit(quiet.history.x_new).all()
     assert_identical(quiet, run(*specs[0]))
@@ -242,7 +242,7 @@ def test_errors_stay_with_their_run():
     good = make_cfg(n_agents=6, max_iters=40)
     floor = make_cfg(n_agents=6, max_iters=40, variant=Variant.PIADMM1, rho=1e-3,
                      gamma=GammaSpec.floor(1.01))
-    specs = [(p, g, c.solver_config()) for c in (good, floor, good)
+    specs = [(p, g, c) for c in (good, floor, good)
              for g, p in [build_problem(c)]]
     results = run_batch(specs)
     assert isinstance(results[1], ValueError) and "need rho > L" in str(results[1])
@@ -339,7 +339,7 @@ def test_run_configs_builds_each_problem_once(monkeypatch):
     results = harness.run_configs(cfgs)
     assert [c.seed_graph for c in built] == [1, 2]
     for cfg, res in zip(cfgs, results):
-        assert_identical(res, run(*build_problem(cfg)[::-1], cfg.solver_config()))
+        assert_identical(res, run(*build_problem(cfg)[::-1], cfg))
 
 
 def test_points_differing_in_one_key_field_are_not_shared(monkeypatch):
@@ -351,7 +351,7 @@ def test_points_differing_in_one_key_field_are_not_shared(monkeypatch):
     results = harness.run_configs(cfgs)
     assert len(built) == len(cfgs)
     for cfg, res in zip(cfgs, results):
-        assert_identical(res, run(*build_problem(cfg)[::-1], cfg.solver_config()))
+        assert_identical(res, run(*build_problem(cfg)[::-1], cfg))
 
 
 def test_identical_points_match_the_run_alone(monkeypatch):
@@ -359,7 +359,7 @@ def test_identical_points_match_the_run_alone(monkeypatch):
     cfg = make_cfg(n_agents=7, max_iters=120, seed_solver=4, **KINDS["piadmm2"])
     other = make_cfg(n_agents=7, max_iters=120, seed_solver=4, **KINDS["piadmm1"])
     graph, problem = build_problem(cfg)
-    alone = run(problem, graph, cfg.solver_config())
+    alone = run(problem, graph, cfg)
     built = count_builds(monkeypatch)
     results = harness.run_configs([cfg, other, cfg, other])
     assert len(built) == 1
@@ -383,7 +383,7 @@ def test_invalid_point_beside_valid_ones_fails_alone(monkeypatch):
     results = harness.run_configs([bad_config, good, unbuildable, good, unbuildable])
     assert isinstance(results[0], ConfigError)
     assert isinstance(results[2], RuntimeError) and isinstance(results[4], RuntimeError)
-    alone = run(*original(good)[::-1], good.solver_config())
+    alone = run(*original(good)[::-1], good)
     assert_identical(results[1], alone)
     assert_identical(results[3], alone)
 
@@ -392,7 +392,7 @@ def test_ridge_objectives_built_alone_run_like_a_shared_stack():
     cfg = make_cfg(n_agents=6, max_iters=90, **KINDS["piadmm1"])
     graph, problem = build_problem(cfg)
     alone = Problem([RidgeObjective(f.data) for f in problem.objectives], problem.x_star)
-    runs = [(p, graph, cfg.solver_config()) for p in (problem, alone)]
+    runs = [(p, graph, cfg) for p in (problem, alone)]
     stacked, gathered = run_batch(runs)
     assert_identical(gathered, stacked)
     assert_identical(stacked, run(*runs[0]))

@@ -1,5 +1,6 @@
 import csv
 import io
+import math
 import os
 import re
 
@@ -9,9 +10,10 @@ import pytest
 from conftest import make_cfg
 from ringadmm.cli import main
 from ringadmm.config import ConfigError, ExperimentConfig, parse_kv_text
-from ringadmm.harness import parse_sweep_spec, run_attack, run_experiment, run_sweep
+from ringadmm.harness import (build_problem, parse_sweep_spec, run_attack, run_experiment,
+                              run_sweep)
 from ringadmm.records import Transcript
-from ringadmm.solver import GammaSpec, InitSpec, Variant
+from ringadmm.solver import GammaSpec, InitSpec, Variant, run
 
 
 BASE_CONFIG = """\
@@ -193,6 +195,39 @@ class TestHarness:
         )
         with pytest.raises(ConfigError, match="agents"):
             run_attack(bad, result.transcript)
+
+    @pytest.mark.parametrize("every, step", [(0, 6), (7, 7)])
+    def test_trace_rows_follow_checkpoint_every(self, tmp_path, every, step):
+        text = BASE_CONFIG + f"trace.checkpoint_every = {every}\n"
+        run_experiment(ExperimentConfig.from_text(text), out_dir=str(tmp_path))
+        run_sweep(text, "solver.rho = 10.0\n", str(tmp_path / "sweep.csv"))
+        for name in ("run_trace.csv", "sweep.csv"):
+            with open(tmp_path / name, newline="") as fh:
+                fh.readline()
+                ks = [int(r["k"]) for r in csv.DictReader(fh)]
+            assert ks == list(range(0, 300, step)) + [299], name
+
+    def test_attack_rejects_wrong_dimension(self):
+        result, _ = run_experiment(ExperimentConfig.from_text(
+            BASE_CONFIG.replace("\np = 2\n", "\np = 1\n")))
+        bad = ExperimentConfig.from_text(BASE_CONFIG + "attack.coordinates = 1,2\n")
+        with pytest.raises(ConfigError) as info:
+            run_attack(bad, result.transcript)
+        assert str(info.value) == "transcript has dimension 1, config says p = 2"
+
+    def test_non_finite_start_blamed_in_run_and_sweep(self, tmp_path):
+        # rho 1e10 times a start near 1e300 is infinite before any step
+        reason = ("non-finite state at iteration 0 (agent 1); the random start is not "
+                  "finite (solver.init times solver.rho overflows)")
+        cfg = ExperimentConfig.from_text(DIVERGES_AT_0)
+        graph, problem = build_problem(cfg)
+        assert run(problem, graph, cfg).trace.stop_reason == "diverged: " + reason
+        path = tmp_path / "sweep.csv"
+        assert run_sweep(DIVERGES_AT_0, "solver.variant = iadmm_randinit\n", str(path)) == 1
+        with open(path, newline="") as fh:
+            fh.readline()
+            rows = list(csv.DictReader(fh))
+        assert [r["status"] for r in rows] == ["error:DivergenceError:" + reason]
 
     def test_sweep_long_format_and_failures(self, tmp_path):
         sweep_spec = "network.eta = 0.5, 2.0\nseed = 1, 2\n"
@@ -395,6 +430,54 @@ class TestCli:
         assert all(float(r) > 0 for r in norms)
         assert main(["attack", "--config", cfg, "--transcript", transcript]) == 0
         assert "lsqr_converged" not in capsys.readouterr().out
+
+    def attack_rows(self, path) -> list[dict]:
+        with open(path, newline="") as fh:
+            assert fh.readline() == "#schema=1\n"
+            return list(csv.DictReader(fh))
+
+    def test_colluding_attack_cli_scores_target(self, tmp_path, capsys):
+        text = (BASE_CONFIG.replace("solver.variant = iadmm", "solver.variant = piadmm1")
+                + "solver.init = uniform:-1,1\nsolver.gamma = uniform:0.9,1.1\n"
+                "attack.kind = colluding\nattack.target = 2\nattack.coordinates = 1,2\n")
+        cfg, out = self.write(tmp_path, text), tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+        assert main(["attack", "--config", cfg, "--out", str(out),
+                     "--transcript", str(out / "transcript.csv")]) == 0
+        assert capsys.readouterr().out.startswith("attack=colluding agent=2 dims=")
+        assert sorted(p.name for p in out.glob("attack_agent*")) == ["attack_agent2.csv"]
+        rows = self.attack_rows(out / "attack_agent2.csv")
+        assert len(rows) == 2 * 301  # k = 0..K+1 for the last iteration K = 299
+        assert all(r[c] != "" and math.isfinite(float(r[c])) for r in rows for c in r)
+
+    def test_backward_attack_cli_scores_last_sender(self, tmp_path):
+        text = BASE_CONFIG.replace("solver.stop_eps = 0.0", "solver.stop_eps = 1e-5").replace(
+            "solver.max_iters = 300", "solver.max_iters = 20000")
+        cfg = self.write(tmp_path, text + "attack.kind = backward\n"
+                         "attack.eps = 1e-5\nattack.coordinates = 1,2\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+        with open(out / "transcript.csv") as fh:
+            transcript = Transcript.read_csv(fh)
+        assert transcript.stopped_by_eps
+        assert main(["attack", "--config", cfg, "--out", str(out), "--quiet",
+                     "--transcript", str(out / "transcript.csv")]) == 0
+        last = int(transcript.senders[-1])
+        assert sorted(p.name for p in out.glob("attack_agent*")) == [f"attack_agent{last}.csv"]
+        rows = self.attack_rows(out / f"attack_agent{last}.csv")
+        assert all(r[c] != "" for r in rows for c in r)
+        # the last token pins the final state within the run's stop_eps
+        assert max(float(r["abs_err_x"]) for r in rows[-2:]) <= 1e-5
+
+    def test_backward_attack_on_unconverged_transcript_exit_1(self, tmp_path, capsys):
+        cfg = self.write(tmp_path, BASE_CONFIG + "attack.kind = backward\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+        assert main(["attack", "--config", cfg, "--out", str(out),
+                     "--transcript", str(out / "transcript.csv")]) == 1
+        assert capsys.readouterr().err == ("config error: transcript does not declare "
+                                           "convergence within eps=0.0001\n")
+        assert not list(out.glob("attack_agent*"))
 
     @pytest.mark.parametrize("fault", ["short_row", "k_not_sequential", "sender_zero",
                                        "nan_z", "missing_meta_key", "header_without_z"])

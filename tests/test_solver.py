@@ -35,7 +35,7 @@ def quadratic_bowl_problem(n_agents: int) -> Problem:
 class TestInitialize:
     def test_deterministic_all_zero(self):
         g = generate_graph(3, 1.0, 0)
-        cfg = make_cfg(n_agents=3).solver_config()
+        cfg = make_cfg(n_agents=3)
         rng = np.random.default_rng(0)
         x, y, z = initialize(g, cfg, dim=2, rng=rng)
         assert not x.any() and not y.any() and not z.any()
@@ -46,7 +46,7 @@ class TestInitialize:
             n_agents=6,
             variant=Variant.IADMM_RANDINIT,
             init=InitSpec.uniform(0, 100),
-        ).solver_config()
+        )
         x, y, z = initialize(g, cfg, dim=2, rng=np.random.default_rng(5))
         assert np.all(x - y / cfg.rho == 0.0)
         assert np.all((x >= 0) & (x < 100))
@@ -113,7 +113,7 @@ class TestUpdateOps:
     def test_incremental_z_tracks_full_average(self, small_ridge=None):
         cfg = make_cfg(max_iters=200)
         graph, problem = build_problem(cfg)
-        sim = Simulation(problem, graph, cfg.solver_config())
+        sim = Simulation(problem, graph, cfg)
         worst = 0.0
         for _ in range(200):
             sim.step()
@@ -157,7 +157,7 @@ class TestStepAndRun:
     def test_quadratic_bowl_fixed_point(self):
         problem = quadratic_bowl_problem(4)
         graph = generate_graph(4, 1.0, 0)
-        cfg = make_cfg(n_agents=4, max_iters=40).solver_config()
+        cfg = make_cfg(n_agents=4, max_iters=40)
         res = run(problem, graph, cfg)
         assert not res.x.any() and not res.y.any() and not res.z.any()
 
@@ -172,10 +172,10 @@ class TestStepAndRun:
         cfg0 = make_cfg(variant=Variant.IADMM_RANDINIT, init=InitSpec.uniform(0, 100),
                         max_iters=150)
         graph, problem = build_problem(cfg0)
-        ref = run(problem, graph, cfg0.solver_config())
+        ref = run(problem, graph, cfg0)
         cfg1 = make_cfg(variant=variant, init=InitSpec.uniform(0, 100), gamma=gamma,
                         sigma=sigma, max_iters=150)
-        res = run(problem, graph, cfg1.solver_config())
+        res = run(problem, graph, cfg1)
         assert np.array_equal(res.x, ref.x)
         assert np.array_equal(res.y, ref.y)
         assert np.array_equal(res.z, ref.z)
@@ -184,7 +184,7 @@ class TestStepAndRun:
         cfg = make_cfg(variant=Variant.PIADMM1, init=InitSpec.uniform(0, 10),
                        gamma=GammaSpec.uniform(0.9, 1.1))
         graph, problem = build_problem(cfg)
-        sim = Simulation(problem, graph, cfg.solver_config())
+        sim = Simulation(problem, graph, cfg)
         for _ in range(60):
             x_before = sim.x.copy()
             y_before = sim.y.copy()
@@ -205,7 +205,7 @@ class TestStepAndRun:
             cfg = make_cfg(variant=variant, init=init, gamma=gamma, sigma=sigma,
                            max_iters=300)
             graph, problem = build_problem(cfg)
-            sim = Simulation(problem, graph, cfg.solver_config())
+            sim = Simulation(problem, graph, cfg)
             for _ in range(cfg.max_iters):
                 sim.step()
                 assert token_gap(sim.x, sim.y, sim.z, cfg.rho) <= 1e-10
@@ -215,7 +215,7 @@ class TestStepAndRun:
         cfg = make_cfg(variant=Variant.PIADMM1, init=InitSpec.uniform(0, 10),
                        gamma=GammaSpec.uniform(0.9, 1.1))
         graph, problem = build_problem(cfg)
-        sim = Simulation(problem, graph, cfg.solver_config())
+        sim = Simulation(problem, graph, cfg)
         for _ in range(80):
             z_before = sim.z.copy()
             y_before = sim.y.copy()
@@ -228,7 +228,7 @@ class TestStepAndRun:
     def test_first_order_dual_equals_gradient_at_previous_point(self):
         cfg = make_cfg(x_update=XUpdateMode.FIRST_ORDER, rho=10.0)
         graph, problem = build_problem(cfg)
-        sim = Simulation(problem, graph, cfg.solver_config())
+        sim = Simulation(problem, graph, cfg)
         for _ in range(60):
             x_before = sim.x.copy()
             rec = sim.step()
@@ -243,7 +243,7 @@ class TestStepAndRun:
         for eta in (0.3, 0.5, 1.0):
             cfg = make_cfg(n_agents=10, eta=eta, max_iters=200)
             graph, problem = build_problem(cfg)
-            res = run(problem, graph, cfg.solver_config())
+            res = run(problem, graph, cfg)
             accs.append(res.trace.accuracies())
         assert np.array_equal(accs[0], accs[1])
         assert np.array_equal(accs[0], accs[2])
@@ -254,7 +254,7 @@ class TestStepAndRun:
         for n in (40, 80):
             cfg = make_cfg(n_agents=n, eta=0.3, rho=10.0, max_iters=budget)
             graph, problem = build_problem(cfg)
-            res = run(problem, graph, cfg.solver_config())
+            res = run(problem, graph, cfg)
             out[n] = res.trace.final.accuracy
         assert out[80] > out[40]
 
@@ -265,7 +265,7 @@ class TestStepAndRun:
                        gamma=GammaSpec.uniform(0.5, 0.8))
         graph, problem = build_problem(cfg)
         rng = np.random.default_rng(0)
-        x, y, z = initialize(graph, cfg.solver_config(), problem.dim, rng)
+        x, y, z = initialize(graph, cfg, problem.dim, rng)
         worst = 0.0
         for k in range(100):
             i = k % cfg.n_agents
@@ -297,7 +297,7 @@ class TestStepAndRun:
         cfg = make_cfg(variant=Variant.WADMM_BASELINE, n_agents=10, eta=0.3,
                        max_iters=120)
         graph, problem = build_problem(cfg)
-        res = run(problem, graph, cfg.solver_config())
+        res = run(problem, graph, cfg)
         senders = res.transcript.senders
         receivers = res.transcript.receivers
         for k in range(len(senders) - 1):
@@ -309,15 +309,26 @@ class TestStepAndRun:
         # first-order step with rho far below the curvature diverges
         cfg = make_cfg(x_update=XUpdateMode.FIRST_ORDER, rho=0.01, max_iters=5000)
         graph, problem = build_problem(cfg)
-        res = run(problem, graph, cfg.solver_config())
+        res = run(problem, graph, cfg)
         assert res.trace.diverged
         assert "diverged" in res.trace.stop_reason
         assert np.all(np.isfinite(res.trace.accuracies()))
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("rho", 0.0, "rho must be positive"), ("sigma", -1.0, "sigma must be non-negative"),
+        ("max_iters", 0, "max_iters must be at least 1"),
+    ])
+    def test_run_checks_fields_set_after_construction(self, field, value, message):
+        cfg = make_cfg()
+        graph, problem = build_problem(cfg)
+        setattr(cfg, field, value)
+        with pytest.raises(ValueError, match=message):
+            run(problem, graph, cfg)
+
     def test_stop_on_primal_eps(self):
         cfg = make_cfg(max_iters=50_000, stop_eps=1e-8)
         graph, problem = build_problem(cfg)
-        res = run(problem, graph, cfg.solver_config())
+        res = run(problem, graph, cfg)
         assert res.trace.stop_reason == "primal_eps"
         assert res.trace.final.r_primal < 1e-8
         assert res.transcript.stopped_by_eps
@@ -325,7 +336,7 @@ class TestStepAndRun:
     def test_transcript_matches_history(self):
         cfg = make_cfg(max_iters=100)
         graph, problem = build_problem(cfg)
-        res = run(problem, graph, cfg.solver_config())
+        res = run(problem, graph, cfg)
         tr = res.transcript
         assert tr.last_iteration == 99
         assert list(tr.senders[:8]) == [1, 2, 3, 4, 5, 6, 7, 8]
@@ -343,7 +354,7 @@ class TestDescentRegimes:
             cfg = make_cfg(n_agents=4, eta=1.0, max_iters=4 * 200)
             cfg.seed_graph, cfg.seed_data, cfg.seed_solver = seed, seed + 50, seed + 99
             graph, problem = build_problem(cfg)
-            sc = cfg.solver_config()
+            sc = cfg
             sc.rho = 2.0 * problem.lipschitz() + 2.0
             res = run(problem, graph, sc)
             lag = res.trace.lagrangians()
@@ -355,7 +366,7 @@ class TestDescentRegimes:
                        gamma=GammaSpec.floor(1.01), max_iters=12_000)
         graph, problem = build_problem(cfg)
         lips = problem.lipschitz()
-        sc = cfg.solver_config()
+        sc = cfg
         sc.rho = lips + 1.0
         res = run(problem, graph, sc)
         lag = res.trace.lagrangians()
@@ -384,14 +395,14 @@ class TestMetrics:
     def test_kkt_residuals_at_convergence(self):
         cfg = make_cfg(max_iters=20_000, stop_eps=1e-9)
         graph, problem = build_problem(cfg)
-        res = run(problem, graph, cfg.solver_config())
+        res = run(problem, graph, cfg)
         r_grad, r_sum, r_cons = kkt_residuals(problem.objectives, res.x, res.y, res.z)
         assert r_grad < 1e-6 and r_sum < 1e-6 and r_cons < 1e-6
 
     def test_recorded_lagrangian_matches_reference(self):
         cfg = make_cfg(max_iters=50)
         graph, problem = build_problem(cfg)
-        sim = Simulation(problem, graph, cfg.solver_config())
+        sim = Simulation(problem, graph, cfg)
         for _ in range(50):
             rec = sim.step()
             ref = aug_lagrangian(problem.objectives, sim.x, sim.y, sim.z, cfg.rho)
@@ -400,7 +411,7 @@ class TestMetrics:
     def test_vanishing_steps_at_convergence(self):
         cfg = make_cfg(max_iters=30_000, stop_eps=1e-9)
         graph, problem = build_problem(cfg)
-        res = run(problem, graph, cfg.solver_config())
+        res = run(problem, graph, cfg)
         n = cfg.n_agents
         last_cycle = res.trace.records[-n:]
         assert max(r.r_dualstep for r in last_cycle) < 1e-7

@@ -52,9 +52,9 @@ def test_recorded_iterations_follow_the_step_equations(kind):
     # the states by far less than the other tests notice
     cfg = make_cfg(n_agents=7, max_iters=150, **STEP_KINDS[kind])
     graph, problem = build_problem(cfg)
-    res = run(problem, graph, cfg.solver_config())
+    res = run(problem, graph, cfg)
     assert res.trace.stop_reason == "max_iters"
-    errors = step_equation_errors(problem, cfg.solver_config(), res)
+    errors = step_equation_errors(problem, cfg, res)
     assert set(errors) == {"omega" if kind == "piadmm2" else "x", "y", "z"}
     assert max(errors.values()) <= 1e-12, errors
 
@@ -96,8 +96,8 @@ def assert_same_run(res, sim, records, tokens):
 def test_run_records_equal_step_loop(kind):
     cfg = make_cfg(n_agents=7, max_iters=100, **VARIANT_CONFIGS[kind])
     graph, problem = build_problem(cfg)
-    res = run(problem, graph, cfg.solver_config())
-    sim, records, tokens, error = step_loop(problem, graph, cfg.solver_config())
+    res = run(problem, graph, cfg)
+    sim, records, tokens, error = step_loop(problem, graph, cfg)
     assert error is None and res.trace.stop_reason == "max_iters"
     assert_same_run(res, sim, records, tokens)
     assert np.array_equal(res.transcript.senders, [r.agent for r in records])
@@ -109,7 +109,7 @@ def test_metrics_match_per_iteration_formulas(kind):
     # from the recorded updates; check it against formulas on the live states
     cfg = make_cfg(n_agents=7, max_iters=60, **VARIANT_CONFIGS[kind])
     graph, problem = build_problem(cfg)
-    sim = Simulation(problem, graph, cfg.solver_config())
+    sim = Simulation(problem, graph, cfg)
     x0 = sim.x.copy()
     init_dist = np.linalg.norm(x0 - problem.x_star, axis=1)
     for _ in range(cfg.max_iters):
@@ -131,10 +131,10 @@ def test_metrics_match_per_iteration_formulas(kind):
 def test_stop_in_the_middle_of_a_chunk():
     cfg = make_cfg(n_agents=8, max_iters=50_000, stop_eps=1e-6)
     graph, problem = build_problem(cfg)
-    res = run(problem, graph, cfg.solver_config())
+    res = run(problem, graph, cfg)
     assert res.trace.stop_reason == "primal_eps"
     assert res.n_iterations % cfg.n_agents != 0  # the crossing is not at a chunk end
-    sim, records, tokens, error = step_loop(problem, graph, cfg.solver_config())
+    sim, records, tokens, error = step_loop(problem, graph, cfg)
     assert error is None
     assert_same_run(res, sim, records, tokens)
     assert len(res.transcript.senders) == res.n_iterations
@@ -145,8 +145,8 @@ def test_metric_overflow_reports_the_same_iteration():
     # metrics overflow while the states are still finite
     cfg = make_cfg(x_update=XUpdateMode.FIRST_ORDER, rho=0.01, max_iters=5000)
     graph, problem = build_problem(cfg)
-    res = run(problem, graph, cfg.solver_config())
-    sim, records, tokens, error = step_loop(problem, graph, cfg.solver_config())
+    res = run(problem, graph, cfg)
+    sim, records, tokens, error = step_loop(problem, graph, cfg)
     assert error is not None and "metrics overflowed" in error
     assert res.trace.stop_reason == f"diverged: {error}"
     assert res.trace.diverged
@@ -173,9 +173,9 @@ def test_non_finite_state_reports_the_same_iteration():
     graph, problem = build_problem(cfg)
     broken = Problem([_BreaksAt(f.data) for f in problem.objectives], problem.x_star)
     _BreaksAt.calls, _BreaksAt.fail_from = 0, 13  # iteration 13, mid-chunk
-    res = run(broken, graph, cfg.solver_config())
+    res = run(broken, graph, cfg)
     _BreaksAt.calls = 0
-    sim, records, tokens, error = step_loop(broken, graph, cfg.solver_config())
+    sim, records, tokens, error = step_loop(broken, graph, cfg)
     assert error == "non-finite state at iteration 13 (agent 6); " \
                     "the configured step scale is likely unstable"
     assert res.trace.stop_reason == f"diverged: {error}"
@@ -189,7 +189,7 @@ def test_early_stop_allocates_nothing_of_max_iters_size():
     graph, problem = build_problem(cfg)
     tracemalloc.start()
     try:
-        res = run(problem, graph, cfg.solver_config())
+        res = run(problem, graph, cfg)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

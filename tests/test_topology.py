@@ -87,7 +87,7 @@ class TestSchedules:
         cfg = make_cfg(n_agents=10, eta=0.4, max_iters=300, seed_solver=11,
                        variant=Variant.WADMM_BASELINE)
         graph, problem = build_problem(cfg)
-        tr = run(problem, graph, cfg.solver_config()).transcript
+        tr = run(problem, graph, cfg).transcript
         walk = [1]
         for u in np.random.default_rng(cfg.seed_solver).random(len(tr.senders)):
             walk.append(next_agent(graph, walk[-1], u))
