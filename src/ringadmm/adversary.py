@@ -32,7 +32,7 @@ REPORT_COLUMNS = ["k", "coordinate", "truth_x", "est_x", "truth_y", "est_y",
                   "abs_err_x", "abs_err_y"]
 
 
-class AttackPreconditionError(RuntimeError):
+class AttackPreconditionError(ValueError):
     """The transcript does not satisfy the attack's stated precondition."""
 
 
@@ -96,12 +96,10 @@ class AttackReport:
                       for c, text in zip(coords, texts[o]))
 
 
-def score_report(
-    report: AttackReport, history: StateHistory, agents: list[int] | None = None
-) -> AttackReport:
-    """Fill truth and absolute-error arrays from the simulator's history,
-    for `agents` (default: every estimated agent)."""
-    for agent in report.agents if agents is None else agents:
+def score_report(report: AttackReport, history: StateHistory) -> AttackReport:
+    """Fill every estimated agent's truth and absolute-error arrays from the
+    simulator's history."""
+    for agent in report.agents:
         xs, ys = history.trajectory(agent)
         kk = report.est_x[agent].shape[0]
         report.truth_x[agent] = xs[:kk]
@@ -154,7 +152,9 @@ def _expand_epochs(
     return out_x, out_y
 
 
-def exact_recursion_attack(transcript: Transcript) -> AttackReport:
+def exact_recursion_attack(
+    transcript: Transcript, agents: list[int] | None = None
+) -> AttackReport:
     """Unroll the token differences forward from the assumed all-zero start.
 
     Each iteration k gives two equations in the active agent's fresh pair:
@@ -162,7 +162,8 @@ def exact_recursion_attack(transcript: Transcript) -> AttackReport:
         y_new = y_prev + (rho/2) (z^k - N*Delta - x_prev)
     With x_prev, y_prev known (zero at the start), both are determined, and
     the gradient at the new point equals y_new.  Agents are independent, so
-    each epoch updates every agent active in it at once.
+    each epoch updates every agent active in it at once.  Reports `agents`
+    (default: all).
     """
     n = transcript.n_agents
     rho = transcript.rho
@@ -181,7 +182,7 @@ def exact_recursion_attack(transcript: Transcript) -> AttackReport:
         xs[s + 1] = 0.5 * (fwd_x[ks] + xs[s])
         ys[s + 1] = ys[s] + half_rho * (fwd_y[ks] - xs[s])
     first = _first_slots(counts)
-    agents = list(range(1, n + 1))
+    agents = list(range(1, n + 1)) if agents is None else agents
     est_x, est_y = _expand_epochs(xs, ys, senders, {a: first[a - 1] for a in agents}, agents)
     return AttackReport(
         kind="exact_recursion",
@@ -245,26 +246,29 @@ def terminal_backward_attack(transcript: Transcript, eps: float) -> AttackReport
 class MeasurementSystem:
     """Per-coordinate sparse systems sharing one matrix structure.
 
-    Unknowns are indexed per (agent, epoch, which) where an agent's epoch
+    Unknowns are indexed per slot (agent, epoch), where an agent's epoch
     advances only at its own activations; states are constant in between, so
-    nothing is lost and the column count stays small.  Column 2s is slot s's
-    x and 2s + 1 its y.
+    nothing is lost and the column count stays small.  Agent a's epoch e is
+    slot first[a] + e; column 2s is slot s's x and 2s + 1 its y.  `senders`
+    are the transcript's active agents up to the last iteration used.
     """
 
     systems: list[SparseSystem]
-    columns: dict[tuple[int, int, str], int]
-    row_tags: list[str]
+    first: dict[int, int]
+    senders: np.ndarray
     n_agents: int
     rho: float
-    last_iteration: int
-    activations: dict[int, list[int]]
+
+    @property
+    def last_iteration(self) -> int:
+        return len(self.senders) - 1
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.systems[0].n_rows, self.systems[0].n_cols
 
 
-def _rows(base_cols, template, rhs: np.ndarray, tags: tuple[str, ...]):
+def _rows(base_cols, template, rhs: np.ndarray):
     """A block of len(rhs) rows sharing one pattern: for the i-th base column
     c, each template entry (dr, dc, v) is the triplet (h*i + dr, c + dc, v),
     h = len(rhs) // len(base_cols) rows per base column (0: all in one row)."""
@@ -273,7 +277,7 @@ def _rows(base_cols, template, rhs: np.ndarray, tags: tuple[str, ...]):
     h = len(rhs) // len(base_cols)
     rows = (h * np.arange(len(base_cols))[:, None] + dr.astype(np.int64)).ravel()
     cols = (base_cols[:, None] + dc.astype(np.int64)).ravel()
-    return rows, cols, np.tile(vals, len(base_cols)), rhs, list(tags) * (len(rhs) // len(tags))
+    return rows, cols, np.tile(vals, len(base_cols)), rhs
 
 
 def _recursion_rows(x_cols: np.ndarray, z_prev: np.ndarray, delta: np.ndarray,
@@ -288,28 +292,20 @@ def _recursion_rows(x_cols: np.ndarray, z_prev: np.ndarray, delta: np.ndarray,
     rhs[1::2] = (rho * g / (1.0 + g)) * (z_prev - n * delta)
     template = [(0, 2, 1.0), (0, 0, -1.0 / (1.0 + g)),
                 (1, 3, 1.0), (1, 1, -1.0), (1, 0, rho * g / (1.0 + g))]
-    return _rows(x_cols, template, rhs, ("recursion_x", "recursion_y"))
+    return _rows(x_cols, template, rhs)
 
 
-def _measurement_system(blocks, agents, counts, n_agents, rho, last, activations):
+def _measurement_system(blocks, first: dict[int, int], n_slots: int, senders: np.ndarray,
+                        n_agents: int, rho: float) -> MeasurementSystem:
     """Stack row blocks into one matrix with a right-hand side per coordinate."""
     offsets = np.cumsum([0] + [len(b[3]) for b in blocks])
-    columns = {key: c for c, key in enumerate(
-        (a, e, w) for a, m in zip(agents, counts) for e in range(m + 1) for w in "xy")}
     rhs = np.ascontiguousarray(np.concatenate([b[3] for b in blocks]).T)
-    base = SparseSystem(int(offsets[-1]), len(columns),
+    base = SparseSystem(int(offsets[-1]), 2 * n_slots,
                         np.concatenate([b[0] + off for b, off in zip(blocks, offsets)]),
                         np.concatenate([b[1] for b in blocks]),
                         np.concatenate([b[2] for b in blocks]), rhs[0])
-    return MeasurementSystem(
-        systems=[base] + [base.with_rhs(b) for b in rhs[1:]],
-        columns=columns,
-        row_tags=[tag for b in blocks for tag in b[4]],
-        n_agents=n_agents,
-        rho=rho,
-        last_iteration=last,
-        activations=activations,
-    )
+    return MeasurementSystem(systems=[base] + [base.with_rhs(b) for b in rhs[1:]],
+                             first=first, senders=senders, n_agents=n_agents, rho=rho)
 
 
 def build_ls_system(
@@ -337,7 +333,8 @@ def build_ls_system(
     if not (0 <= last <= transcript.last_iteration):
         raise ValueError(f"last_k={last_k} outside transcript")
     if pin_last_cycle and last + 1 < n:
-        raise ValueError("pin_last_cycle needs at least one full cycle of iterations")
+        raise AttackPreconditionError(
+            "pin_last_cycle needs at least one full cycle of iterations")
 
     senders = transcript.senders[: last + 1]
     _, prev, counts = _epochs(senders, n)
@@ -347,32 +344,28 @@ def build_ls_system(
         init += [(1, 0, 1.0), (2, 1, 1.0)]  # x^0 = 0, y^0 = 0
     init_rows = 3 if transcript.deterministic_init else 1
     blocks = [
-        _rows(2 * first, init, np.zeros((n * init_rows, p)), ("init",)),
+        _rows(2 * first, init, np.zeros((n * init_rows, p))),
         _recursion_rows(2 * prev, *_token_steps(transcript, last), n, rho, 1.0),
     ]
     if kkt_row:
         at_last = counts.copy()
         at_last[senders[-1] - 1] -= 1
-        blocks.append(_rows(2 * (first + at_last) + 1, [(0, 0, 1.0)], np.zeros((1, p)),
-                            ("kkt_sum",)))
+        blocks.append(_rows(2 * (first + at_last) + 1, [(0, 0, 1.0)], np.zeros((1, p))))
     if pin_last_cycle:
         ks = last - np.arange(n)
         final = senders[ks] - 1
         blocks.append(_rows(2 * (first + counts)[final], [(0, 0, 1.0)],
-                            transcript.z_values[ks], ("convergence_pin",)))
-    agents = list(range(1, n + 1))
-    acts = {a: np.flatnonzero(senders == a).tolist() for a in agents}
-    return _measurement_system(blocks, agents, counts, n, rho, last, acts)
+                            transcript.z_values[ks]))
+    return _measurement_system(blocks, {a: int(first[a - 1]) for a in range(1, n + 1)},
+                               len(senders) + n, senders, n, rho)
 
 
-def _lsq_report(kind: str, transcript: Transcript, ms: MeasurementSystem, tol: float,
-                max_iter: int | None, agents: list[int]) -> AttackReport:
+def _lsq_report(kind: str, ms: MeasurementSystem, tol: float, max_iter: int | None,
+                agents: list[int]) -> AttackReport:
     """Solve each coordinate's system and read the agents' estimates off it."""
     results = [lsqr(sysm, tol=tol, max_iter=max_iter) for sysm in ms.systems]
     sol = np.stack([res.x for res in results], axis=1)
-    first = {a: ms.columns[(a, 0, "x")] // 2 for a in agents}
-    senders = transcript.senders[: ms.last_iteration + 1]
-    est_x, est_y = _expand_epochs(sol[0::2], sol[1::2], senders, first, agents)
+    est_x, est_y = _expand_epochs(sol[0::2], sol[1::2], ms.senders, ms.first, agents)
     return AttackReport(
         kind=kind,
         n_agents=ms.n_agents,
@@ -397,7 +390,7 @@ def lsq_attack(
     """Least-squares state reconstruction from the token transcript."""
     ms = build_ls_system(transcript, kkt_row=kkt_row, pin_last_cycle=pin_last_cycle)
     wanted = agents if agents is not None else list(range(1, ms.n_agents + 1))
-    return _lsq_report("lsq", transcript, ms, tol, max_iter, wanted)
+    return _lsq_report("lsq", ms, tol, max_iter, wanted)
 
 
 def build_colluding_system(
@@ -423,23 +416,22 @@ def build_colluding_system(
     last = transcript.last_iteration
     acts = activations_of(transcript, target)
     if not acts:
-        raise ValueError(f"agent {target} never activates in the transcript")
+        raise AttackPreconditionError(f"agent {target} never activates in the transcript")
     if gamma_assumed <= 0:
         raise ValueError("gamma_assumed must be positive")
     z_prev, delta = _token_steps(transcript, last)
     final = 2 * len(acts)  # the target's last x column
     blocks = [
-        _rows([0], [(0, 0, 1.0), (0, 1, -1.0 / rho)], np.zeros((1, p)), ("init",)),
+        _rows([0], [(0, 0, 1.0), (0, 1, -1.0 / rho)], np.zeros((1, p))),
         _recursion_rows(2 * np.arange(len(acts)), z_prev[acts], delta[acts], n, rho,
                         gamma_assumed),
     ]
     if colluder_final_y_sum is not None:
         blocks.append(_rows([final + 1], [(0, 0, 1.0)],
-                            -np.asarray(colluder_final_y_sum, dtype=float)[None], ("kkt_sum",)))
+                            -np.asarray(colluder_final_y_sum, dtype=float)[None]))
     if pin:
-        blocks.append(_rows([final], [(0, 0, 1.0)], transcript.z_values[last][None],
-                            ("convergence_pin",)))
-    return _measurement_system(blocks, [target], [len(acts)], n, rho, last, {target: acts})
+        blocks.append(_rows([final], [(0, 0, 1.0)], transcript.z_values[last][None]))
+    return _measurement_system(blocks, {target: 0}, len(acts) + 1, transcript.senders, n, rho)
 
 
 def colluding_attack(
@@ -455,7 +447,7 @@ def colluding_attack(
     assuming a fixed step scale (1 unless overridden)."""
     ms = build_colluding_system(transcript, target, colluder_final_y_sum, pin,
                                 gamma_assumed)
-    return _lsq_report("colluding", transcript, ms, tol, max_iter, [target])
+    return _lsq_report("colluding", ms, tol, max_iter, [target])
 
 
 @dataclass(frozen=True)
@@ -508,19 +500,15 @@ def system_truth_residual(ms: MeasurementSystem, history: StateHistory) -> float
     """Max residual of the ground-truth states plugged into the system rows
     (diagnostic oracle; meaningful when the run matched the gamma=1, no-noise
     assumptions except for the soft convergence pins)."""
-    worst = 0.0
-    p = len(ms.systems)
-    truth_cols = np.zeros((ms.systems[0].n_cols, p))
-    for (a, e, which), c in ms.columns.items():
-        if e == 0:
-            truth_cols[c] = history.x0[a - 1] if which == "x" else history.y0[a - 1]
-        else:
-            k_act = ms.activations[a][e - 1]
-            truth_cols[c] = (
-                history.x_new[k_act] if which == "x" else history.y_new[k_act]
-            )
-    for ci in range(p):
-        sysm = ms.systems[ci]
-        resid = sysm.matrix() @ truth_cols[:, ci] - sysm.rhs
-        worst = max(worst, float(np.max(np.abs(resid))))
-    return worst
+    agents = np.array(list(ms.first), dtype=np.int64)
+    first = np.zeros(ms.n_agents + 1, dtype=np.int64)
+    first[agents] = list(ms.first.values())
+    epoch = _epochs(ms.senders, ms.n_agents)[0]
+    ks = np.flatnonzero(np.isin(ms.senders, agents))
+    # each agent's start, then the slot each of its activations fills
+    slots = np.concatenate((first[agents], first[ms.senders[ks]] + epoch[ks] + 1))
+    truth = np.zeros((ms.shape[1], len(ms.systems)))
+    truth[2 * slots] = np.concatenate((history.x0[agents - 1], history.x_new[ks]))
+    truth[2 * slots + 1] = np.concatenate((history.y0[agents - 1], history.y_new[ks]))
+    return max([0.0] + [float(np.max(np.abs(s.matrix() @ truth[:, ci] - s.rhs)))
+                        for ci, s in enumerate(ms.systems)])

@@ -38,12 +38,11 @@ def cmd_attack(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config, args.seed_override)
     with open(args.transcript) as fh:
         transcript = Transcript.read_csv(fh)
-    reports = run_attack(cfg, transcript, out_dir=args.out)
+    rep = run_attack(cfg, transcript, out_dir=args.out)
     if not args.quiet:
-        for agent, rep in sorted(reports.items()):
-            scored = agent in rep.err_x
+        for agent in rep.agents:
             line = f"attack={rep.kind} agent={agent} dims={rep.dims}"
-            if scored:
+            if agent in rep.err_x:
                 line += (
                     f" max_err_x={rep.err_x[agent].max():.3e}"
                     f" max_err_y={rep.err_y[agent].max():.3e}"
@@ -53,6 +52,8 @@ def cmd_attack(args: argparse.Namespace) -> int:
             if not rep.lsqr_converged:
                 norms = ",".join(f"{r:.3e}" for r in rep.residual_norms)
                 line += f" lsqr_converged=no residual_norms={norms}"
+            if rep.init_assumption_violated:
+                line += " init_assumption_violated=yes"
             print(line)
     return 0
 

@@ -247,6 +247,8 @@ class ExperimentConfig(SolverConfig):
             )
         if self.gamma.kind == "uniform" and self.gamma.lo <= 0:
             errors.append("solver.gamma: uniform support must be strictly positive")
+        if self.checkpoint_every < 0:
+            errors.append("trace.checkpoint_every: must be >= 0 (0 means one row per cycle)")
         if self.attack.kind not in ("lsq", "exact", "backward", "colluding"):
             errors.append(f"attack.kind: unknown attack {self.attack.kind!r}")
         if not all(1 <= a <= self.n_agents for a in self.attack.agents):
@@ -255,6 +257,10 @@ class ExperimentConfig(SolverConfig):
             errors.append("attack.coordinates: coordinate out of range")
         if not (1 <= self.attack.target <= self.n_agents):
             errors.append("attack.target: agent id out of range")
+        if self.attack.lsqr_tol <= 0:
+            errors.append("attack.lsqr_tol: must be positive")
+        if self.attack.lsqr_max_iter < 0:
+            errors.append("attack.lsqr_max_iter: must be >= 0 (0 means 10 * (rows + cols))")
         if errors:
             raise ConfigError("; ".join(errors))
 

@@ -153,23 +153,19 @@ def run_experiment(
     return result, summary
 
 
-def _transcripts_match(a: Transcript, b: Transcript) -> bool:
-    if a.n_agents != b.n_agents or a.z_values.shape != b.z_values.shape:
-        return False
-    if not np.array_equal(a.senders, b.senders):
-        return False
-    return bool(np.allclose(a.z_values, b.z_values, rtol=0.0, atol=1e-12))
-
-
 def run_attack(
     cfg: ExperimentConfig, transcript: Transcript, out_dir: str | None = None
-) -> dict[int, adversary.AttackReport]:
-    """Run the configured attack on a transcript.
+) -> adversary.AttackReport:
+    """Run the configured attack on a transcript and score it.
 
-    The estimate uses the transcript alone.  For scoring, the run is
-    regenerated once from the config's seeds; if that fails or its transcript
-    does not match the supplied one, truth columns are left empty and each
-    report's `unscored` says why.  Only the agents written out are scored.
+    The estimate uses the transcript alone.  A transcript that does not fit
+    the config or the attack is a ConfigError.  For scoring, the run is
+    regenerated once from the config's seeds, after the estimate (before it
+    for `colluding`, whose estimate uses the colluders' final duals); if that
+    fails or its transcript does not match the supplied one, truth columns
+    are left empty and `unscored` says why.  The report holds exactly the
+    agents written out: `exact` and `lsq` the configured agents, `backward`
+    the last sender, `colluding` its target.
     """
     cfg.validate()
     if transcript.n_agents != cfg.n_agents:
@@ -182,68 +178,42 @@ def run_attack(
         raise ConfigError(f"transcript rho={transcript.rho} differs from config rho={cfg.rho}")
 
     opts = cfg.attack
-    regen = _regenerate(cfg)
-    if isinstance(regen, str):
-        unscored = regen
-    elif not _transcripts_match(regen.transcript, transcript):
-        unscored = "transcript did not match the config's run"
-    else:
-        unscored = ""
-    max_iter = opts.lsqr_max_iter if opts.lsqr_max_iter > 0 else None
-    reports: dict[int, adversary.AttackReport] = {}
-    if opts.kind == "exact":
-        rep = adversary.exact_recursion_attack(transcript)
-        for agent in opts.agents:
-            reports[agent] = rep
-    elif opts.kind == "lsq":
-        rep = adversary.lsq_attack(
-            transcript,
-            kkt_row=opts.kkt_row,
-            pin_last_cycle=opts.pin_last_cycle,
-            tol=opts.lsqr_tol,
-            max_iter=max_iter,
-            agents=list(opts.agents),
-        )
-        for agent in opts.agents:
-            reports[agent] = rep
-    elif opts.kind == "backward":
-        try:
-            rep = adversary.terminal_backward_attack(transcript, eps=opts.eps)
-        except adversary.AttackPreconditionError as exc:  # the transcript does not fit the config
-            raise ConfigError(str(exc)) from exc
-        reports[rep.agents[0]] = rep
-    else:  # colluding
-        y_final = None
-        if not unscored:
-            _, y_all = regen.history.states_at(regen.history.last_iteration + 1)
-            mask = np.arange(1, cfg.n_agents + 1) != opts.target
-            y_final = y_all[mask].sum(axis=0)
-        rep = adversary.colluding_attack(
-            transcript,
-            target=opts.target,
-            colluder_final_y_sum=y_final,
-            pin=opts.pin_last_cycle,
-            tol=opts.lsqr_tol,
-            max_iter=max_iter,
-        )
-        reports[opts.target] = rep
+    max_iter = opts.lsqr_max_iter or None
+    agents = sorted(set(opts.agents))
+    try:
+        if opts.kind == "colluding":
+            regen, unscored = _scoring_run(cfg, transcript)
+            y_final = None
+            if regen is not None:
+                _, y_all = regen.history.states_at(regen.history.last_iteration + 1)
+                y_final = np.delete(y_all, opts.target - 1, axis=0).sum(axis=0)
+            rep = adversary.colluding_attack(transcript, target=opts.target,
+                                             colluder_final_y_sum=y_final,
+                                             pin=opts.pin_last_cycle, tol=opts.lsqr_tol,
+                                             max_iter=max_iter)
+        else:
+            if opts.kind == "exact":
+                rep = adversary.exact_recursion_attack(transcript, agents)
+            elif opts.kind == "lsq":
+                rep = adversary.lsq_attack(transcript, kkt_row=opts.kkt_row,
+                                           pin_last_cycle=opts.pin_last_cycle,
+                                           tol=opts.lsqr_tol, max_iter=max_iter, agents=agents)
+            else:  # backward
+                rep = adversary.terminal_backward_attack(transcript, eps=opts.eps)
+            regen, unscored = _scoring_run(cfg, transcript)
+    except adversary.AttackPreconditionError as exc:  # the transcript does not fit the attack
+        raise ConfigError(str(exc)) from exc
 
-    exported: dict[int, tuple[adversary.AttackReport, list[int]]] = {}
-    for agent, rep in reports.items():
-        exported.setdefault(id(rep), (rep, []))[1].append(agent)
-    for rep, agents in exported.values():
-        rep.unscored = unscored
-        if not unscored:
-            adversary.score_report(rep, regen.history, agents)
+    rep.unscored = unscored
+    if regen is not None:
+        adversary.score_report(rep, regen.history)
     if out_dir is not None:
-        for agent, rep in reports.items():
+        for agent in rep.agents:
             _atomic_write(
                 os.path.join(out_dir, f"attack_agent{agent}.csv"),
-                lambda fh, rep=rep, agent=agent: rep.write_csv(
-                    fh, agent, list(opts.coordinates)
-                ),
+                lambda fh, agent=agent: rep.write_csv(fh, agent, list(opts.coordinates)),
             )
-    return reports
+    return rep
 
 
 def _regenerate(cfg: ExperimentConfig) -> RunResult | str:
@@ -254,6 +224,20 @@ def _regenerate(cfg: ExperimentConfig) -> RunResult | str:
         return run(problem, graph, cfg)
     except (ValueError, OptimizerError) as exc:  # ConfigError is a ValueError
         return f"{type(exc).__name__}: {exc}"
+
+
+def _scoring_run(cfg: ExperimentConfig, transcript: Transcript) -> tuple[RunResult | None, str]:
+    """The regenerated run if it reproduces `transcript` (same senders,
+    tokens within 1e-12), else None and why the attack stays unscored.
+    run_attack has checked N and p, so equal senders mean equal shapes."""
+    regen = _regenerate(cfg)
+    if isinstance(regen, str):
+        return None, regen
+    made = regen.transcript
+    if not (np.array_equal(made.senders, transcript.senders)
+            and np.allclose(made.z_values, transcript.z_values, rtol=0.0, atol=1e-12)):
+        return None, "transcript did not match the config's run"
+    return regen, ""
 
 
 SWEEP_COLUMNS = [

@@ -198,15 +198,6 @@ class TestMeasurementSystem:
         ms = build_ls_system(res.transcript, kkt_row=False, pin_last_cycle=False)
         assert system_truth_residual(ms, res.history) <= 1e-9
 
-    def test_row_tags_present(self):
-        cfg = make_cfg(variant=Variant.IADMM_RANDINIT, init=InitSpec.uniform(0, 10),
-                       max_iters=30)
-        res = run_cfg(cfg)
-        ms = build_ls_system(res.transcript)
-        tags = set(ms.row_tags)
-        assert tags == {"init", "recursion_x", "recursion_y", "kkt_sum",
-                        "convergence_pin"}
-
 
 class TestCounts:
     @pytest.mark.parametrize("k", [10, 100, 1000])

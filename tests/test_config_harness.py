@@ -93,6 +93,18 @@ class TestConfigFormat:
         with pytest.raises(ConfigError, match="network.eta"):
             ExperimentConfig.from_text(bad)
 
+    @pytest.mark.parametrize("line, message", [
+        ("attack.lsqr_tol = 0", "attack.lsqr_tol: must be positive"),
+        ("attack.lsqr_max_iter = -5",
+         "attack.lsqr_max_iter: must be >= 0 (0 means 10 * (rows + cols))"),
+        ("trace.checkpoint_every = -3",
+         "trace.checkpoint_every: must be >= 0 (0 means one row per cycle)"),
+    ])
+    def test_attack_and_trace_limits_named(self, line, message):
+        with pytest.raises(ConfigError) as info:
+            ExperimentConfig.from_text(BASE_CONFIG + line + "\n")
+        assert str(info.value) == message
+
     def test_logistic_requires_first_order(self):
         bad = BASE_CONFIG.replace("problem = ridge", "problem = logistic")
         with pytest.raises(ConfigError, match="first_order"):
@@ -139,8 +151,7 @@ class TestHarness:
     def test_attack_scored_when_transcript_matches(self, tmp_path):
         cfg = ExperimentConfig.from_text(BASE_CONFIG + "attack.kind = exact\n")
         result, _ = run_experiment(cfg)
-        reports = run_attack(cfg, result.transcript, out_dir=str(tmp_path))
-        rep = reports[1]
+        rep = run_attack(cfg, result.transcript, out_dir=str(tmp_path))
         assert rep.err_x[1].max() <= 1e-9
         assert (tmp_path / "attack_agent1.csv").exists()
 
@@ -150,15 +161,15 @@ class TestHarness:
         other = ExperimentConfig.from_text(BASE_CONFIG.replace(
             "seeds.data = 2", "seeds.data = 99"
         ) + "attack.kind = exact\n")
-        reports = run_attack(other, result.transcript)
-        assert 1 not in reports[1].err_x
+        rep = run_attack(other, result.transcript)
+        assert 1 not in rep.err_x
 
     def test_attack_scores_only_the_exported_agents(self):
         cfg = ExperimentConfig.from_text(BASE_CONFIG + "attack.kind = exact\n"
                                          "attack.agents = 2,5\n")
         result, _ = run_experiment(cfg)
-        rep = run_attack(cfg, result.transcript)[2]
-        assert rep.agents == [1, 2, 3, 4, 5, 6]
+        rep = run_attack(cfg, result.transcript)
+        assert rep.agents == [2, 5]
         assert sorted(rep.err_x) == sorted(rep.truth_y) == [2, 5]
         assert rep.unscored == ""
 
@@ -171,7 +182,7 @@ class TestHarness:
             .replace("solver.variant = iadmm", "solver.variant = piadmm1")
             + "attack.kind = exact\nsolver.gamma = descent_floor:1.01\n")
         monkeypatch.setattr(result.transcript, "rho", 0.001)
-        rep = run_attack(bad, result.transcript)[1]
+        rep = run_attack(bad, result.transcript)
         assert rep.unscored.startswith("ValueError: need rho > L") and not rep.err_x
 
     def test_attack_lets_other_errors_through(self, monkeypatch):
@@ -478,6 +489,64 @@ class TestCli:
         assert capsys.readouterr().err == ("config error: transcript does not declare "
                                            "convergence within eps=0.0001\n")
         assert not list(out.glob("attack_agent*"))
+
+    def spy_regenerate(self, monkeypatch) -> list:
+        """Record every scoring replay run_attack makes."""
+        import ringadmm.harness as harness
+
+        calls, real = [], harness._regenerate
+        monkeypatch.setattr(harness, "_regenerate", lambda cfg: calls.append(cfg) or real(cfg))
+        return calls
+
+    def run_then_attack(self, tmp_path, run_text, attack_text, quiet=False):
+        """Exit code of `ringadmm attack` on the transcript `run_text` makes."""
+        out = tmp_path / "out"
+        cfg = self.write(tmp_path, run_text)
+        assert main(["run", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+        acfg = self.write(tmp_path, attack_text, name="attack.cfg")
+        return main(["attack", "--config", acfg, "--out", str(out),
+                     "--transcript", str(out / "transcript.csv")] + ["--quiet"] * quiet)
+
+    @pytest.mark.parametrize("kind", ["exact", "lsq", "backward", "colluding"])
+    def test_attack_replays_the_run_once(self, tmp_path, monkeypatch, capsys, kind):
+        text = BASE_CONFIG.replace("solver.stop_eps = 0.0", "solver.stop_eps = 1e-5").replace(
+            "solver.max_iters = 300", "solver.max_iters = 20000")
+        calls = self.spy_regenerate(monkeypatch)
+        assert self.run_then_attack(tmp_path, text, text + f"attack.kind = {kind}\n"
+                                    "attack.eps = 1e-5\n") == 0
+        assert len(calls) == 1
+        assert " unscored" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("iters, attack, message, replays", [
+        (300, "backward", "transcript does not declare convergence within eps=0.0001", 0),
+        (4, "lsq", "pin_last_cycle needs at least one full cycle of iterations", 0),
+        # agents 1..4 act in the four iterations; colluding replays before it
+        # estimates, since its estimate reads the colluders' final duals
+        (4, "colluding\nattack.target = 6", "agent 6 never activates in the transcript", 1),
+        (300, "lsq\nattack.lsqr_tol = 0", "attack.lsqr_tol: must be positive", 0),
+    ])
+    def test_attack_that_does_not_fit_exit_1(self, tmp_path, monkeypatch, capsys, iters, attack,
+                                             message, replays):
+        text = BASE_CONFIG.replace("solver.max_iters = 300", f"solver.max_iters = {iters}")
+        calls = self.spy_regenerate(monkeypatch)
+        assert self.run_then_attack(tmp_path, text, text + f"attack.kind = {attack}\n") == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert len(calls) == replays
+        assert not list((tmp_path / "out").glob("attack_agent*"))
+
+    @pytest.mark.parametrize("variant, suffix", [("iadmm", ""),
+                                                 ("iadmm_randinit",
+                                                  " init_assumption_violated=yes")])
+    def test_exact_attack_line_shows_the_broken_start(self, tmp_path, capsys, variant, suffix):
+        text = (BASE_CONFIG.replace("solver.variant = iadmm", f"solver.variant = {variant}")
+                + "solver.init = uniform:-1,1\nattack.kind = exact\nattack.agents = 3,1\n")
+        assert self.run_then_attack(tmp_path, text, text) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[1] for line in lines] == ["agent=1", "agent=3"]
+        assert all(re.fullmatch(r"attack=exact_recursion agent=\d dims=None max_err_x=\S+ "
+                                r"max_err_y=\S+" + suffix, line) for line in lines)
+        assert self.run_then_attack(tmp_path, text, text, quiet=True) == 0
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("fault", ["short_row", "k_not_sequential", "sender_zero",
                                        "nan_z", "missing_meta_key", "header_without_z"])
