@@ -46,9 +46,6 @@ class AttackReport:
     """
 
     kind: str
-    n_agents: int
-    rho: float
-    last_iteration: int
     est_x: dict[int, np.ndarray] = field(default_factory=dict)
     est_y: dict[int, np.ndarray] = field(default_factory=dict)
     truth_x: dict[int, np.ndarray] = field(default_factory=dict)
@@ -113,26 +110,24 @@ def activations_of(transcript: Transcript, agent: int) -> list[int]:
     return np.flatnonzero(transcript.senders == agent).tolist()
 
 
-def _epochs(senders: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _epochs(senders: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
     """Per iteration, the active agent's epoch (its earlier activations) and
-    its slot before the update; per agent, its activation count."""
+    its slot before the update; per agent, the slot of its epoch 0 and its
+    activation count.  Agent a holds counts[a-1] + 1 slots."""
     counts = np.bincount(senders - 1, minlength=n)
+    first = np.cumsum(counts + 1) - (counts + 1)
     order = np.argsort(senders, kind="stable")
     epoch = np.empty(len(senders), dtype=np.int64)
     epoch[order] = np.arange(len(senders)) - (np.cumsum(counts) - counts)[senders[order] - 1]
-    return epoch, _first_slots(counts)[senders - 1] + epoch, counts
+    return epoch, first[senders - 1] + epoch, first, counts
 
 
-def _first_slots(counts: np.ndarray) -> np.ndarray:
-    """Slot of each agent's epoch 0 when agent a holds counts[a-1] + 1 slots."""
-    return np.cumsum(counts + 1) - (counts + 1)
-
-
-def _token_steps(transcript: Transcript, last: int) -> tuple[np.ndarray, np.ndarray]:
-    """Token z^k before iteration k and the difference z^{k+1} - z^k, k <= last."""
-    z = transcript.z_values[: last + 1]
+def _token_steps(transcript: Transcript) -> tuple[np.ndarray, np.ndarray]:
+    """Token z^k before each iteration k and N times the difference
+    z^{k+1} - z^k."""
+    z = transcript.z_values
     z_prev = np.concatenate((np.zeros((1, z.shape[1])), z[:-1]))
-    return z_prev, z - z_prev
+    return z_prev, transcript.n_agents * (z - z_prev)
 
 
 def _expand_epochs(
@@ -166,29 +161,23 @@ def exact_recursion_attack(
     (default: all).
     """
     n = transcript.n_agents
-    rho = transcript.rho
-    last = transcript.last_iteration
     senders = transcript.senders
-    epoch, prev, counts = _epochs(senders, n)
-    z_prev, delta = _token_steps(transcript, last)
-    fwd_x = n * delta + z_prev
-    fwd_y = z_prev - n * delta
+    epoch, prev, first, _ = _epochs(senders, n)
+    z_prev, n_delta = _token_steps(transcript)
+    fwd_x = n_delta + z_prev
+    fwd_y = z_prev - n_delta
     xs = np.zeros((len(senders) + n, transcript.dim))
     ys = np.zeros_like(xs)
-    half_rho = 0.5 * rho
+    half_rho = 0.5 * transcript.rho
     by_epoch = np.argsort(epoch, kind="stable")
     for ks in np.split(by_epoch, np.cumsum(np.bincount(epoch))[:-1]):
         s = prev[ks]
         xs[s + 1] = 0.5 * (fwd_x[ks] + xs[s])
         ys[s + 1] = ys[s] + half_rho * (fwd_y[ks] - xs[s])
-    first = _first_slots(counts)
     agents = list(range(1, n + 1)) if agents is None else agents
     est_x, est_y = _expand_epochs(xs, ys, senders, {a: first[a - 1] for a in agents}, agents)
     return AttackReport(
         kind="exact_recursion",
-        n_agents=n,
-        rho=rho,
-        last_iteration=last,
         est_x=est_x,
         est_y=est_y,
         init_assumption_violated=not transcript.deterministic_init,
@@ -215,13 +204,12 @@ def terminal_backward_attack(transcript: Transcript, eps: float) -> AttackReport
         raise AttackPreconditionError(
             f"transcript does not declare convergence within eps={eps}"
         )
-    n = transcript.n_agents
     rho = transcript.rho
     last = transcript.last_iteration
     target = int(transcript.senders[last])
     acts = activations_of(transcript, target)
-    z_prev, delta = _token_steps(transcript, last)
-    z_a, nd_a = z_prev[acts], n * delta[acts]
+    z_prev, n_delta = _token_steps(transcript)
+    z_a, nd_a = z_prev[acts], n_delta[acts]
 
     # backward pass: xs[e] estimates the state after the target's e-th activation
     xs = np.empty((len(acts) + 1, transcript.dim))
@@ -232,14 +220,7 @@ def terminal_backward_attack(transcript: Transcript, eps: float) -> AttackReport
     steps = 0.5 * rho * (z_a - nd_a - xs[:-1])
     ys = np.add.accumulate(np.concatenate((rho * xs[:1], steps)))
     est_x, est_y = _expand_epochs(xs, ys, transcript.senders, {target: 0}, [target])
-    return AttackReport(
-        kind="terminal_backward",
-        n_agents=n,
-        rho=rho,
-        last_iteration=last,
-        est_x=est_x,
-        est_y=est_y,
-    )
+    return AttackReport(kind="terminal_backward", est_x=est_x, est_y=est_y)
 
 
 @dataclass
@@ -250,18 +231,12 @@ class MeasurementSystem:
     advances only at its own activations; states are constant in between, so
     nothing is lost and the column count stays small.  Agent a's epoch e is
     slot first[a] + e; column 2s is slot s's x and 2s + 1 its y.  `senders`
-    are the transcript's active agents up to the last iteration used.
+    are the transcript's active agents.
     """
 
     systems: list[SparseSystem]
     first: dict[int, int]
     senders: np.ndarray
-    n_agents: int
-    rho: float
-
-    @property
-    def last_iteration(self) -> int:
-        return len(self.senders) - 1
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -280,23 +255,23 @@ def _rows(base_cols, template, rhs: np.ndarray):
     return rows, cols, np.tile(vals, len(base_cols)), rhs
 
 
-def _recursion_rows(x_cols: np.ndarray, z_prev: np.ndarray, delta: np.ndarray,
-                    n: int, rho: float, g: float):
+def _recursion_rows(x_cols: np.ndarray, z_prev: np.ndarray, n_delta: np.ndarray,
+                    rho: float, g: float):
     """The two token-difference relations of each activation under step
     scale g, the pre-update (x, y) in columns (c, c + 1), the fresh pair in
-    (c + 2, c + 3):
+    (c + 2, c + 3), n_delta = N*Delta:
         x' - x / (1+g)              = (N*Delta + g z) / (1+g)
         y' - y + rho g / (1+g) x    = rho g / (1+g) (z - N*Delta)"""
     rhs = np.empty((2 * len(x_cols), z_prev.shape[1]))
-    rhs[0::2] = (n * delta + g * z_prev) / (1.0 + g)
-    rhs[1::2] = (rho * g / (1.0 + g)) * (z_prev - n * delta)
+    rhs[0::2] = (n_delta + g * z_prev) / (1.0 + g)
+    rhs[1::2] = (rho * g / (1.0 + g)) * (z_prev - n_delta)
     template = [(0, 2, 1.0), (0, 0, -1.0 / (1.0 + g)),
                 (1, 3, 1.0), (1, 1, -1.0), (1, 0, rho * g / (1.0 + g))]
     return _rows(x_cols, template, rhs)
 
 
-def _measurement_system(blocks, first: dict[int, int], n_slots: int, senders: np.ndarray,
-                        n_agents: int, rho: float) -> MeasurementSystem:
+def _measurement_system(blocks, first: dict[int, int], n_slots: int,
+                        senders: np.ndarray) -> MeasurementSystem:
     """Stack row blocks into one matrix with a right-hand side per coordinate."""
     offsets = np.cumsum([0] + [len(b[3]) for b in blocks])
     rhs = np.ascontiguousarray(np.concatenate([b[3] for b in blocks]).T)
@@ -305,16 +280,16 @@ def _measurement_system(blocks, first: dict[int, int], n_slots: int, senders: np
                         np.concatenate([b[1] for b in blocks]),
                         np.concatenate([b[2] for b in blocks]), rhs[0])
     return MeasurementSystem(systems=[base] + [base.with_rhs(b) for b in rhs[1:]],
-                             first=first, senders=senders, n_agents=n_agents, rho=rho)
+                             first=first, senders=senders)
 
 
 def build_ls_system(
     transcript: Transcript,
-    last_k: int | None = None,
     kkt_row: bool = True,
     pin_last_cycle: bool = True,
 ) -> MeasurementSystem:
-    """Assemble the eavesdropper's linear system with unit step scale assumed.
+    """Assemble the eavesdropper's linear system with unit step scale assumed;
+    the system of a prefix is that of `transcript.truncated(k)`.
 
     Rows, per coordinate:
       init             x_i^0 - y_i^0 / rho = 0 for every agent; when the
@@ -329,23 +304,20 @@ def build_ls_system(
     n = transcript.n_agents
     rho = transcript.rho
     p = transcript.dim
-    last = transcript.last_iteration if last_k is None else last_k
-    if not (0 <= last <= transcript.last_iteration):
-        raise ValueError(f"last_k={last_k} outside transcript")
+    last = transcript.last_iteration
     if pin_last_cycle and last + 1 < n:
         raise AttackPreconditionError(
             "pin_last_cycle needs at least one full cycle of iterations")
 
-    senders = transcript.senders[: last + 1]
-    _, prev, counts = _epochs(senders, n)
-    first = _first_slots(counts)
+    senders = transcript.senders
+    _, prev, first, counts = _epochs(senders, n)
     init = [(0, 0, 1.0), (0, 1, -1.0 / rho)]  # x^0 - y^0 / rho = 0
     if transcript.deterministic_init:
         init += [(1, 0, 1.0), (2, 1, 1.0)]  # x^0 = 0, y^0 = 0
     init_rows = 3 if transcript.deterministic_init else 1
     blocks = [
         _rows(2 * first, init, np.zeros((n * init_rows, p))),
-        _recursion_rows(2 * prev, *_token_steps(transcript, last), n, rho, 1.0),
+        _recursion_rows(2 * prev, *_token_steps(transcript), rho, 1.0),
     ]
     if kkt_row:
         at_last = counts.copy()
@@ -357,7 +329,7 @@ def build_ls_system(
         blocks.append(_rows(2 * (first + counts)[final], [(0, 0, 1.0)],
                             transcript.z_values[ks]))
     return _measurement_system(blocks, {a: int(first[a - 1]) for a in range(1, n + 1)},
-                               len(senders) + n, senders, n, rho)
+                               len(senders) + n, senders)
 
 
 def _lsq_report(kind: str, ms: MeasurementSystem, tol: float, max_iter: int | None,
@@ -368,9 +340,6 @@ def _lsq_report(kind: str, ms: MeasurementSystem, tol: float, max_iter: int | No
     est_x, est_y = _expand_epochs(sol[0::2], sol[1::2], ms.senders, ms.first, agents)
     return AttackReport(
         kind=kind,
-        n_agents=ms.n_agents,
-        rho=ms.rho,
-        last_iteration=ms.last_iteration,
         est_x=est_x,
         est_y=est_y,
         dims=ms.shape,
@@ -389,7 +358,7 @@ def lsq_attack(
 ) -> AttackReport:
     """Least-squares state reconstruction from the token transcript."""
     ms = build_ls_system(transcript, kkt_row=kkt_row, pin_last_cycle=pin_last_cycle)
-    wanted = agents if agents is not None else list(range(1, ms.n_agents + 1))
+    wanted = agents if agents is not None else list(range(1, transcript.n_agents + 1))
     return _lsq_report("lsq", ms, tol, max_iter, wanted)
 
 
@@ -410,28 +379,26 @@ def build_colluding_system(
     extra row y_target = -(sum of colluders' duals), and the last token pins
     the target's final state.
     """
-    n = transcript.n_agents
     rho = transcript.rho
     p = transcript.dim
-    last = transcript.last_iteration
     acts = activations_of(transcript, target)
     if not acts:
         raise AttackPreconditionError(f"agent {target} never activates in the transcript")
     if gamma_assumed <= 0:
         raise ValueError("gamma_assumed must be positive")
-    z_prev, delta = _token_steps(transcript, last)
+    z_prev, n_delta = _token_steps(transcript)
     final = 2 * len(acts)  # the target's last x column
     blocks = [
         _rows([0], [(0, 0, 1.0), (0, 1, -1.0 / rho)], np.zeros((1, p))),
-        _recursion_rows(2 * np.arange(len(acts)), z_prev[acts], delta[acts], n, rho,
+        _recursion_rows(2 * np.arange(len(acts)), z_prev[acts], n_delta[acts], rho,
                         gamma_assumed),
     ]
     if colluder_final_y_sum is not None:
         blocks.append(_rows([final + 1], [(0, 0, 1.0)],
                             -np.asarray(colluder_final_y_sum, dtype=float)[None]))
     if pin:
-        blocks.append(_rows([final], [(0, 0, 1.0)], transcript.z_values[last][None]))
-    return _measurement_system(blocks, {target: 0}, len(acts) + 1, transcript.senders, n, rho)
+        blocks.append(_rows([final], [(0, 0, 1.0)], transcript.z_values[-1:]))
+    return _measurement_system(blocks, {target: 0}, len(acts) + 1, transcript.senders)
 
 
 def colluding_attack(
@@ -501,9 +468,9 @@ def system_truth_residual(ms: MeasurementSystem, history: StateHistory) -> float
     (diagnostic oracle; meaningful when the run matched the gamma=1, no-noise
     assumptions except for the soft convergence pins)."""
     agents = np.array(list(ms.first), dtype=np.int64)
-    first = np.zeros(ms.n_agents + 1, dtype=np.int64)
+    first = np.zeros(history.n_agents + 1, dtype=np.int64)
     first[agents] = list(ms.first.values())
-    epoch = _epochs(ms.senders, ms.n_agents)[0]
+    epoch = _epochs(ms.senders, history.n_agents)[0]
     ks = np.flatnonzero(np.isin(ms.senders, agents))
     # each agent's start, then the slot each of its activations fills
     slots = np.concatenate((first[agents], first[ms.senders[ks]] + epoch[ks] + 1))

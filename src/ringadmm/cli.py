@@ -90,12 +90,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, config_required: bool = True) -> None:
-        if config_required:
-            p.add_argument("--config", required=True, help="experiment config file")
+    def common(p: argparse.ArgumentParser, seed_override: bool = True) -> None:
+        p.add_argument("--config", required=True, help="experiment config file")
         p.add_argument("--out", default=None, help="output directory for CSVs")
-        p.add_argument("--seed-override", type=int, default=None,
-                       help="replace every configured seed, derived from this value")
+        if seed_override:  # a sweep re-seeds through its spec's `seed` key
+            p.add_argument("--seed-override", type=int, default=None,
+                           help="replace every configured seed, derived from this value")
         p.add_argument("--quiet", action="store_true")
 
     p_run = sub.add_parser("run", help="run one configured experiment")
@@ -110,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_att.set_defaults(fn=cmd_attack)
 
     p_sw = sub.add_parser("sweep", help="grid sweep over config overrides")
-    common(p_sw)
+    common(p_sw, seed_override=False)
     p_sw.add_argument("--sweep", required=True, help="sweep spec file")
     p_sw.set_defaults(fn=cmd_sweep)
 

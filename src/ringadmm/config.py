@@ -178,6 +178,13 @@ KEYS = (
 _BY_NAME = {key.name: key for key in KEYS}
 
 
+def check_keys(keys) -> None:
+    """Raise a ConfigError naming every key that is not in KEYS."""
+    unknown = set(keys) - _BY_NAME.keys()
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+
+
 @dataclass
 class AttackOptions:
     kind: str = "lsq"               # lsq | exact | backward | colluding
@@ -247,13 +254,21 @@ class ExperimentConfig(SolverConfig):
             )
         if self.gamma.kind == "uniform" and self.gamma.lo <= 0:
             errors.append("solver.gamma: uniform support must be strictly positive")
+        for key, seed in (("seeds.graph", self.seed_graph), ("seeds.data", self.seed_data),
+                          ("seeds.solver", self.seed_solver)):
+            if seed < 0:
+                errors.append(f"{key}: must be >= 0, got {seed}")
         if self.checkpoint_every < 0:
             errors.append("trace.checkpoint_every: must be >= 0 (0 means one row per cycle)")
         if self.attack.kind not in ("lsq", "exact", "backward", "colluding"):
             errors.append(f"attack.kind: unknown attack {self.attack.kind!r}")
-        if not all(1 <= a <= self.n_agents for a in self.attack.agents):
+        if not self.attack.agents:
+            errors.append("attack.agents: expected at least one agent")
+        elif not all(1 <= a <= self.n_agents for a in self.attack.agents):
             errors.append("attack.agents: agent ids out of range")
-        if not all(1 <= c <= self.p for c in self.attack.coordinates):
+        if not self.attack.coordinates:
+            errors.append("attack.coordinates: expected at least one coordinate")
+        elif not all(1 <= c <= self.p for c in self.attack.coordinates):
             errors.append("attack.coordinates: coordinate out of range")
         if not (1 <= self.attack.target <= self.n_agents):
             errors.append("attack.target: agent id out of range")
@@ -274,9 +289,7 @@ class ExperimentConfig(SolverConfig):
 
     @classmethod
     def from_mapping(cls, kv: dict[str, str]) -> "ExperimentConfig":
-        unknown = kv.keys() - _BY_NAME.keys()
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        check_keys(kv)
         cfg = cls()
         a = cfg.attack
         for name, attr, parse, _, _ in KEYS:
@@ -307,8 +320,9 @@ def sweep_grid(kv: dict[str, str]) -> tuple[dict[str, list[str]], list[int] | No
     """A sweep spec's values per key, and its seeds.
 
     Each value is a comma list; a gamma or init spec keeps its commas.  The
-    special key `seed` lists integers, each setting the four seeds.* keys
-    through apply_seed; without it (None) the base config's seeds are kept.
+    special key `seed` lists non-negative integers, each setting the four
+    seeds.* keys through apply_seed; without it (None) the base config's
+    seeds are kept.  The other keys are the caller's to check (check_keys).
     """
     grid: dict[str, list[str]] = {}
     for key, text in kv.items():
@@ -316,5 +330,10 @@ def sweep_grid(kv: dict[str, str]) -> tuple[dict[str, list[str]], list[int] | No
         if not values:
             raise ConfigError(f"{key}: expected at least one sweep value")
         grid[key] = values
-    seeds = grid.pop("seed", None)
-    return grid, None if seeds is None else [_parse_int("seed", tok) for tok in seeds]
+    tokens = grid.pop("seed", None)
+    if tokens is None:
+        return grid, None
+    seeds = [_parse_int("seed", tok) for tok in tokens]
+    if min(seeds) < 0:
+        raise ConfigError(f"seed: expected non-negative integer, got {min(seeds)}")
+    return grid, seeds

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import adversary
-from .config import ConfigError, ExperimentConfig, apply_seed, parse_kv_text, sweep_grid
+from .config import (ConfigError, ExperimentConfig, apply_seed, check_keys, parse_kv_text,
+                     sweep_grid)
 from .objectives import (
     LogisticObjective,
     OptimizerError,
@@ -87,7 +88,6 @@ class RunSummary:
     regimes: dict[str, bool]
     stop_reason: str
     diverged: bool
-    n_iterations: int
 
     def line(self) -> str:
         r = self.regimes
@@ -129,7 +129,6 @@ def run_experiment(
         regimes=descent_regimes(cfg.rho, problem.lipschitz(), cfg.n_agents, cfg.gamma),
         stop_reason=result.trace.stop_reason,
         diverged=result.trace.diverged,
-        n_iterations=result.n_iterations,
     )
     if out_dir is not None:
         _atomic_write(
@@ -165,7 +164,8 @@ def run_attack(
     fails or its transcript does not match the supplied one, truth columns
     are left empty and `unscored` says why.  The report holds exactly the
     agents written out: `exact` and `lsq` the configured agents, `backward`
-    the last sender, `colluding` its target.
+    the last sender, `colluding` its target; each file has the sorted
+    distinct `attack.coordinates`.
     """
     cfg.validate()
     if transcript.n_agents != cfg.n_agents:
@@ -180,6 +180,7 @@ def run_attack(
     opts = cfg.attack
     max_iter = opts.lsqr_max_iter or None
     agents = sorted(set(opts.agents))
+    coordinates = sorted(set(opts.coordinates))
     try:
         if opts.kind == "colluding":
             regen, unscored = _scoring_run(cfg, transcript)
@@ -211,7 +212,7 @@ def run_attack(
         for agent in rep.agents:
             _atomic_write(
                 os.path.join(out_dir, f"attack_agent{agent}.csv"),
-                lambda fh, agent=agent: rep.write_csv(fh, agent, list(opts.coordinates)),
+                lambda fh, agent=agent: rep.write_csv(fh, agent, coordinates),
             )
     return rep
 
@@ -282,11 +283,14 @@ def run_sweep(
     """Cartesian grid x seeds, run through run_configs; one long-format CSV
     row per checkpoint.
 
-    Failures of individual grid points are recorded in their rows' status
-    column and the sweep continues.  Returns the number of failed runs.
+    An unknown key in the spec or the base config, or a bad seed, raises
+    ConfigError before any point is built.  Failures of individual grid
+    points are recorded in their rows' status column and the sweep
+    continues.  Returns the number of failed runs.
     """
     grid, seeds = parse_sweep_spec(sweep_text)
     base_kv = parse_kv_text(base_cfg_text)
+    check_keys(base_kv.keys() | grid.keys())  # else every point fails alike
     keys = sorted(grid)
     combos = list(itertools.product(*(grid[k] for k in keys))) if keys else [()]
     points: list[tuple] = []  # (overrides, seed, config or why it has none)

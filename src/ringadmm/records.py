@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import IO, Iterator
+from typing import IO
 
 import numpy as np
 
@@ -58,11 +58,14 @@ class RunTrace:
 
     agents: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     values: np.ndarray = field(default_factory=lambda: np.zeros((0, len(TRACE_VALUES))))
-    diverged: bool = False
     stop_reason: str = ""
 
     def __len__(self) -> int:
         return len(self.agents)
+
+    @property
+    def diverged(self) -> bool:
+        return self.stop_reason.startswith("diverged")
 
     def record(self, k: int) -> IterationRecord:
         return IterationRecord.from_values(k, int(self.agents[k]), self.values[k].tolist())
@@ -70,9 +73,6 @@ class RunTrace:
     @property
     def records(self) -> list[IterationRecord]:
         return [self.record(k) for k in range(len(self))]
-
-    def __iter__(self) -> Iterator[IterationRecord]:
-        return iter(self.records)
 
     @property
     def final(self) -> IterationRecord:

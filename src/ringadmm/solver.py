@@ -716,8 +716,7 @@ class Simulation:
             return np.concatenate([getattr(blk, name)[: blk.n, row] for blk, row in run.blocks])
 
         senders = cat("agents")[:sent]
-        trace = RunTrace(senders[:k], cat("values")[:k], stop_reason.startswith("diverged"),
-                         stop_reason)
+        trace = RunTrace(senders[:k], cat("values")[:k], stop_reason)
         transcript = Transcript(
             n_agents=self.n_agents,
             rho=cfg.rho,

@@ -165,14 +165,10 @@ class TestMeasurementSystem:
                        n_agents=6, max_iters=60)
         res = run_cfg(cfg)
         k = 30
-        ms = build_ls_system(res.transcript, last_k=k, kkt_row=False,
+        ms = build_ls_system(res.transcript.truncated(k), kkt_row=False,
                              pin_last_cycle=False)
         counts = count_equations_unknowns("randinit", k, 6)
         assert ms.shape == counts.implemented
-        truncated = res.transcript.truncated(k)
-        ms2 = build_ls_system(truncated, kkt_row=False, pin_last_cycle=False)
-        assert ms2.shape == ms.shape
-        assert np.array_equal(ms2.systems[0].rhs, ms.systems[0].rhs)
 
     def test_pin_needs_full_cycle(self):
         cfg = make_cfg(n_agents=8, max_iters=4)

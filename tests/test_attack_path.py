@@ -340,9 +340,9 @@ def assert_system_equal(ms, triplets, rhs, columns, tags):
 def test_ls_system_matches_loop(runs, name, kkt_row, pin, cut):
     tr = runs[name].transcript
     last_k = {None: None, "half": tr.last_iteration // 2, "one_cycle": tr.n_agents - 1}[cut]
-    ms = build_ls_system(tr, last_k=last_k, kkt_row=kkt_row, pin_last_cycle=pin)
-    assert_system_equal(ms, *ref_ls_system(tr, last_k, kkt_row, pin))
     last = tr.last_iteration if last_k is None else last_k
+    ms = build_ls_system(tr.truncated(last), kkt_row=kkt_row, pin_last_cycle=pin)
+    assert_system_equal(ms, *ref_ls_system(tr, last_k, kkt_row, pin))
     assert same_bits(ms.senders, tr.senders[: last + 1])
 
 
@@ -438,7 +438,7 @@ ODD = [math.nan, -0.0, 0.0, 1e300, -1e-300, 1e-300, -1e300, math.inf, -math.inf,
 
 def odd_report(scored: bool, p: int = 3) -> AttackReport:
     rng = np.random.default_rng(4)
-    rep = AttackReport(kind="lsq", n_agents=4, rho=10.0, last_iteration=9)
+    rep = AttackReport(kind="lsq")
     rep.est_x[2], rep.est_y[2] = rng.choice(ODD, (11, p)), rng.choice(ODD, (11, p))
     if scored:
         rep.truth_x[2], rep.truth_y[2] = rng.choice(ODD, (11, p)), rng.choice(ODD, (11, p))
@@ -461,7 +461,7 @@ def test_report_csv_matches_csv_module_byte_for_byte(scored, coordinates):
 def test_report_csv_repeats_only_bitwise_equal_rows(scored):
     """Rows that compare equal but differ in bits (0.0, -0.0) keep their own text."""
     col = np.array([0.0, 0.0, -0.0, -0.0, 0.0, math.nan, math.nan, -math.nan, 1.0])[:, None]
-    rep = AttackReport(kind="lsq", n_agents=3, rho=1.0, last_iteration=6)
+    rep = AttackReport(kind="lsq")
     rep.est_x[1], rep.est_y[1] = col.copy(), col.copy()
     if scored:
         rep.truth_x[1], rep.truth_y[1] = col.copy(), col.copy()

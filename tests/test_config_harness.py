@@ -105,6 +105,22 @@ class TestConfigFormat:
             ExperimentConfig.from_text(BASE_CONFIG + line + "\n")
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("key, old", [("seeds.graph", "1"), ("seeds.data", "2"),
+                                          ("seeds.solver", "3")])
+    def test_negative_seed_named(self, key, old):
+        with pytest.raises(ConfigError) as info:
+            ExperimentConfig.from_text(BASE_CONFIG.replace(f"{key} = {old}", f"{key} = -3"))
+        assert str(info.value) == f"{key}: must be >= 0, got -3"
+
+    @pytest.mark.parametrize("key, message", [
+        ("attack.agents", "attack.agents: expected at least one agent"),
+        ("attack.coordinates", "attack.coordinates: expected at least one coordinate"),
+    ])
+    def test_empty_attack_list_named(self, key, message):
+        with pytest.raises(ConfigError) as info:
+            ExperimentConfig.from_text(BASE_CONFIG + f"{key} =\n")
+        assert str(info.value) == message
+
     def test_logistic_requires_first_order(self):
         bad = BASE_CONFIG.replace("problem = ridge", "problem = logistic")
         with pytest.raises(ConfigError, match="first_order"):
@@ -172,6 +188,17 @@ class TestHarness:
         assert rep.agents == [2, 5]
         assert sorted(rep.err_x) == sorted(rep.truth_y) == [2, 5]
         assert rep.unscored == ""
+
+    def test_attack_writes_each_coordinate_once_in_order(self, tmp_path):
+        cfg = ExperimentConfig.from_text(BASE_CONFIG + "attack.kind = exact\n"
+                                         "attack.coordinates = 2,1,2\n")
+        result, _ = run_experiment(cfg)
+        run_attack(cfg, result.transcript, out_dir=str(tmp_path))
+        with open(tmp_path / "attack_agent1.csv", newline="") as fh:
+            fh.readline()
+            rows = list(csv.DictReader(fh))
+        assert [(r["k"], r["coordinate"]) for r in rows] == [
+            (str(k), c) for k in range(result.transcript.last_iteration + 2) for c in "12"]
 
     def test_attack_unscored_reason_from_the_config(self, monkeypatch):
         cfg = ExperimentConfig.from_text(BASE_CONFIG + "attack.kind = exact\n")
@@ -576,6 +603,49 @@ class TestCli:
         assert main(["sweep", "--config", cfg, "--sweep", spec, "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err == "config error: seed: expected integer, got 'x'\n"
         assert not (tmp_path / "sweep.csv").exists()
+
+    def test_sweep_cli_negative_seed_exit_1(self, tmp_path, capsys):
+        cfg = self.write(tmp_path, BASE_CONFIG)
+        spec = self.write(tmp_path, "solver.rho = 5\nseed = -1, 2\n", name="sweep.cfg")
+        assert main(["sweep", "--config", cfg, "--sweep", spec, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            "config error: seed: expected non-negative integer, got -1\n")
+        assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("base, spec, unknown", [
+        ("", "solver.rhoo = 1, 2\nseed = 1, 2\n", "['solver.rhoo']"),
+        ("solver.typo = 1\n", "solver.rho = 5, 10\n", "['solver.typo']"),
+        ("solver.typo = 1\n", "solver.rhoo = 1\n", "['solver.rhoo', 'solver.typo']"),
+    ])
+    def test_sweep_cli_unknown_key_exit_1(self, tmp_path, capsys, base, spec, unknown):
+        cfg = self.write(tmp_path, BASE_CONFIG + base)
+        spec = self.write(tmp_path, spec, name="sweep.cfg")
+        assert main(["sweep", "--config", cfg, "--sweep", spec, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr() == ("", f"config error: unknown config keys: {unknown}\n")
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_sweep_cli_has_no_seed_override(self, tmp_path, capsys):
+        cfg = self.write(tmp_path, BASE_CONFIG)
+        spec = self.write(tmp_path, "solver.rho = 5\n", name="sweep.cfg")
+        with pytest.raises(SystemExit) as info:
+            main(["sweep", "--config", cfg, "--sweep", spec, "--out", str(tmp_path),
+                  "--seed-override", "5"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --seed-override 5" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_run_negative_seed_in_config_exit_1(self, tmp_path, capsys):
+        cfg = self.write(tmp_path, BASE_CONFIG.replace("seeds.data = 2", "seeds.data = -3"))
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "config error: seeds.data: must be >= 0, got -3\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_run_negative_seed_override_exit_1(self, tmp_path, capsys):
+        cfg = self.write(tmp_path, BASE_CONFIG)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"),
+                     "--seed-override", "-7"]) == 1
+        assert capsys.readouterr().err == "config error: seeds.graph: must be >= 0, got -7\n"
+        assert not (tmp_path / "out").exists()
 
     def test_verify_cli_passes(self, capsys):
         assert main(["verify", "--quiet"]) == 0
