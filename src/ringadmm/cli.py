@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: run, attack, sweep, verify.
-Exit codes: 0 success, 1 validation error, 2 runtime failure, 3 verify-suite
-failure.
+Exit codes: 0 success, 1 validation error or unreadable input file, 2 runtime
+failure, 3 verify-suite failure.
 """
 
 from __future__ import annotations
@@ -14,9 +14,25 @@ from .config import ConfigError, ExperimentConfig, apply_seed
 from .records import Transcript, TranscriptError
 
 
+class UnreadableFile(Exception):
+    """An input file that exists but cannot be read as text."""
+
+
+def _read(path: str, parse=lambda fh: fh.read()):
+    """parse(fh) of the input file `path`: every input file is read here.  A
+    missing file stays a FileNotFoundError; any other failure to read it is
+    an UnreadableFile naming it."""
+    try:
+        with open(path) as fh:
+            return parse(fh)
+    except FileNotFoundError:
+        raise
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UnreadableFile(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
+
+
 def _load_config(path: str, seed_override: int | None) -> ExperimentConfig:
-    with open(path) as fh:
-        cfg = ExperimentConfig.from_file(fh)
+    cfg = _read(path, ExperimentConfig.from_file)
     return cfg if seed_override is None else apply_seed(cfg, seed_override)
 
 
@@ -36,8 +52,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
     from .harness import run_attack
 
     cfg = _load_config(args.config, args.seed_override)
-    with open(args.transcript) as fh:
-        transcript = Transcript.read_csv(fh)
+    transcript = _read(args.transcript, Transcript.read_csv)
     rep = run_attack(cfg, transcript, out_dir=args.out)
     if not args.quiet:
         for agent in rep.agents:
@@ -61,10 +76,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     from .harness import run_sweep
 
-    with open(args.config) as fh:
-        base_text = fh.read()
-    with open(args.sweep) as fh:
-        sweep_text = fh.read()
+    base_text, sweep_text = _read(args.config), _read(args.sweep)
     out_path = (args.out or ".") + "/sweep.csv"
     failures = run_sweep(base_text, sweep_text, out_path, quiet=args.quiet)
     if not args.quiet:
@@ -133,6 +145,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except FileNotFoundError as exc:
         print(f"missing file: {exc}", file=sys.stderr)
+        return 1
+    except UnreadableFile as exc:
+        print(f"unreadable file: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:
         print(f"runtime failure: {type(exc).__name__}: {exc}", file=sys.stderr)

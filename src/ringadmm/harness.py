@@ -87,7 +87,10 @@ class RunSummary:
     kkt: tuple[float, float, float]
     regimes: dict[str, bool]
     stop_reason: str
-    diverged: bool
+
+    @property
+    def diverged(self) -> bool:
+        return self.stop_reason.startswith("diverged")
 
     def line(self) -> str:
         r = self.regimes
@@ -128,7 +131,6 @@ def run_experiment(
         kkt=kkt,
         regimes=descent_regimes(cfg.rho, problem.lipschitz(), cfg.n_agents, cfg.gamma),
         stop_reason=result.trace.stop_reason,
-        diverged=result.trace.diverged,
     )
     if out_dir is not None:
         _atomic_write(

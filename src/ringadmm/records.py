@@ -85,8 +85,9 @@ class RunTrace:
         return self.values[:, 1].copy()
 
     def checkpoints(self, every: int) -> np.ndarray:
-        """Rows k with k % every == 0, plus the last row."""
-        ks = np.arange(0, len(self), every)
+        """Rows k with k % every == 0, plus the last row; `every` may exceed
+        any int64, as it is capped at the trace length."""
+        ks = np.arange(0, len(self), min(every, len(self) or 1))
         if len(self) and ks[-1] != len(self) - 1:
             ks = np.append(ks, len(self) - 1)
         return ks

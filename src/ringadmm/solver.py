@@ -338,19 +338,16 @@ class _Block:
         self.z = self.states[..., 2 * dim :]
         self.values = np.full((size, batch, len(TRACE_VALUES)), math.nan)
 
-    @property
-    def free(self) -> int:
-        return len(self.agents) - self.n
-
 
 class _Run:
     """One run of a batch: its inputs, random stream and start, the (block,
     row) pairs that hold its iterations and, once it has ended, its result.
 
     The stream default_rng(config.seed_solver) gives, in order, the random
-    start, then piadmm1's gammas or piadmm2's noise, or wadmm's walk: one
-    uniform per iteration, mapped to a neighbour by next_agent.  Agent 1 is
-    active first; wadmm walks, every other variant follows the ring."""
+    start, then piadmm1's gammas or piadmm2's noise, or wadmm's walk (one
+    uniform per iteration, mapped to a neighbour by next_agent), drawn a
+    chunk at a time.  Agent 1 is active first; wadmm walks, every other
+    variant follows the ring."""
 
     def __init__(self, problem: Problem, graph: Graph, config: SolverConfig):
         if graph.n_agents != problem.n_agents:
@@ -367,7 +364,6 @@ class _Run:
             self.init_dist = np.linalg.norm(self.x0 - problem.x_star, axis=1)
         self.finite_start = bool(np.isfinite(self.x0).all() and np.isfinite(self.y0).all())
         self.blocks: list[tuple[_Block, int]] = []
-        self.gammas = np.empty(0)  # piadmm1's step scales, drawn ahead: iteration k's is [k]
         self.result: RunResult | None = None
 
     def key(self) -> tuple:
@@ -408,6 +404,9 @@ class Simulation:
         self.cyclic = first.cyclic
         self.runs, self._alive = runs, list(runs)
         self.k = 0
+        # step()'s chunk (end, first row and iteration, states, tokens, divergence)
+        # and the states after the iteration it returned last
+        self._stepped = self._now = None
         self.active = np.ones(len(runs), dtype=np.int64)
         self._xy = np.stack([np.hstack([r.x0, r.y0]) for r in runs], axis=1)
         self._z = np.zeros((len(runs), self.dim))
@@ -434,7 +433,6 @@ class Simulation:
         self._noise_mask = True if noisy.all() else noisy  # np.add's where=
         self._ops = self._operators((np.arange(self.n_agents)[:, None], self._col[:, 0]),
                                     self._rho, self._rho) if self._stack.affine else None
-        self._ahead = None  # piadmm1 rows' operators built ahead: (first iteration, operators)
         self._new_block()
 
     def _operators(self, sel, rho_eff, rho) -> np.ndarray:
@@ -462,71 +460,72 @@ class Simulation:
         if len(self.runs) != 1:
             raise ValueError("this needs a simulation of a single run")
 
+    def _state(self) -> tuple[np.ndarray, np.ndarray]:
+        """A single run's (N, 2p) x beside y, and its token, after the
+        iterations that step() has returned."""
+        self._single()
+        return self._now or (self._xy[:, 0], self._z[0])
+
     @property
     def x(self) -> np.ndarray:
         """The (N, p) states of a single run; likewise y and z."""
-        self._single()
-        return self._xy[:, 0, : self.dim]
+        return self._state()[0][:, : self.dim]
 
     @property
     def y(self) -> np.ndarray:
-        self._single()
-        return self._xy[:, 0, self.dim :]
+        return self._state()[0][:, self.dim :]
 
     @property
     def z(self) -> np.ndarray:
-        self._single()
-        return self._z[0]
+        return self._state()[1]
 
     def step(self) -> IterationRecord:
         """Advance a single run by one iteration; DivergenceError if its
-        state or metrics are not finite."""
+        state or metrics are not finite.  Returns run()'s chunks (with no
+        stop_eps) one iteration per call; a chunk's divergence is raised at its
+        iteration, and the next step() goes on from the rolled-back state."""
         self._single()
-        # non-finite values are caught by the metrics pass, not by warnings
-        with np.errstate(over="ignore", invalid="ignore"):
-            self._room()
-            ended = self._metrics(self._advance(1), -math.inf)
-        if ended:
-            raise DivergenceError(ended[0][2].removeprefix("diverged: "))
-        block = self._block
-        return IterationRecord.from_values(
-            self.k - 1, int(block.agents[block.n - 1, 0]),
-            block.values[block.n - 1, 0].tolist())
+        while self._stepped is None or self.k == self._stepped[0]:
+            ended = self._stepped and self._stepped[-1]
+            self._stepped = self._now = None
+            if ended:
+                raise DivergenceError(ended[0][2].removeprefix("diverged: "))
+            # non-finite values are caught by the metrics pass, not by warnings
+            with np.errstate(over="ignore", invalid="ignore"):
+                chunk = self._advance(math.inf)
+                ended, xy, zs = self._metrics(chunk, -math.inf)
+            self._stepped, self.k = (self.k, *chunk[:2], xy[0], zs[0], ended), chunk[1]
+        _, lo, k0, xy, zs, _ = self._stepped
+        i, block = self.k - k0, self._block
+        self._now, self.k = (xy[i], zs[i]), self.k + 1
+        return IterationRecord.from_values(k0 + i, int(block.agents[lo + i, 0]),
+                                           block.values[lo + i, 0].tolist())
 
-    def _room(self) -> int:
-        """Free rows of the current block; a full block is followed by a new one."""
-        if not self._block.free:
+    def _advance(self, limit: float) -> tuple:
+        """Up to `limit` iterations of the state update of every run in the
+        batch, as many as the current block has free rows for (a full block
+        is followed by a new one), recorded in those rows.  Returns the
+        chunk's start for _metrics: its first row and iteration, the (x, y)
+        states side by side as (B, N, 2p), z and the objective values."""
+        if self._block.n == len(self._block.agents):
             self._new_block()
-        return self._block.free
-
-    def _advance(self, n: int) -> tuple:
-        """n iterations of the state update of every run in the batch,
-        recorded in the next n rows of the current block, which must have
-        room for them.  Returns the chunk's start for _metrics: its first
-        row and iteration, the (x, y) states side by side as (B, N, 2p), z
-        and the objective values."""
         block, runs = self._block, self._alive
         lo, k0, width, p = block.n, self.k, len(runs), self.dim
+        n = min(limit, len(block.agents) - lo)
         xy, z, rho = self._xy, self._z, self._rho
         chunk = (lo, k0, xy.copy().transpose(1, 0, 2), z, self._fvals)
 
         agents, receivers = block.agents[lo : lo + n], block.receivers[lo : lo + n]
-        # piadmm1's gammas (the stream's draws, in order, in batches that double
-        # the run's buffer) and operators are made m iterations ahead
-        g, m = self._gamma_rows, max(n, 64) if self.cyclic else n
         # the active agent (0-based) of each iteration: one for all runs (a
         # cyclic batch, or a single run) is a basic slice of the (N, B, ...)
         # arrays; otherwise each run's agent is gathered
         if self.cyclic:
-            ring = np.arange(self.active[0] - 1, self.active[0] + m) % self.n_agents
+            ring = np.arange(self.active[0] - 1, self.active[0] + n) % self.n_agents
             agents[:], receivers[:] = ring[:n, None] + 1, ring[1 : n + 1, None] + 1
             shared, walk = ring[:n].tolist(), None
         else:
             # a walking run draws nothing but its walk from its stream (no
-            # random start, gamma or noise), so a chunk's draws at once equal
-            # as many per-step draws: run() equals a step() loop and a row of
-            # a batch equals its run alone.  (A step() that follows a diverged
-            # step() draws afresh for the iteration it re-executes.)
+            # random start, gamma or noise)
             for b, r in enumerate(runs):
                 path = [int(self.active[b])]
                 for u in r.rng.random(n).tolist():
@@ -535,14 +534,15 @@ class Simulation:
             walk = (agents - 1, self._col[:, 0])
             shared = walk[0][:, 0].tolist() if width == 1 else None
 
+        # the chunk's gammas (piadmm1) and noise (piadmm2); a step() after a
+        # diverged step() draws afresh for the iteration it re-executes
+        g = self._gamma_rows
         rho_eff = np.repeat(rho[None], n, axis=0) if len(g) else None
         for b in g:
             r, cfg = runs[b], runs[b].config
-            if len(r.gammas) < k0 + m:
-                r.gammas = np.append(r.gammas, sample_gamma(cfg.gamma, r.rng, cfg.rho, r.lipschitz,
-                                                            self.n_agents, size=k0 + 2 * m))
-            block.values[lo : lo + n, b, 5] = r.gammas[k0 : k0 + n]
-            rho_eff[:, b, 0] = cfg.rho * r.gammas[k0 : k0 + n]
+            gamma = sample_gamma(cfg.gamma, r.rng, cfg.rho, r.lipschitz, self.n_agents, size=n)
+            block.values[lo : lo + n, b, 5] = gamma
+            rho_eff[:, b, 0] = cfg.rho * gamma
         noise = np.zeros((n, width, p))
         for b in self._noise_rows:
             omega = runs[b].rng.normal(0.0, runs[b].config.sigma, size=(n, p))
@@ -553,14 +553,8 @@ class Simulation:
             # the active agents' operators applied to s = (x_i, y_i, z, omega, 1)
             pick = ring[:n] if self.cyclic else walk
             ops = self._ops[pick]
-            if len(g):
-                start, built = self._ahead or (k0, ops[:0])
-                if k0 + n > start + len(built):
-                    agent = ring[:m, None] if self.cyclic else pick[0][:, g]
-                    gamma = np.stack([runs[b].gammas[k0 : k0 + m] for b in g], axis=1)[..., None]
-                    start, built = k0, self._operators((agent, g), gamma * rho[g], rho[g])
-                    self._ahead = (start, built)
-                ops[:, g] = built[k0 - start : k0 - start + n]
+            if len(g):  # piadmm1 is cyclic; its rows take the chunk's own operators
+                ops[:, g] = self._operators((ring[:n, None], g), rho_eff[:, g], rho[g])
             s = np.ones((width, 1, 4 * p + 1))
             head, out = s[:, 0, : 4 * p], block.states[lo : lo + n, :, None]
             new_xy, new_z = block.states[lo : lo + n, :, : 2 * p], block.z[lo : lo + n]
@@ -589,7 +583,7 @@ class Simulation:
         self.active = receivers[-1].copy()
         return chunk
 
-    def _metrics(self, chunk: tuple, stop_eps) -> dict[int, tuple[int, int, str]]:
+    def _metrics(self, chunk: tuple, stop_eps) -> tuple[dict, np.ndarray, np.ndarray]:
         """Metrics of the chunk that _advance just recorded.
 
         At a run's first iteration of the chunk that has a non-finite state,
@@ -598,7 +592,8 @@ class Simulation:
         state drops the iteration; non-finite metrics keep its state and
         transmission but not its trace row; a stop keeps it whole.  Returns,
         per rolled-back row of the batch, the run's iterations, its
-        transmissions and its stop reason.
+        transmissions and its stop reason, and the (B, chunk, N, 2p) states
+        and (B, chunk, p) tokens after each iteration.
         """
         lo, k0, start, z0, f0 = chunk
         block = self._block
@@ -667,7 +662,7 @@ class Simulation:
             if len(col) == 1:  # a single run may step on from here
                 block.n, self.k = lo + keep, k0 + records
             ended[b] = (k0 + records, k0 + keep, reason)
-        return ended
+        return ended, xy, zs
 
     def _accuracy(self, x: np.ndarray) -> np.ndarray:
         """accuracy() of every run's (chunk, N, p) states, as (B, chunk); run
@@ -683,15 +678,19 @@ class Simulation:
         return self.run_all()[0]
 
     def run_all(self) -> list[RunResult]:
-        """Run every run of the batch to its end; results in batch order."""
+        """Run every run of the batch to its end; results in batch order.  The
+        iterations step() computed count as stepped, returned or not."""
+        if self._stepped:
+            self.k, *_, ended = self._stepped
+            self._stepped = self._now = None
+            self._end(ended)
         with np.errstate(over="ignore", invalid="ignore"):
             while self._alive:
                 ended = {b: (self.k, self.k, "max_iters") for b, r in enumerate(self._alive)
                          if self.k >= r.config.max_iters}
                 if not ended:
                     cap = min(r.config.max_iters for r in self._alive)
-                    ended = self._metrics(self._advance(min(self._room(), cap - self.k)),
-                                          self._stop_eps)
+                    ended = self._metrics(self._advance(cap - self.k), self._stop_eps)[0]
                 self._end(ended)
         return [r.result for r in self.runs]
 

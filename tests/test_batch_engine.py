@@ -168,7 +168,7 @@ def test_ragged_operator_batch_rows_end_as_they_would_alone(monkeypatch):
                   **randinit),
         ridge_run(4, max_iters=3001, variant=Variant.PIADMM2, sigma=1e-3, **randinit),
         ridge_run(5, max_iters=700, variant=Variant.IADMM_RANDINIT, **randinit),
-        # ends inside a window of piadmm1 operators built ahead for both rows
+        # a second piadmm1 row, ending at a length of its own
         ridge_run(8, max_iters=1440, variant=Variant.PIADMM1, gamma=GammaSpec.uniform(0.5, 2.0),
                   **randinit),
         ridge_run(6, rho=0.01, **first_order),               # diverges

@@ -234,7 +234,8 @@ class TestHarness:
         with pytest.raises(ConfigError, match="agents"):
             run_attack(bad, result.transcript)
 
-    @pytest.mark.parametrize("every, step", [(0, 6), (7, 7)])
+    @pytest.mark.parametrize("every, step", [(0, 6), (7, 7), (300, 300), (2**63, 2**63),
+                                             (10**20, 10**20)])
     def test_trace_rows_follow_checkpoint_every(self, tmp_path, every, step):
         text = BASE_CONFIG + f"trace.checkpoint_every = {every}\n"
         run_experiment(ExperimentConfig.from_text(text), out_dir=str(tmp_path))
@@ -363,8 +364,51 @@ class TestCli:
         cfg = self.write(tmp_path, BASE_CONFIG + "network.eta = -1\n")
         assert main(["run", "--config", cfg]) == 1
 
-    def test_run_missing_config_exit_1(self, tmp_path):
+    def test_run_missing_config_exit_1(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 1
+        assert capsys.readouterr().err.startswith("missing file: ")
+
+    def unreadable(self, tmp_path, kind) -> str:
+        """A directory, or a file that is not UTF-8 text."""
+        if kind == "directory":
+            (tmp_path / "dir").mkdir()
+            return str(tmp_path / "dir")
+        (tmp_path / "latin1.txt").write_bytes("solver.rho = 10.0 # \u00e9\n".encode("latin-1"))
+        return str(tmp_path / "latin1.txt")
+
+    def assert_unreadable(self, capsys, code, path):
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"unreadable file: {path}: ") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("kind", ["directory", "latin-1"])
+    def test_run_unreadable_config_exit_1(self, tmp_path, capsys, kind):
+        path = self.unreadable(tmp_path, kind)
+        self.assert_unreadable(capsys, main(["run", "--config", path]), path)
+
+    @pytest.mark.parametrize("kind", ["directory", "latin-1"])
+    @pytest.mark.parametrize("which", ["--config", "--sweep"])
+    def test_sweep_unreadable_input_exit_1(self, tmp_path, capsys, kind, which):
+        path = self.unreadable(tmp_path, kind)
+        args = {"--config": self.write(tmp_path, BASE_CONFIG),
+                "--sweep": self.write(tmp_path, "seed = 1\n", name="sweep.cfg"), which: path}
+        code = main(["sweep", *(a for kv in args.items() for a in kv), "--out", str(tmp_path)])
+        self.assert_unreadable(capsys, code, path)
+        assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("kind", ["directory", "latin-1"])
+    def test_attack_unreadable_transcript_exit_1(self, tmp_path, capsys, kind):
+        path = self.unreadable(tmp_path, kind)
+        cfg = self.write(tmp_path, BASE_CONFIG + "attack.kind = exact\n")
+        code = main(["attack", "--config", cfg, "--transcript", path, "--out", str(tmp_path)])
+        self.assert_unreadable(capsys, code, path)
+
+    def test_run_unwritable_out_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "file"
+        out.write_text("")
+        assert main(["run", "--config", self.write(tmp_path, BASE_CONFIG), "--out", str(out),
+                     "--quiet"]) == 2
+        assert capsys.readouterr().err.startswith("runtime failure: ")
 
     def test_run_divergence_exit_2(self, tmp_path):
         text = BASE_CONFIG.replace("solver.rho = 10.0", "solver.rho = 0.01")

@@ -2,8 +2,9 @@
 equations.
 
 `Simulation.run` advances a chunk of iterations and scores them in one
-vectorised pass; `Simulation.step` scores every iteration on its own.  Both
-must produce the same records, states and stopping point bit for bit.  Every
+vectorised pass; `Simulation.step` computes the same chunks and returns them
+one iteration at a time.  Both must produce the same records, states and
+stopping point bit for bit.  Every
 recorded iteration must also follow x_update, y_update and
 z_update_incremental applied to the states before it, whether the loop took
 the iteration as a precomputed operator (ridge) or through those functions.
@@ -21,6 +22,7 @@ from ringadmm.harness import build_problem
 from ringadmm.objectives import RidgeObjective
 from ringadmm.solver import (
     DivergenceError,
+    _block_rows,
     GammaSpec,
     InitSpec,
     Problem,
@@ -157,15 +159,17 @@ def test_metric_overflow_reports_the_same_iteration():
 
 
 class _BreaksAt(RidgeObjective):
-    """A ridge objective whose proximal step returns NaN from a given call on."""
+    """A ridge objective whose proximal step returns NaN from a given call
+    on, up to call `fail_until`."""
 
     calls = 0
     fail_from = 0
+    fail_until = math.inf
 
     def prox(self, z, y, rho_eff):
         type(self).calls += 1
         out = super().prox(z, y, rho_eff)
-        return out * math.nan if type(self).calls > type(self).fail_from else out
+        return out * math.nan if self.fail_from < type(self).calls <= self.fail_until else out
 
 
 def test_non_finite_state_reports_the_same_iteration():
@@ -195,3 +199,109 @@ def test_early_stop_allocates_nothing_of_max_iters_size():
         tracemalloc.stop()
     assert res.trace.stop_reason == "primal_eps"
     assert peak < 4 * 2**20
+
+
+def assert_same_result(got, want):
+    assert (got.n_iterations, got.trace.stop_reason) == (want.n_iterations,
+                                                         want.trace.stop_reason)
+    for name in ("trace.agents", "trace.values", "transcript.senders", "transcript.z_values",
+                 "history.x_new", "history.y_new", "x", "y", "z"):
+        a, b = got, want
+        for attr in name.split("."):
+            a, b = getattr(a, attr), getattr(b, attr)
+        assert np.array_equal(a, b, equal_nan=True), name
+
+
+STEP_STATE_KINDS = {
+    **{kind: (7, kw) for kind, kw in VARIANT_CONFIGS.items()},
+    "piadmm1_n75": (75, VARIANT_CONFIGS["piadmm1"]),
+    "wadmm_walk": (12, dict(VARIANT_CONFIGS["wadmm"], eta=0.4)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(STEP_STATE_KINDS))
+def test_step_states_equal_run_history(kind):
+    # x, y and z after each step() are the run's states after that iteration
+    n, kw = STEP_STATE_KINDS[kind]
+    cfg = make_cfg(n_agents=n, max_iters=160, **kw)
+    graph, problem = build_problem(cfg)
+    res = run(problem, graph, cfg)
+    sim = Simulation(problem, graph, cfg)
+    for k in range(cfg.max_iters):
+        sim.step()
+        x, y = res.history.states_at(k + 1)
+        assert sim.k == k + 1
+        assert np.array_equal(sim.x, x) and np.array_equal(sim.y, y)
+        assert np.array_equal(sim.z, res.transcript.z_values[k])
+
+
+def test_run_after_step_goes_on_from_the_stepped_iterations():
+    cfg = make_cfg(n_agents=7, max_iters=100)
+    graph, problem = build_problem(cfg)
+    alone = run(problem, graph, cfg)
+    sim = Simulation(problem, graph, cfg)
+    records = [sim.step() for _ in range(10)]
+    res = sim.run()
+    assert_same_result(res, alone)
+    assert np.array_equal(record_rows(res.trace.records[:10]), record_rows(records),
+                          equal_nan=True)
+
+
+def test_run_after_step_has_no_eps_stop_in_the_computed_iterations():
+    # step() computed a whole chunk; run() stops only after it
+    cfg = make_cfg(n_agents=8, max_iters=50_000, stop_eps=1e-6)
+    graph, problem = build_problem(cfg)
+    alone = run(problem, graph, cfg)
+    sim = Simulation(problem, graph, cfg)
+    for _ in range(alone.n_iterations):
+        sim.step()
+    computed = -(-alone.n_iterations // _block_rows(8, 1)) * _block_rows(8, 1)
+    res = sim.run()
+    assert res.trace.stop_reason == "primal_eps"
+    assert res.n_iterations > computed >= alone.n_iterations
+    k = alone.n_iterations
+    assert np.array_equal(res.trace.values[:k], alone.trace.values, equal_nan=True)
+    assert np.array_equal(res.transcript.z_values[:k], alone.transcript.z_values)
+
+
+def test_run_after_step_ends_at_a_divergence_not_yet_returned():
+    cfg = make_cfg(n_agents=8, max_iters=200)
+    graph, problem = build_problem(cfg)
+    broken = Problem([_BreaksAt(f.data) for f in problem.objectives], problem.x_star)
+    _BreaksAt.calls, _BreaksAt.fail_from = 0, 13
+    alone = run(broken, graph, cfg)
+    _BreaksAt.calls = 0
+    sim = Simulation(broken, graph, cfg)
+    for _ in range(5):
+        sim.step()  # computes past iteration 13
+    res = sim.run()
+    assert res.trace.stop_reason.startswith("diverged: non-finite state at iteration 13")
+    assert_same_result(res, alone)
+
+
+def test_step_after_divergence_goes_on_from_the_rolled_back_state(monkeypatch):
+    # the dropped iteration is executed again, with a fresh gamma: the next
+    # one of the run's stream, after those of the chunk that diverged
+    n = 8
+    cfg = make_cfg(n_agents=n, max_iters=200, **VARIANT_CONFIGS["piadmm1"])
+    graph, problem = build_problem(cfg)
+    broken = Problem([_BreaksAt(f.data) for f in problem.objectives], problem.x_star)
+    _BreaksAt.calls, _BreaksAt.fail_from = 0, 13  # iteration 13 only
+    monkeypatch.setattr(_BreaksAt, "fail_until", 14)
+    sim = Simulation(broken, graph, cfg)
+    records = [sim.step() for _ in range(13)]
+    x, y, z = sim.x.copy(), sim.y.copy(), sim.z.copy()
+    with pytest.raises(DivergenceError, match="non-finite state at iteration 13"):
+        sim.step()
+    assert sim.k == 13
+    assert np.array_equal(sim.x, x) and np.array_equal(sim.y, y) and np.array_equal(sim.z, z)
+    again = sim.step()
+    assert (sim.k, again.k, again.agent) == (14, 13, 6)
+    rng = np.random.default_rng(cfg.seed_solver)
+    rng.uniform(-1, 1, size=(n, problem.dim))  # the random start
+    gammas = rng.uniform(0.9, 1.1, size=2 * _block_rows(n, 1))
+    assert [r.gamma for r in records] == gammas[:13].tolist()
+    assert again.gamma == gammas[_block_rows(n, 1)] != gammas[13]
+    # the re-executed iteration starts from the rolled-back state
+    i = again.agent - 1
+    assert np.linalg.norm(cfg.rho * (z - sim.x[i]) - (sim.y[i] - y[i]) / again.gamma) <= 1e-10
