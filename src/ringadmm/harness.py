@@ -26,8 +26,8 @@ from .objectives import (
     generate_ridge_data,
 )
 from .records import SCHEMA_LINE, Transcript
-from .solver import (DivergenceError, Problem, RunResult, descent_regimes, kkt_residuals,
-                     run, run_batch)
+from .solver import (DivergenceError, Problem, RunResult, Variant, descent_regimes,
+                     kkt_residuals, run, run_batch)
 from .topology import Graph, generate_graph, write_edgelist
 
 PLANTED_STREAM = 0  # sub-stream of seeds.data holding the hidden label model
@@ -57,6 +57,15 @@ def build_problem(cfg: ExperimentConfig) -> tuple[Graph, Problem]:
     objectives = build_objectives(cfg)
     x_star = centralized_optimum(objectives, tol=1e-12)
     return graph, Problem(objectives=objectives, x_star=x_star)
+
+
+def _check_problem(cfg: ExperimentConfig, problem: Problem) -> None:
+    """ConfigError if the config does not fit its built problem: piadmm1's
+    descent_floor gamma needs rho > L, and L depends on the data."""
+    if (cfg.variant == Variant.PIADMM1 and cfg.gamma.kind == "floor"
+            and cfg.rho <= (lipschitz := problem.lipschitz())):
+        raise ConfigError(f"solver.gamma: descent_floor needs solver.rho > L, "
+                          f"got rho={cfg.rho}, L={lipschitz}")
 
 
 def _trace_every(cfg: ExperimentConfig) -> int:
@@ -121,6 +130,7 @@ def run_experiment(
 ) -> tuple[RunResult, RunSummary]:
     cfg.validate()
     graph, problem = build_problem(cfg)
+    _check_problem(cfg, problem)
     result = run(problem, graph, cfg)
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is in the summary
         kkt = kkt_residuals(problem.objectives, result.x, result.y, result.z)
@@ -271,6 +281,7 @@ def run_configs(cfgs: list[ExperimentConfig]) -> list[RunResult | Exception]:
             if key not in built:
                 built[key] = build_problem(cfg)
             graph, problem = built[key]
+            _check_problem(cfg, problem)
             specs[i] = (problem, graph, cfg)
         except Exception as exc:  # the caller records the failure
             out[i] = exc

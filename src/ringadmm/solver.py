@@ -383,8 +383,10 @@ class Simulation:
     updates the states (on an affine stack with one precomputed operator, see
     _operators) and records them in blocks of about one cycle (_block_rows).
     The metrics of each chunk of iterations are computed afterwards in one
-    vectorised pass, which also ends each run at its chunk's first diverging
-    or converged iteration; ended runs leave the batch.
+    vectorised pass, the only place where runs end: each at its chunk's first
+    diverging, converged or last allowed iteration.  Ended runs leave the
+    batch and stay ended.  `k` counts the iterations computed, or those that
+    step() has returned.
     """
 
     def __init__(self, problem: Problem, graph: Graph, config: SolverConfig):
@@ -404,8 +406,8 @@ class Simulation:
         self.cyclic = first.cyclic
         self.runs, self._alive = runs, list(runs)
         self.k = 0
-        # step()'s chunk (end, first row and iteration, states, tokens, divergence)
-        # and the states after the iteration it returned last
+        # step()'s chunk (the end of its iterations to return, first row and
+        # iteration, states, tokens) and x, y, z after the iteration it returned last
         self._stepped = self._now = None
         self.active = np.ones(len(runs), dtype=np.int64)
         self._xy = np.stack([np.hstack([r.x0, r.y0]) for r in runs], axis=1)
@@ -423,6 +425,7 @@ class Simulation:
         self._at = [self._stack.at(i) for i in range(self.n_agents)]
         self._rho = np.array([[r.config.rho] for r in runs])
         self._stop_eps = np.array([[r.config.stop_eps] for r in runs])
+        self._max_iters = np.array([[r.config.max_iters] for r in runs])
         self._x_star = np.array([r.problem.x_star for r in runs])[:, None, None]
         self._init_dist = np.array([r.init_dist for r in runs])[:, None]
         self._excluding = not (self._init_dist > 0.0).all()
@@ -460,60 +463,77 @@ class Simulation:
         if len(self.runs) != 1:
             raise ValueError("this needs a simulation of a single run")
 
-    def _state(self) -> tuple[np.ndarray, np.ndarray]:
-        """A single run's (N, 2p) x beside y, and its token, after the
-        iterations that step() has returned."""
+    def _state(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """A single run's x, y and z: after the iterations that step() has
+        returned, or its result's once it has ended."""
         self._single()
-        return self._now or (self._xy[:, 0], self._z[0])
+        result, p = self.runs[0].result, self.dim
+        if self._now:
+            return self._now
+        if result:
+            return result.x, result.y, result.z
+        return self._xy[:, 0, :p], self._xy[:, 0, p:], self._z[0]
 
     @property
     def x(self) -> np.ndarray:
         """The (N, p) states of a single run; likewise y and z."""
-        return self._state()[0][:, : self.dim]
+        return self._state()[0]
 
     @property
     def y(self) -> np.ndarray:
-        return self._state()[0][:, self.dim :]
+        return self._state()[1]
 
     @property
     def z(self) -> np.ndarray:
-        return self._state()[1]
+        return self._state()[2]
 
     def step(self) -> IterationRecord:
-        """Advance a single run by one iteration; DivergenceError if its
-        state or metrics are not finite.  Returns run()'s chunks (with no
-        stop_eps) one iteration per call; a chunk's divergence is raised at its
-        iteration, and the next step() goes on from the rolled-back state."""
+        """Advance a single run by one iteration: run()'s chunks, under its
+        stop rules, one iteration per call.  Once the run has ended, every
+        call raises how it ended: its DivergenceError, or a RuntimeError
+        naming max_iters or primal_eps."""
         self._single()
+        run = self.runs[0]
         while self._stepped is None or self.k == self._stepped[0]:
-            ended = self._stepped and self._stepped[-1]
             self._stepped = self._now = None
-            if ended:
-                raise DivergenceError(ended[0][2].removeprefix("diverged: "))
-            # non-finite values are caught by the metrics pass, not by warnings
-            with np.errstate(over="ignore", invalid="ignore"):
-                chunk = self._advance(math.inf)
-                ended, xy, zs = self._metrics(chunk, -math.inf)
-            self._stepped, self.k = (self.k, *chunk[:2], xy[0], zs[0], ended), chunk[1]
-        _, lo, k0, xy, zs, _ = self._stepped
-        i, block = self.k - k0, self._block
-        self._now, self.k = (xy[i], zs[i]), self.k + 1
+            if run.result:
+                reason = run.result.trace.stop_reason
+                if run.result.trace.diverged:
+                    raise DivergenceError(reason.removeprefix("diverged: "))
+                raise RuntimeError(f"the run has ended: {reason}")
+            k0, (lo, xy, zs) = self.k, self._chunk()
+            end = run.result.n_iterations if run.result else self.k
+            self._stepped, self.k = (end, lo, k0, xy[0], zs[0]), k0
+        _, lo, k0, xy, zs = self._stepped
+        i, block, p = self.k - k0, self._block, self.dim
+        self._now, self.k = (xy[i, :, :p], xy[i, :, p:], zs[i]), self.k + 1
         return IterationRecord.from_values(k0 + i, int(block.agents[lo + i, 0]),
                                            block.values[lo + i, 0].tolist())
 
-    def _advance(self, limit: float) -> tuple:
+    def _chunk(self) -> tuple[int, np.ndarray, np.ndarray]:
+        """run()'s next chunk: advance the batch, score it and end the runs
+        that stop in it.  Returns the chunk's first row, and the (B, chunk,
+        N, 2p) states and (B, chunk, p) tokens after each of its iterations."""
+        # non-finite values are caught by the metrics pass, not by warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            chunk = self._advance(int(self._max_iters.min()) - self.k)
+            ended, xy, zs, self._fvals = self._metrics(chunk)
+        self._end(ended)
+        return chunk[0], xy, zs
+
+    def _advance(self, limit: int) -> tuple:
         """Up to `limit` iterations of the state update of every run in the
         batch, as many as the current block has free rows for (a full block
         is followed by a new one), recorded in those rows.  Returns the
         chunk's start for _metrics: its first row and iteration, the (x, y)
-        states side by side as (B, N, 2p), z and the objective values."""
+        states side by side as (B, N, 2p) and the objective values."""
         if self._block.n == len(self._block.agents):
             self._new_block()
         block, runs = self._block, self._alive
         lo, k0, width, p = block.n, self.k, len(runs), self.dim
         n = min(limit, len(block.agents) - lo)
         xy, z, rho = self._xy, self._z, self._rho
-        chunk = (lo, k0, xy.copy().transpose(1, 0, 2), z, self._fvals)
+        chunk = (lo, k0, xy.copy().transpose(1, 0, 2), self._fvals)
 
         agents, receivers = block.agents[lo : lo + n], block.receivers[lo : lo + n]
         # the active agent (0-based) of each iteration: one for all runs (a
@@ -534,8 +554,7 @@ class Simulation:
             walk = (agents - 1, self._col[:, 0])
             shared = walk[0][:, 0].tolist() if width == 1 else None
 
-        # the chunk's gammas (piadmm1) and noise (piadmm2); a step() after a
-        # diverged step() draws afresh for the iteration it re-executes
+        # the chunk's gammas (piadmm1) and noise (piadmm2)
         g = self._gamma_rows
         rho_eff = np.repeat(rho[None], n, axis=0) if len(g) else None
         for b in g:
@@ -583,24 +602,21 @@ class Simulation:
         self.active = receivers[-1].copy()
         return chunk
 
-    def _metrics(self, chunk: tuple, stop_eps) -> tuple[dict, np.ndarray, np.ndarray]:
-        """Metrics of the chunk that _advance just recorded.
+    def _metrics(self, chunk: tuple) -> tuple[dict, np.ndarray, np.ndarray, np.ndarray]:
+        """Metrics of the chunk that _advance just recorded, and where runs end.
 
-        At a run's first iteration of the chunk that has a non-finite state,
-        has non-finite metrics, or has r_primal < stop_eps (checked in that
-        order), the run is rolled back to that iteration.  A non-finite
-        state drops the iteration; non-finite metrics keep its state and
-        transmission but not its trace row; a stop keeps it whole.  Returns,
-        per rolled-back row of the batch, the run's iterations, its
-        transmissions and its stop reason, and the (B, chunk, N, 2p) states
-        and (B, chunk, p) tokens after each iteration.
+        A run ends at its first iteration of the chunk that has a non-finite
+        state, has non-finite metrics, has r_primal < stop_eps or is its
+        max_iters-th (checked in that order).  A non-finite state drops the
+        iteration; non-finite metrics keep its transmission but not its
+        trace row; a stop keeps it whole.  Returns, per ended row of the
+        batch, the run's iterations, its transmissions and its stop reason;
+        the (B, chunk, N, 2p) states and (B, chunk, p) tokens after each
+        iteration; and the (B, N) objective values after the chunk.
         """
-        lo, k0, start, z0, f0 = chunk
-        block = self._block
-        hi = block.n
-        c, n, p = hi - lo, self.n_agents, self.dim
-        col = self._col
-        agents = block.agents[lo:hi].T - 1
+        (lo, k0, start, f0), block = chunk, self._block
+        hi, n, p, col = block.n, self.n_agents, self.dim, self._col
+        c, agents = hi - lo, block.agents[lo:hi].T - 1
         rows = np.arange(c)
         states = block.states[lo:hi].transpose(1, 0, 2)
 
@@ -634,35 +650,24 @@ class Simulation:
 
         bad_state = ~np.isfinite(states).all(axis=2)
         bad_metrics = ~np.isfinite(vals[..., :3]).all(axis=2)
-        events = bad_state | bad_metrics | (r_primal < stop_eps)
-        self._fvals = f[:, -1]
+        converged = r_primal < self._stop_eps
+        events = bad_state | bad_metrics | converged | (k0 + rows + 1 >= self._max_iters)
         ended = {}
         for b in np.flatnonzero(events.any(axis=1)).tolist():
             r = int(events[b].argmax())
             k, agent = k0 + r, int(agents[b, r]) + 1
             if bad_state[b, r]:
-                keep, records = r, r
                 cause = ("the configured step scale is likely unstable"
                          if self._alive[b].finite_start else
                          "the random start is not finite (solver.init times solver.rho overflows)")
-                reason = f"diverged: non-finite state at iteration {k} (agent {agent}); {cause}"
+                ended[b] = (k, k, f"diverged: non-finite state at iteration {k} (agent {agent}); "
+                                  f"{cause}")
             elif bad_metrics[b, r]:
-                keep, records = r + 1, r
-                reason = (f"diverged: metrics overflowed at iteration {k} (agent {agent}); "
-                         f"the run is diverging")
+                ended[b] = (k, k + 1, f"diverged: metrics overflowed at iteration {k} "
+                                      f"(agent {agent}); the run is diverging")
             else:
-                keep, records, reason = r + 1, r + 1, "primal_eps"
-                agent = int(block.receivers[lo + r, b])
-            if keep:
-                self._xy[:, b], self._z[b] = xy[b, keep - 1], zs[b, keep - 1]
-                self._fvals[b] = f[b, keep - 1]
-            else:
-                self._xy[:, b], self._z[b], self._fvals[b] = start[b], z0[b], f0[b]
-            self.active[b] = agent
-            if len(col) == 1:  # a single run may step on from here
-                block.n, self.k = lo + keep, k0 + records
-            ended[b] = (k0 + records, k0 + keep, reason)
-        return ended, xy, zs
+                ended[b] = (k + 1, k + 1, "primal_eps" if converged[b, r] else "max_iters")
+        return ended, xy, zs, f[:, -1]
 
     def _accuracy(self, x: np.ndarray) -> np.ndarray:
         """accuracy() of every run's (chunk, N, p) states, as (B, chunk); run
@@ -678,20 +683,13 @@ class Simulation:
         return self.run_all()[0]
 
     def run_all(self) -> list[RunResult]:
-        """Run every run of the batch to its end; results in batch order.  The
-        iterations step() computed count as stepped, returned or not."""
+        """Run every run of the batch to its end; results in batch order.
+        After step(), the run goes on after step()'s current chunk."""
         if self._stepped:
-            self.k, *_, ended = self._stepped
+            self.k = self._stepped[0]
             self._stepped = self._now = None
-            self._end(ended)
-        with np.errstate(over="ignore", invalid="ignore"):
-            while self._alive:
-                ended = {b: (self.k, self.k, "max_iters") for b, r in enumerate(self._alive)
-                         if self.k >= r.config.max_iters}
-                if not ended:
-                    cap = min(r.config.max_iters for r in self._alive)
-                    ended = self._metrics(self._advance(cap - self.k), self._stop_eps)[0]
-                self._end(ended)
+        while self._alive:
+            self._chunk()
         return [r.result for r in self.runs]
 
     def _end(self, ended: dict[int, tuple[int, int, str]]) -> None:
@@ -700,12 +698,10 @@ class Simulation:
         for b, (k, sent, stop_reason) in ended.items():
             self._alive[b].result = self._result(b, k, sent, stop_reason)
         stay = [b for b in range(len(self._alive)) if b not in ended]
-        if not stay:
-            self._alive = []  # the states stay as the last runs left them
-        elif ended:
+        self._alive = [self._alive[b] for b in stay]
+        if ended and stay:
             self._xy, self._z = self._xy[:, stay], self._z[stay]
             self._fvals, self.active = self._fvals[stay], self.active[stay]
-            self._alive = [self._alive[b] for b in stay]
             self._columns()
 
     def _result(self, b: int, k: int, sent: int, stop_reason: str) -> RunResult:
@@ -729,8 +725,9 @@ class Simulation:
         )
         history = StateHistory(x0=run.x0, y0=run.y0, agents=senders,
                                x_new=cat("x")[:sent], y_new=cat("y")[:sent])
-        x, y = np.split(self._xy[:, b], 2, axis=1)
-        return RunResult(trace, transcript, history, x.copy(), y.copy(), self._z[b].copy(), k)
+        x, y = history.states_at(sent)
+        z = transcript.z_values[sent - 1].copy() if sent else np.zeros(self.dim)
+        return RunResult(trace, transcript, history, x, y, z, k)
 
 
 def run(problem: Problem, graph: Graph, config: SolverConfig) -> RunResult:

@@ -66,7 +66,8 @@ class TestExactRecursion:
         problem = Problem([RidgeObjective(data) for _ in range(4)], np.zeros(2))
         graph = generate_graph(4, 1.0, 0)
         cfg = make_cfg(n_agents=4, max_iters=40)
-        res = run(problem, graph, cfg)
+        with pytest.warns(UserWarning, match="excluding agents"):  # every start is x*
+            res = run(problem, graph, cfg)
         rep = score_report(exact_recursion_attack(res.transcript), res.history)
         for a in rep.agents:
             assert np.all(rep.est_x[a] == 0.0)
@@ -115,7 +116,8 @@ class TestTerminalBackward:
         problem = Problem([RidgeObjective(data) for _ in range(4)], np.zeros(2))
         graph = generate_graph(4, 1.0, 0)
         cfg = make_cfg(n_agents=4, max_iters=100, stop_eps=1e-15)
-        res = run(problem, graph, cfg)
+        with pytest.warns(UserWarning, match="excluding agents"):  # every start is x*
+            res = run(problem, graph, cfg)
         rep = score_report(
             terminal_backward_attack(res.transcript, eps=1e-12), res.history
         )

@@ -418,6 +418,26 @@ class TestCli:
         cfg = self.write(tmp_path, text)
         assert main(["run", "--config", cfg, "--quiet"]) == 2
 
+    def test_run_descent_floor_below_lipschitz_exit_1(self, tmp_path, capsys):
+        # validates as text; only the built problem's L rules it out
+        text = (BASE_CONFIG.replace("solver.rho = 10.0", "solver.rho = 0.001")
+                .replace("solver.variant = iadmm", "solver.variant = piadmm1")
+                + "solver.gamma = descent_floor:1.01\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", self.write(tmp_path, text), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        message = "solver.gamma: descent_floor needs solver.rho > L, got rho=0.001, L="
+        assert err.startswith(f"config error: {message}") and len(err.splitlines()) == 1
+        assert not out.exists()
+        # a sweep records it as the point's status and goes on
+        spec = self.write(tmp_path, "solver.variant = piadmm1, iadmm\n", name="sweep.cfg")
+        assert main(["sweep", "--config", self.write(tmp_path, text), "--sweep", spec,
+                     "--out", str(out), "--quiet"]) == 2
+        with open(out / "sweep.csv", newline="") as fh:
+            fh.readline()
+            status = {r["run_index"]: r["status"] for r in csv.DictReader(fh)}
+        assert status["0"].startswith(f"error:ConfigError:{message}") and status["1"] == "ok"
+
     @pytest.mark.parametrize("key, value", [
         ("solver.rho", "nan"), ("solver.rho", "inf"), ("solver.sigma", "nan"),
         ("solver.gamma", "constant:nan"), ("solver.init", "uniform:nan,1"),

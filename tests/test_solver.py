@@ -158,7 +158,8 @@ class TestStepAndRun:
         problem = quadratic_bowl_problem(4)
         graph = generate_graph(4, 1.0, 0)
         cfg = make_cfg(n_agents=4, max_iters=40)
-        res = run(problem, graph, cfg)
+        with pytest.warns(UserWarning, match="excluding agents"):  # every start is x*
+            res = run(problem, graph, cfg)
         assert not res.x.any() and not res.y.any() and not res.z.any()
 
     @pytest.mark.parametrize(

@@ -159,17 +159,15 @@ def test_metric_overflow_reports_the_same_iteration():
 
 
 class _BreaksAt(RidgeObjective):
-    """A ridge objective whose proximal step returns NaN from a given call
-    on, up to call `fail_until`."""
+    """A ridge objective whose proximal step returns NaN from a given call on."""
 
     calls = 0
     fail_from = 0
-    fail_until = math.inf
 
     def prox(self, z, y, rho_eff):
         type(self).calls += 1
         out = super().prox(z, y, rho_eff)
-        return out * math.nan if self.fail_from < type(self).calls <= self.fail_until else out
+        return out * math.nan if type(self).calls > type(self).fail_from else out
 
 
 def test_non_finite_state_reports_the_same_iteration():
@@ -247,21 +245,16 @@ def test_run_after_step_goes_on_from_the_stepped_iterations():
                           equal_nan=True)
 
 
-def test_run_after_step_has_no_eps_stop_in_the_computed_iterations():
-    # step() computed a whole chunk; run() stops only after it
+def test_run_after_step_on_a_stop_eps_run_equals_run_alone():
+    # step() computes whole chunks under run()'s stop rules, so the stop
+    # inside the last one ends the run for both
     cfg = make_cfg(n_agents=8, max_iters=50_000, stop_eps=1e-6)
     graph, problem = build_problem(cfg)
     alone = run(problem, graph, cfg)
     sim = Simulation(problem, graph, cfg)
     for _ in range(alone.n_iterations):
         sim.step()
-    computed = -(-alone.n_iterations // _block_rows(8, 1)) * _block_rows(8, 1)
-    res = sim.run()
-    assert res.trace.stop_reason == "primal_eps"
-    assert res.n_iterations > computed >= alone.n_iterations
-    k = alone.n_iterations
-    assert np.array_equal(res.trace.values[:k], alone.trace.values, equal_nan=True)
-    assert np.array_equal(res.transcript.z_values[:k], alone.transcript.z_values)
+    assert_same_result(sim.run(), alone)
 
 
 def test_run_after_step_ends_at_a_divergence_not_yet_returned():
@@ -279,29 +272,87 @@ def test_run_after_step_ends_at_a_divergence_not_yet_returned():
     assert_same_result(res, alone)
 
 
-def test_step_after_divergence_goes_on_from_the_rolled_back_state(monkeypatch):
-    # the dropped iteration is executed again, with a fresh gamma: the next
-    # one of the run's stream, after those of the chunk that diverged
+def test_step_after_divergence_raises_it_again():
     n = 8
     cfg = make_cfg(n_agents=n, max_iters=200, **VARIANT_CONFIGS["piadmm1"])
     graph, problem = build_problem(cfg)
     broken = Problem([_BreaksAt(f.data) for f in problem.objectives], problem.x_star)
-    _BreaksAt.calls, _BreaksAt.fail_from = 0, 13  # iteration 13 only
-    monkeypatch.setattr(_BreaksAt, "fail_until", 14)
+    _BreaksAt.calls, _BreaksAt.fail_from = 0, 13
     sim = Simulation(broken, graph, cfg)
     records = [sim.step() for _ in range(13)]
     x, y, z = sim.x.copy(), sim.y.copy(), sim.z.copy()
-    with pytest.raises(DivergenceError, match="non-finite state at iteration 13"):
-        sim.step()
-    assert sim.k == 13
-    assert np.array_equal(sim.x, x) and np.array_equal(sim.y, y) and np.array_equal(sim.z, z)
-    again = sim.step()
-    assert (sim.k, again.k, again.agent) == (14, 13, 6)
+    for _ in range(2):  # an ended run stays ended
+        with pytest.raises(DivergenceError, match="non-finite state at iteration 13"):
+            sim.step()
+        assert sim.k == 13
+        assert np.array_equal(sim.x, x) and np.array_equal(sim.y, y) and np.array_equal(sim.z, z)
     rng = np.random.default_rng(cfg.seed_solver)
     rng.uniform(-1, 1, size=(n, problem.dim))  # the random start
-    gammas = rng.uniform(0.9, 1.1, size=2 * _block_rows(n, 1))
+    gammas = rng.uniform(0.9, 1.1, size=_block_rows(n, 1))
     assert [r.gamma for r in records] == gammas[:13].tolist()
-    assert again.gamma == gammas[_block_rows(n, 1)] != gammas[13]
-    # the re-executed iteration starts from the rolled-back state
-    i = again.agent - 1
-    assert np.linalg.norm(cfg.rho * (z - sim.x[i]) - (sim.y[i] - y[i]) / again.gamma) <= 1e-10
+
+
+def test_step_after_metric_overflow_stays_ended():
+    # each DivergenceError from step() once rolled the run back for the next
+    # step() to retry; after two, run() wrote one transmission too many and
+    # a last token that was not the result's
+    cfg = make_cfg(x_update=XUpdateMode.FIRST_ORDER, rho=0.01, max_iters=5000)
+    graph, problem = build_problem(cfg)
+    alone = run(problem, graph, cfg)
+    sim = Simulation(problem, graph, cfg)
+    with pytest.raises(DivergenceError, match="metrics overflowed") as first:
+        for _ in range(cfg.max_iters):
+            sim.step()
+    k = sim.k
+    with pytest.raises(DivergenceError) as again:
+        sim.step()
+    assert str(again.value) == str(first.value) and sim.k == k == alone.n_iterations
+    res = sim.run()
+    assert_same_result(res, alone)
+    assert len(res.transcript.senders) == res.n_iterations + 1
+    assert np.array_equal(res.transcript.z_values[-1], res.z)
+    assert np.array_equal(res.z, sim.z)
+
+
+ENDINGS = {
+    "max_iters": (dict(max_iters=100), "max_iters"),
+    "primal_eps": (dict(max_iters=50_000, stop_eps=1e-6), "primal_eps"),
+    "non_finite_state": (dict(max_iters=200), "diverged: non-finite state at iteration 13"),
+    "metrics_overflow": (dict(x_update=XUpdateMode.FIRST_ORDER, rho=0.01, max_iters=5000),
+                         "diverged: metrics overflowed"),
+}
+
+
+@pytest.mark.parametrize("steps", [0, 1, "block", "end"])
+@pytest.mark.parametrize("ending", sorted(ENDINGS))
+def test_run_after_step_equals_run_alone(ending, steps, monkeypatch):
+    kw, reason = ENDINGS[ending]
+    cfg = make_cfg(n_agents=8, **kw)
+    graph, problem = build_problem(cfg)
+    if ending == "non_finite_state":
+        problem = Problem([_BreaksAt(f.data) for f in problem.objectives], problem.x_star)
+        monkeypatch.setattr(_BreaksAt, "fail_from", 13)
+    monkeypatch.setattr(_BreaksAt, "calls", 0)
+    alone = run(problem, graph, cfg)
+    assert alone.trace.stop_reason.startswith(reason)
+    _BreaksAt.calls = 0
+    sim = Simulation(problem, graph, cfg)
+    count = {"block": _block_rows(8, 1), "end": cfg.max_iters + 1}.get(steps, steps)
+    try:
+        for _ in range(count):
+            sim.step()
+    except RuntimeError:  # a DivergenceError too
+        assert sim.k == alone.n_iterations
+    else:
+        assert steps != "end"
+    res = sim.run()
+    assert_same_result(res, alone)
+    for got, want in ((sim.x, res.x), (sim.y, res.y), (sim.z, res.z)):
+        assert np.array_equal(got, want)
+    with pytest.raises(RuntimeError) as after:
+        sim.step()
+    if alone.trace.diverged:
+        assert type(after.value) is DivergenceError
+        assert f"diverged: {after.value}" == alone.trace.stop_reason
+    else:
+        assert type(after.value) is RuntimeError and reason in str(after.value)
