@@ -131,7 +131,7 @@ def run_experiment(
     cfg.validate()
     graph, problem = build_problem(cfg)
     _check_problem(cfg, problem)
-    result = run(problem, graph, cfg)
+    result = run(problem, graph, cfg, every=_trace_every(cfg))
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is in the summary
         kkt = kkt_residuals(problem.objectives, result.x, result.y, result.z)
     summary = RunSummary(
@@ -231,10 +231,12 @@ def run_attack(
 
 def _regenerate(cfg: ExperimentConfig) -> RunResult | str:
     """The run the config describes, or why the config or its optimum
-    cannot give it."""
+    cannot give it.  Scoring reads its history and transcript alone, so its
+    trace fills the fewest rows: the first and the last."""
     try:
         graph, problem = build_problem(cfg)
-        return run(problem, graph, cfg)
+        _check_problem(cfg, problem)
+        return run(problem, graph, cfg, every=cfg.max_iters)
     except (ValueError, OptimizerError) as exc:  # ConfigError is a ValueError
         return f"{type(exc).__name__}: {exc}"
 
@@ -264,13 +266,15 @@ def parse_sweep_spec(text: str) -> tuple[dict[str, list[str]], list[int] | None]
     return sweep_grid(parse_kv_text(text))
 
 
-def run_configs(cfgs: list[ExperimentConfig]) -> list[RunResult | Exception]:
-    """Validate, build and run every config.  Configs with equal
-    `problem_key` share one built (Graph, Problem), which no run changes;
-    the sharing ends with the call.  The runs that share N, p, the x-update,
-    the schedule kind and the objective kind step together as one batch
-    (solver.run_batch).  Returns, in order, each run's result or the
-    exception that stopped it."""
+def run_configs(cfgs: list[ExperimentConfig],
+                every: list[int] | None = None) -> list[RunResult | Exception]:
+    """Validate, build and run every config, each trace's metrics filled
+    every `every[i]` iterations and on its last row (all rows by default).
+    Configs with equal `problem_key` share one built (Graph, Problem), which
+    no run changes; the sharing ends with the call.  The runs that share N,
+    p, the x-update, the schedule kind and the objective kind step together
+    as one batch (solver.run_batch).  Returns, in order, each run's result
+    or the exception that stopped it."""
     out: list = [None] * len(cfgs)
     built: dict[tuple, tuple[Graph, Problem]] = {}
     specs: dict[int, tuple] = {}
@@ -282,7 +286,7 @@ def run_configs(cfgs: list[ExperimentConfig]) -> list[RunResult | Exception]:
                 built[key] = build_problem(cfg)
             graph, problem = built[key]
             _check_problem(cfg, problem)
-            specs[i] = (problem, graph, cfg)
+            specs[i] = (problem, graph, cfg, 1 if every is None else every[i])
         except Exception as exc:  # the caller records the failure
             out[i] = exc
     for i, result in zip(specs, run_batch(list(specs.values()))):
@@ -320,7 +324,8 @@ def run_sweep(
                 cfg = exc
             points.append((overrides, seed, cfg))
     parsed = [i for i, point in enumerate(points) if isinstance(point[2], ExperimentConfig)]
-    results = dict(zip(parsed, run_configs([points[i][2] for i in parsed])))
+    cfgs = [points[i][2] for i in parsed]
+    results = dict(zip(parsed, run_configs(cfgs, [_trace_every(cfg) for cfg in cfgs])))
 
     failures = 0
     rows: list[list] = []

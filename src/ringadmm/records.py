@@ -54,7 +54,10 @@ TRACE_VALUES = TRACE_COLUMNS[2:7] + TRACE_COLUMNS[8:]
 @dataclass
 class RunTrace:
     """Per-iteration metrics as columns.  Row k is iteration k: its active
-    agent, its TRACE_VALUES, and k + 1 communication units spent."""
+    agent, its TRACE_VALUES, and k + 1 communication units spent.  A run
+    asked to fill every `every`-th row (solver.run) holds its five metrics
+    on the rows checkpoints(every) keeps and NaN on the others; gamma and
+    omega_norm are on every row."""
 
     agents: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     values: np.ndarray = field(default_factory=lambda: np.zeros((0, len(TRACE_VALUES))))

@@ -316,10 +316,11 @@ class RunResult:
 
 
 def _block_rows(n_agents: int, batch: int) -> int:
-    """Iterations per block, and so per metrics pass: one cycle, but at least
-    32 to share the pass's fixed cost, and few enough that its
+    """Iterations per block, and so per update and metrics pass: one cycle,
+    but at least 128 to share the passes' fixed cost (which the few rows
+    the metrics score no longer hide), and few enough that their
     (batch, rows, N, p) arrays stay near 2**14 agent states."""
-    return max(1, min(max(n_agents, 32), 2**14 // (n_agents * batch)))
+    return max(1, min(max(n_agents, 128), 2**14 // (n_agents * batch)))
 
 
 class _Block:
@@ -340,8 +341,9 @@ class _Block:
 
 
 class _Run:
-    """One run of a batch: its inputs, random stream and start, the (block,
-    row) pairs that hold its iterations and, once it has ended, its result.
+    """One run of a batch: its inputs, random stream and start, the trace
+    rows it fills (see Simulation), the (block, row) pairs that hold its
+    iterations and, once it has ended, its result.
 
     The stream default_rng(config.seed_solver) gives, in order, the random
     start, then piadmm1's gammas or piadmm2's noise, or wadmm's walk (one
@@ -349,11 +351,13 @@ class _Run:
     chunk at a time.  Agent 1 is active first; wadmm walks, every other
     variant follows the ring."""
 
-    def __init__(self, problem: Problem, graph: Graph, config: SolverConfig):
+    def __init__(self, problem: Problem, graph: Graph, config: SolverConfig, every: int = 1):
         if graph.n_agents != problem.n_agents:
             raise ValueError("graph and problem disagree on the number of agents")
         config.__post_init__()  # again: fields may have been set after construction
-        self.problem, self.graph, self.config = problem, graph, config
+        if every < 1:
+            raise ValueError(f"every must be at least 1, got {every}")
+        self.problem, self.graph, self.config, self.every = problem, graph, config, every
         self.cyclic = config.variant != Variant.WADMM_BASELINE
         self.rng = np.random.default_rng(config.seed_solver)
         self.lipschitz = problem.lipschitz()
@@ -381,16 +385,23 @@ class Simulation:
     slice; random-walk runs gather theirs per run.  rho, the gamma draws, the
     noise and the stopping rules are per-run columns.  Each iteration only
     updates the states (on an affine stack with one precomputed operator, see
-    _operators) and records them in blocks of about one cycle (_block_rows).
+    _operators) and records them in blocks of one cycle, or at least 128
+    iterations (_block_rows).
     The metrics of each chunk of iterations are computed afterwards in one
     vectorised pass, the only place where runs end: each at its chunk's first
     diverging, converged or last allowed iteration.  Ended runs leave the
     batch and stay ended.  `k` counts the iterations computed, or those that
     step() has returned.
+
+    A run's trace fills the five metric columns of the rows
+    RunTrace.checkpoints(every) keeps: iterations k with k % every == 0, and
+    its last row; the other rows hold NaN there.  gamma and omega_norm are
+    filled on every row.  every = 1, the default and what step() needs,
+    fills them all.  How a run ends does not depend on `every`.
     """
 
-    def __init__(self, problem: Problem, graph: Graph, config: SolverConfig):
-        self._start([_Run(problem, graph, config)])
+    def __init__(self, problem: Problem, graph: Graph, config: SolverConfig, every: int = 1):
+        self._start([_Run(problem, graph, config, every)])
 
     @classmethod
     def _batch(cls, runs: list[_Run]) -> "Simulation":
@@ -426,9 +437,14 @@ class Simulation:
         self._rho = np.array([[r.config.rho] for r in runs])
         self._stop_eps = np.array([[r.config.stop_eps] for r in runs])
         self._max_iters = np.array([[r.config.max_iters] for r in runs])
+        self._eps = bool((self._stop_eps > 0).any())  # r_primal can stop a run
+        self._every = sorted({r.every for r in runs})  # the trace cadences asked for
         self._x_star = np.array([r.problem.x_star for r in runs])[:, None, None]
         self._init_dist = np.array([r.init_dist for r in runs])[:, None]
         self._excluding = not (self._init_dist > 0.0).all()
+        # what _finite_metrics reads besides the chunk
+        self._scale = (np.abs(self._x_star).max(), self._rho.max(),
+                       self._init_dist[self._init_dist > 0.0].min(initial=math.inf))
         self._col = np.arange(len(runs))[:, None]
         self._gamma_rows = np.flatnonzero([r.config.variant == Variant.PIADMM1 for r in runs])
         self._noise_rows = [b for b, r in enumerate(runs) if r.config.variant == Variant.PIADMM2]
@@ -494,6 +510,8 @@ class Simulation:
         naming max_iters or primal_eps."""
         self._single()
         run = self.runs[0]
+        if run.every != 1:
+            raise ValueError("step() returns every iteration's metrics: it needs every = 1")
         while self._stepped is None or self.k == self._stepped[0]:
             self._stepped = self._now = None
             if run.result:
@@ -609,49 +627,93 @@ class Simulation:
         state, has non-finite metrics, has r_primal < stop_eps or is its
         max_iters-th (checked in that order).  A non-finite state drops the
         iteration; non-finite metrics keep its transmission but not its
-        trace row; a stop keeps it whole.  Returns, per ended row of the
-        batch, the run's iterations, its transmissions and its stop reason;
-        the (B, chunk, N, 2p) states and (B, chunk, p) tokens after each
-        iteration; and the (B, N) objective values after the chunk.
+        trace row; a stop keeps it whole.
+
+        The rows scored are those some run asks for (k % every == 0), those
+        at and before each run's ending, and the chunk's last: it gives the
+        next chunk's objective values, and the last trace row of a run that
+        diverges on the next chunk's first iteration.  _result keeps each
+        run's own checkpoint rows of them.  Every ending is still found on
+        its own row: r_primal is scored on every row when some run has
+        stop_eps > 0, and every metric on every row when _finite_metrics
+        cannot prove them finite.  Returns, per ended row of the batch, the
+        run's iterations, its transmissions and its stop reason; the (B,
+        rows, N, 2p) states and (B, rows, p) tokens after each scored
+        iteration (all of the chunk's when every = 1); and the (B, N)
+        objective values after the chunk.
         """
         (lo, k0, start, f0), block = chunk, self._block
         hi, n, p, col = block.n, self.n_agents, self.dim, self._col
         c, agents = hi - lo, block.agents[lo:hi].T - 1
         rows = np.arange(c)
         states = block.states[lo:hi].transpose(1, 0, 2)
-
-        # every agent's (x, y) after each iteration of the chunk: row `last`
-        # of `pool`, the start states followed by the chunk's updates
-        pool = np.concatenate([start, states[..., : 2 * p]], axis=1)
-        last = np.empty((len(col), c, n), dtype=np.int64)
-        last[:] = np.arange(n)
-        last[col, rows, agents] = rows + n
-        np.maximum.accumulate(last, axis=1, out=last)
-        xy = pool[col[..., None], last]
-        x, y = xy[..., :p], xy[..., p:]
-        f_new = self._stack.value((agents, col), states[..., :p])
-        f = np.concatenate([f0, f_new], axis=1)[col[..., None], last]
         zs = states[..., 2 * p :]
-        # gaps are formed before any reduction so near-consensus values do
-        # not cancel catastrophically
-        gap = zs[:, :, None, :] - x
-        sq = np.einsum("bcij,bcij->bci", gap, gap)
-        r_primal = np.sqrt(sq.max(axis=2))
-        vals = block.values[lo:hi].transpose(1, 0, 2)
+
+        # every agent's (x, y) before each iteration of the chunk and after
+        # its last: row `last[:, r]` of `pool`, the start states followed by
+        # the chunk's updates (so `last[:, r + 1]` is after iteration r); the
+        # objective values likewise from `fpool`
+        pool = np.concatenate([start, states[..., : 2 * p]], axis=1)
+        last = np.empty((len(col), c + 1, n), dtype=np.int64)
+        last[:] = np.arange(n)
+        last[col, rows + 1, agents] = rows + n
+        np.maximum.accumulate(last, axis=1, out=last)
+        fpool = np.concatenate([f0, self._stack.value((agents, col), states[..., :p])], axis=1)
+
+        def gather(at: np.ndarray) -> list:
+            """The (x, y) states, objective values, gaps z - x_i, their
+            squared norms and r_primal after the chunk rows `at`."""
+            after = last[:, at + 1]
+            xy = pool[col[..., None], after]
+            # gaps are formed before any reduction so near-consensus values do
+            # not cancel catastrophically
+            gap = zs[:, at, None, :] - xy[..., :p]
+            sq = np.einsum("bcij,bcij->bci", gap, gap)
+            return [xy, fpool[col[..., None], after], gap, sq, np.sqrt(sq.max(axis=2))]
+
+        def asked(events: np.ndarray) -> np.ndarray:
+            """The chunk rows some run asks for, those at and before the
+            first event of each run that has one, and the last."""
+            want = np.zeros(c, dtype=bool)
+            for every in self._every:
+                want[-k0 % every :: every] = True
+            ending = events.any(axis=1)
+            if ending.any():
+                first = events.argmax(axis=1)[ending]
+                want[first] = want[np.maximum(first - 1, 0)] = True
+            want[-1] = True
+            return np.flatnonzero(want)
+
+        bad_state = ~np.isfinite(states).all(axis=2)
+        events = bad_state | (k0 + rows + 1 >= self._max_iters)
+        converged = np.zeros_like(bad_state)
+        proved = self._finite_metrics(start, states, fpool)
+        if proved and not self._eps:
+            at = asked(events)
+            scored = gather(at)
+        else:  # an r_primal stop, or metrics not proved finite, may be on any row
+            scored = gather(rows)
+            converged = scored[-1] < self._stop_eps
+            events |= converged
+            at = asked(events) if proved else rows
+            if len(at) < c:
+                scored = [a[:, at] for a in scored]
+        xy, f, gap, sq, r_primal = scored
+        x, y = xy[..., :p], xy[..., p:]
+        vals = np.empty((len(col), len(at), 5))
         vals[..., 0] = self._accuracy(x)
         vals[..., 1] = f.sum(axis=2) + np.einsum("bcij,bcij->bc", y, gap) \
             + 0.5 * self._rho * sq.sum(axis=2)
         vals[..., 2] = r_primal
-        before = np.where(rows > 0, last[col, rows - 1, agents], agents)
-        dy = states[..., p : 2 * p] - pool[col, before, p:]
+        dy = states[:, at, p : 2 * p] - pool[col, last[col, at, agents[:, at]], p:]
         vals[..., 3] = np.sqrt(np.einsum("bij,bij->bi", dy, dy))
         ysum = y.sum(axis=2)
         vals[..., 4] = np.sqrt(np.einsum("bij,bij->bi", ysum, ysum))
+        block.values[lo + at, :, :5] = vals.transpose(1, 0, 2)
+        bad_metrics = np.zeros_like(bad_state) if proved else \
+            ~np.isfinite(vals[..., :3]).all(axis=2)
+        events |= bad_metrics
 
-        bad_state = ~np.isfinite(states).all(axis=2)
-        bad_metrics = ~np.isfinite(vals[..., :3]).all(axis=2)
-        converged = r_primal < self._stop_eps
-        events = bad_state | bad_metrics | converged | (k0 + rows + 1 >= self._max_iters)
         ended = {}
         for b in np.flatnonzero(events.any(axis=1)).tolist():
             r = int(events[b].argmax())
@@ -667,7 +729,37 @@ class Simulation:
                                       f"(agent {agent}); the run is diverging")
             else:
                 ended[b] = (k + 1, k + 1, "primal_eps" if converged[b, r] else "max_iters")
-        return ended, xy, zs, f[:, -1]
+        return ended, xy, zs[:, at], f[:, -1]
+
+    def _finite_metrics(self, start: np.ndarray, states: np.ndarray, f: np.ndarray) -> bool:
+        """Whether accuracy, the Lagrangian and r_primal are finite on every
+        row of a chunk, from its (B, N, 2p) start states, (B, c, 3p) new
+        states and (B, N + c) objective values (start, then new).
+
+        On every row, each x_i, y_i and f_i is agent i's start value or one
+        of the chunk's new values, and z is one of its tokens; so every
+        entry of x, y and z is at most M in magnitude, and every f_i at
+        most F, the largest magnitudes among those values.  With S the
+        largest |x*|, d the smallest nonzero start distance ||x_i^0 - x*||,
+        D = M + S and G = 2M:
+        - accuracy sums p squares of at most D per agent, and its N ratios
+          add up to at most N sqrt(p) D / d;
+        - r_primal's squares sum to at most p G^2 per agent;
+        - the Lagrangian's terms add up to at most N (F + p M G + rho p G^2 / 2),
+          and its squares to at most N p G^2.
+        Every partial sum and product on the way is bounded by one of these
+        sums of magnitudes, and rounding enlarges none of them by more than
+        a factor 1 + 2^-20.  So bounds of at most 2^1000 leave nothing that
+        reaches the largest double (about 2^1024): no infinity, and so no
+        NaN, whose only sources here are inf - inf, 0 * inf and inf / inf.
+        An inf or NaN among the inputs fails the check.
+        """
+        p, n = self.dim, self.n_agents
+        s, rho, d = self._scale
+        m = np.maximum(np.abs(start).max(), np.abs(states).max())  # keeps NaN
+        dx, g, f = m + s, 2.0 * m, np.abs(f).max()
+        bounds = (p * dx * dx, n * math.sqrt(p) * dx / d, n * (f + p * m * g + p * (1 + rho) * g * g))
+        return all(b <= 2.0**1000 for b in bounds)
 
     def _accuracy(self, x: np.ndarray) -> np.ndarray:
         """accuracy() of every run's (chunk, N, p) states, as (B, chunk); run
@@ -712,6 +804,10 @@ class Simulation:
 
         senders = cat("agents")[:sent]
         trace = RunTrace(senders[:k], cat("values")[:k], stop_reason)
+        # _metrics scored more rows than these; keep the run's own
+        skipped = np.ones(k, dtype=bool)
+        skipped[trace.checkpoints(run.every)] = False
+        trace.values[skipped, :5] = math.nan
         transcript = Transcript(
             n_agents=self.n_agents,
             rho=cfg.rho,
@@ -730,17 +826,21 @@ class Simulation:
         return RunResult(trace, transcript, history, x, y, z, k)
 
 
-def run(problem: Problem, graph: Graph, config: SolverConfig) -> RunResult:
-    return Simulation(problem, graph, config).run()
+def run(problem: Problem, graph: Graph, config: SolverConfig, every: int = 1) -> RunResult:
+    """The run, its trace's metrics filled every `every` iterations and on
+    its last row (see Simulation)."""
+    return Simulation(problem, graph, config, every).run()
 
 
 def run_batch(runs: Sequence[tuple]) -> list[RunResult | Exception]:
-    """Every (problem, graph, config) of `runs`, run to its end.
+    """Every (problem, graph, config) or (problem, graph, config, every) of
+    `runs`, run to its end; `every` (default 1) as in `run`.
 
     Runs with equal `_Run.key` (N, p, schedule kind, x-update and objective
-    kind) step together as one batch; each run's result equals `run` of it
-    alone, bit for bit.  Returns, in order, each run's RunResult or the
-    exception that stopped it, for the caller to record.
+    kind) step together as one batch, whatever their `every`; each run's
+    result equals `run` of it alone, bit for bit.  Returns, in order, each
+    run's RunResult or the exception that stopped it, for the caller to
+    record.
     """
     out: list = [None] * len(runs)
     groups: dict[tuple, list[tuple[int, _Run]]] = {}

@@ -16,6 +16,30 @@ def make_cfg(**overrides) -> ExperimentConfig:
     return cfg
 
 
+RESULT_ARRAYS = ("trace.agents", "transcript.senders", "transcript.receivers",
+                 "transcript.z_values", "history.x0", "history.y0", "history.agents",
+                 "history.x_new", "history.y_new", "x", "y", "z")
+
+
+def assert_fills_checkpoints(got, full, every: int) -> None:
+    """`got` is the run `full` (every = 1) whose trace keeps the five metric
+    columns on its checkpoint rows for `every` alone, bit for bit, and NaN
+    on the others."""
+    assert (got.n_iterations, got.trace.stop_reason) == (full.n_iterations,
+                                                         full.trace.stop_reason)
+    kept = full.trace.checkpoints(every)
+    skipped = np.ones(len(full.trace), dtype=bool)
+    skipped[kept] = False
+    assert got.trace.values[kept].tobytes() == full.trace.values[kept].tobytes()
+    assert np.isnan(got.trace.values[skipped, :5]).all()
+    assert got.trace.values[:, 5:].tobytes() == full.trace.values[:, 5:].tobytes()
+    for name in RESULT_ARRAYS:
+        a, b = got, full
+        for attr in name.split("."):
+            a, b = getattr(a, attr), getattr(b, attr)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
 @pytest.fixture
 def small_ridge():
     """An 8-agent ridge problem plus its graph, deterministic seeds."""

@@ -15,10 +15,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_cfg
+from conftest import assert_fills_checkpoints, make_cfg
 from ringadmm import harness, solver
 from ringadmm.config import ConfigError, ExperimentConfig, apply_seed, parse_kv_text
-from ringadmm.harness import build_problem, parse_sweep_spec, run_experiment, run_sweep
+from ringadmm.harness import build_problem, parse_sweep_spec, run_sweep
 from ringadmm.objectives import RidgeObjective
 from ringadmm.solver import GammaSpec, InitSpec, Problem, Variant, XUpdateMode, run, run_batch
 
@@ -150,6 +150,47 @@ def test_ragged_batch_rows_end_as_they_would_alone(monkeypatch):
         assert_identical(res, run(*make()))
 
 
+def test_ragged_batch_rows_fill_their_checkpoints_and_end_alike():
+    # the stop_eps stop, the NaN at 13 and the overflow at 70 are not
+    # checkpoint rows for every = 8
+    every = 8
+    rows = [
+        faulty_run(1, stop_eps=1e-6, max_iters=50_000),
+        faulty_run(2, start=13, factor=math.nan),
+        faulty_run(3, start=70, factor=1e200),
+        faulty_run(4, max_iters=50),
+        faulty_run(5, max_iters=3000, variant=Variant.PIADMM1,
+                   init=InitSpec.uniform(-1, 1), gamma=GammaSpec.uniform(0.9, 1.1)),
+        faulty_run(6, max_iters=3001, variant=Variant.PIADMM2,
+                   init=InitSpec.uniform(-1, 1), sigma=1e-3),
+    ]
+    full = run_batch([make() for make, _ in rows])
+    for _, counter in rows:
+        counter.calls = 0
+    got = run_batch([(*make(), every) for make, _ in rows])
+    assert [r.n_iterations % every for r in got[:3]] != [0, 0, 0]
+    for res, want in zip(got, full):
+        assert_fills_checkpoints(res, want, every)
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
+@pytest.mark.parametrize("factor", [math.nan, 1e200])
+def test_ending_on_a_chunks_first_row_keeps_the_last_row(factor, chunk):
+    # a non-finite state or overflowed metrics on the first row of a chunk
+    # end the trace on the previous chunk's last row, which no checkpoint
+    # asks for
+    start = chunk * solver._block_rows(8, 1)
+    make, counter = faulty_run(1, start=start, factor=factor)
+    full = run(*make())
+    counter.calls = 0
+    got = run(*make(), every=5)
+    assert full.n_iterations == start and (start - 1) % 5
+    assert full.trace.stop_reason.startswith(
+        "diverged: non-finite state" if math.isnan(factor) else "diverged: metrics overflowed")
+    assert_fills_checkpoints(got, full, 5)
+    assert not np.isnan(got.trace.final.accuracy)
+
+
 def ridge_run(seed, **overrides):
     cfg = make_cfg(n_agents=8, seed_data=seed, seed_solver=seed + 1, **overrides)
     graph, problem = build_problem(cfg)
@@ -271,7 +312,8 @@ seed = 1, 2
 
 
 def reference_sweep(base_text: str, sweep_text: str) -> tuple[str, list[str]]:
-    """The sweep as one run_experiment per point, and every point's outcome."""
+    """The sweep as one solver.run per point, its rows read off the full
+    trace, and every point's outcome."""
     grid, seeds = parse_sweep_spec(sweep_text)
     keys = sorted(grid)
     rows, outcomes = [], []
@@ -282,7 +324,9 @@ def reference_sweep(base_text: str, sweep_text: str) -> tuple[str, list[str]]:
         try:
             cfg = apply_seed(ExperimentConfig.from_mapping(kv), seed)
             cfg.validate()
-            result, _ = run_experiment(cfg)
+            graph, problem = build_problem(cfg)
+            harness._check_problem(cfg, problem)
+            result = run(problem, graph, cfg)
         except Exception as exc:
             rows.append([run_index, overrides, seed] + [""] * 8
                         + [f"error:{type(exc).__name__}:{exc}"])

@@ -13,7 +13,7 @@ from ringadmm.config import ConfigError, ExperimentConfig, parse_kv_text
 from ringadmm.harness import (build_problem, parse_sweep_spec, run_attack, run_experiment,
                               run_sweep)
 from ringadmm.records import Transcript
-from ringadmm.solver import GammaSpec, InitSpec, Variant, run
+from ringadmm.solver import GammaSpec, InitSpec, Variant, XUpdateMode, run
 
 
 BASE_CONFIG = """\
@@ -210,7 +210,8 @@ class TestHarness:
             + "attack.kind = exact\nsolver.gamma = descent_floor:1.01\n")
         monkeypatch.setattr(result.transcript, "rho", 0.001)
         rep = run_attack(bad, result.transcript)
-        assert rep.unscored.startswith("ValueError: need rho > L") and not rep.err_x
+        assert rep.unscored.startswith("ConfigError: solver.gamma: descent_floor needs "
+                                       "solver.rho > L, got rho=0.001, L=") and not rep.err_x
 
     def test_attack_lets_other_errors_through(self, monkeypatch):
         import ringadmm.harness as harness
@@ -342,6 +343,51 @@ class TestHarness:
         result, summary = run_experiment(cfg)
         assert not result.trace.diverged
         assert result.trace.final.accuracy < 0.05  # well below the start at 1.0
+
+
+class TestEndingsOffCheckpoints:
+    """Runs whose last iteration is no checkpoint row end, through
+    run_experiment and the CLI, where solver.run ends them."""
+
+    CONFIGS = {
+        # first-order steps with rho far below the curvature: the metrics
+        # overflow while the states are still finite
+        "overflow": dict(x_update=XUpdateMode.FIRST_ORDER, rho=0.01, max_iters=5000),
+        "stop_eps": dict(max_iters=50_000, stop_eps=1e-6),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(CONFIGS))
+    def test_run_ends_where_solver_run_ends(self, tmp_path, kind):
+        cfg = make_cfg(**self.CONFIGS[kind])
+        graph, problem = build_problem(cfg)
+        full = run(problem, graph, cfg)
+        assert (full.n_iterations - 1) % cfg.n_agents  # its last row is no checkpoint
+        result, summary = run_experiment(cfg)
+        units = len(full.transcript.senders)
+        assert (summary.stop_reason, summary.comm_units) == (full.trace.stop_reason, units)
+        assert result.trace.values[-1].tobytes() == full.trace.values[-1].tobytes()
+        config = tmp_path / "exp.cfg"
+        config.write_text(cfg.to_text())
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(config), "--out", str(out), "--quiet"])
+        assert code == (2 if kind == "overflow" else 0)
+        text = (out / "summary.txt").read_text()
+        assert text == summary.line() + "\n"
+        assert f" comm_units={units} " in text and f" stop={full.trace.stop_reason}" in text
+        with open(out / "run_trace.csv", newline="") as fh:
+            fh.readline()
+            rows = list(csv.DictReader(fh))
+        assert int(rows[-1]["k"]) == full.n_iterations - 1
+        assert float(rows[-1]["accuracy"]) == full.trace.final.accuracy
+
+    def test_overflowed_transcript_matches_its_replay(self):
+        cfg = make_cfg(**self.CONFIGS["overflow"])
+        cfg.attack.kind = "exact"
+        result, summary = run_experiment(cfg)
+        assert summary.diverged
+        with np.errstate(over="ignore", invalid="ignore"):  # the estimates overflow
+            rep = run_attack(cfg, result.transcript)
+        assert rep.unscored == "" and sorted(rep.err_x) == [1]
 
 
 class TestCli:

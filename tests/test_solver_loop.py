@@ -17,7 +17,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import make_cfg
+from conftest import assert_fills_checkpoints, make_cfg
 from ringadmm.harness import build_problem
 from ringadmm.objectives import RidgeObjective
 from ringadmm.solver import (
@@ -356,3 +356,43 @@ def test_run_after_step_equals_run_alone(ending, steps, monkeypatch):
         assert f"diverged: {after.value}" == alone.trace.stop_reason
     else:
         assert type(after.value) is RuntimeError and reason in str(after.value)
+
+
+# ---- the trace rows a run fills
+
+
+@pytest.mark.parametrize("every", [1, 7, "N", "max_iters", 2**63])
+@pytest.mark.parametrize("kind", sorted(VARIANT_CONFIGS))
+def test_trace_fills_the_rows_asked_for(kind, every):
+    cfg = make_cfg(n_agents=8, max_iters=150, **VARIANT_CONFIGS[kind])
+    every = {"N": cfg.n_agents, "max_iters": cfg.max_iters}.get(every, every)
+    graph, problem = build_problem(cfg)
+    full = run(problem, graph, cfg)
+    assert_fills_checkpoints(run(problem, graph, cfg, every=every), full, every)
+
+
+@pytest.mark.parametrize("every", [7, 2**63])
+@pytest.mark.parametrize("ending", sorted(ENDINGS))
+def test_endings_do_not_depend_on_the_rows_filled(ending, every, monkeypatch):
+    kw, reason = ENDINGS[ending]
+    cfg = make_cfg(n_agents=8, **kw)
+    graph, problem = build_problem(cfg)
+    if ending == "non_finite_state":
+        problem = Problem([_BreaksAt(f.data) for f in problem.objectives], problem.x_star)
+        monkeypatch.setattr(_BreaksAt, "fail_from", 13)
+    monkeypatch.setattr(_BreaksAt, "calls", 0)
+    full = run(problem, graph, cfg)
+    assert full.trace.stop_reason.startswith(reason)
+    _BreaksAt.calls = 0
+    got = run(problem, graph, cfg, every=every)
+    assert_fills_checkpoints(got, full, every)
+    assert not np.isnan(got.trace.final.accuracy) or not len(got.trace)
+
+
+def test_every_must_be_positive_and_step_needs_every_row():
+    cfg = make_cfg(n_agents=8, max_iters=40)
+    graph, problem = build_problem(cfg)
+    with pytest.raises(ValueError, match="every must be at least 1"):
+        run(problem, graph, cfg, every=0)
+    with pytest.raises(ValueError, match="step.. .* needs every = 1"):
+        Simulation(problem, graph, cfg, every=8).step()
