@@ -278,24 +278,22 @@ class RidgeStack(ObjectiveStack):
 
 
 class LogisticStack(ObjectiveStack):
-    """Logistic objectives with one sample count b; no proximal step."""
+    """Logistic objectives with one sample count b; no proximal step.  Holds
+    the signed features t_j o_j as one (N, B, b, p) stack: with t_j = +-1,
+    the margins S x and the gradient -S' sigmoid(-S x) / b equal each
+    objective's t (O x) and -O' (t sigmoid(-t O x)) / b bit for bit."""
 
     def __init__(self, columns: Sequence[Sequence]):
         super().__init__(columns)
-        self.features = self._stacked("data.features")
-        self.targets = self._stacked("data.targets")
-
-    def _margins(self, sel, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        feats, t = self.features[sel], self.targets[sel]
-        return feats, t, t * (feats @ x[..., None])[..., 0]
+        self.signed = self._stacked("data.targets")[..., None] * self._stacked("data.features")
 
     def gradient(self, sel, x):
-        feats, t, margins = self._margins(sel, x)
-        slope = t * _sigmoid(-margins)
-        return -(np.swapaxes(feats, -1, -2) @ slope[..., None])[..., 0] / feats.shape[-2]
+        s = self.signed[sel]
+        slope = _sigmoid(-(s @ x[..., None]))
+        return -(np.swapaxes(s, -1, -2) @ slope)[..., 0] / s.shape[-2]
 
     def value(self, sel, x):
-        return np.mean(np.logaddexp(0.0, -self._margins(sel, x)[2]), axis=-1)
+        return np.mean(np.logaddexp(0.0, -(self.signed[sel] @ x[..., None])[..., 0]), axis=-1)
 
 
 def stack_kind(objectives: Sequence) -> tuple:
@@ -318,12 +316,9 @@ def stack_objectives(columns: Sequence[Sequence]) -> ObjectiveStack:
 
 
 def _sigmoid(u: np.ndarray) -> np.ndarray:
-    out = np.empty_like(u)
-    pos = u >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-u[pos]))
-    e = np.exp(u[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    """1 / (1 + exp(-u)), as exp(u) / (1 + exp(u)) below 0: no overflow."""
+    e = np.exp(-np.abs(u))
+    return np.where(u >= 0, 1.0, e) / (1.0 + e)
 
 
 def generate_ridge_data(b: int, p: int, seed) -> Dataset:

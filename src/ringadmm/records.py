@@ -154,13 +154,15 @@ class Transcript:
             f"deterministic_init={int(self.deterministic_init)} "
             f"stopped_by_eps={int(self.stopped_by_eps)} stop_eps={self.stop_eps!r}\n"
         )
-        lines = [",".join(["k", "from_agent", "to_agent"]
-                          + [f"z{c + 1}" for c in range(self.dim)])]
-        for k, (s, r, z) in enumerate(
-            zip(self.senders.tolist(), self.receivers.tolist(), self.z_values.tolist())
-        ):
-            lines.append(f"{k},{s},{r}," + ",".join(map(repr, z)))
-        fh.write(CSV_EOL.join(lines) + CSV_EOL)
+        fh.write(",".join(["k", "from_agent", "to_agent"]
+                          + [f"z{c + 1}" for c in range(self.dim)]) + CSV_EOL)
+        row = "%d,%d,%d" + ",%r" * self.dim + CSV_EOL
+        # in blocks of rows, so that the column lists stay small on long transcripts
+        for lo in range(0, len(self.senders), 2048):
+            rows = slice(lo, lo + 2048)
+            fh.write("".join([row % r for r in zip(
+                range(lo, lo + 2048), self.senders[rows].tolist(),
+                self.receivers[rows].tolist(), *self.z_values[rows].T.tolist())]))
 
     @classmethod
     def read_csv(cls, fh: IO[str]) -> "Transcript":

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -10,9 +11,11 @@ from ringadmm.harness import build_objectives
 from ringadmm.objectives import (
     Dataset,
     LogisticObjective,
+    LogisticStack,
     OptimizerError,
     ProxUnsupportedError,
     RidgeObjective,
+    _sigmoid,
     centralized_optimum,
     generate_logistic_data,
     generate_ridge_data,
@@ -182,6 +185,99 @@ class TestLogistic:
     def test_bad_labels_rejected(self):
         with pytest.raises(ValueError):
             LogisticObjective(Dataset(np.ones((2, 2)), np.array([1.0, 0.5])))
+
+
+def logistic_columns(n: int, runs: int, b: int, p: int, seed: int) -> list[list]:
+    """columns[r][a]: run r's logistic objective of agent a.  Features span
+    many scales; the first sample of every agent is all zeros, so its
+    margin is 0 with the sign of its label."""
+    rng = np.random.default_rng(seed)
+    columns = []
+    for _ in range(runs):
+        column = []
+        for _ in range(n):
+            feats = rng.standard_normal((b, p)) * 10.0 ** rng.uniform(-3, 3, size=(b, 1))
+            feats[0] = 0.0
+            column.append(LogisticObjective(Dataset(feats, rng.choice([-1.0, 1.0], size=b))))
+        columns.append(column)
+    return columns
+
+
+def one_by_one(columns, sel, x, method: str) -> np.ndarray:
+    """Each picked objective's own method at its own state, stacked."""
+    if isinstance(sel, tuple):
+        agents, runs = np.broadcast_arrays(*sel)
+    else:
+        runs = np.arange(len(columns))
+        agents = np.full_like(runs, sel)
+    out = np.array([getattr(columns[runs[i]][agents[i]], method)(x[i])
+                    for i in np.ndindex(agents.shape)])
+    return out.reshape(agents.shape + out.shape[1:])
+
+
+class TestLogisticStack:
+    """The stacked gradient and value equal the objectives' own, bit for bit."""
+
+    N, B_SAMPLES, P = 4, 7, 3
+
+    def states(self, shape, rng) -> np.ndarray:
+        x = rng.standard_normal(shape) * 10.0 ** rng.uniform(-2, 3, size=shape[:-1] + (1,))
+        x.reshape(-1, shape[-1])[0] = 0.0  # the deterministic start
+        x.reshape(-1, shape[-1])[-1] = (1e4, -1e4, 1e4)[: shape[-1]]  # margins near +-1e4
+        return x
+
+    def selections(self, runs: int, rng):
+        n = self.N
+        walk = rng.integers(0, n, size=runs)
+        return [
+            ("cyclic", 2, (runs, self.P)),
+            ("walk", (walk, np.arange(runs)), (runs, self.P)),
+            ("walk chunk", (rng.integers(0, n, size=(runs, 5)), np.arange(runs)[:, None]),
+             (runs, 5, self.P)),
+            ("start", (np.arange(n), np.arange(runs)[:, None]), (runs, n, self.P)),
+        ]
+
+    @pytest.mark.parametrize("runs", [1, 3])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_the_objectives(self, runs, seed):
+        rng = np.random.default_rng([seed, runs])
+        columns = logistic_columns(self.N, runs, self.B_SAMPLES, self.P, seed)
+        stack = LogisticStack(columns)
+        for name, sel, shape in self.selections(runs, rng):
+            x = self.states(shape, rng)
+            margins = stack.signed[sel] @ x[..., None]
+            assert np.any(margins == 0.0) and np.abs(margins).max() >= 1e4
+            for method in ("gradient", "value"):
+                got = getattr(stack, method)(sel, x)
+                want = one_by_one(columns, sel, x, method)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), (name, method)
+
+
+def two_branch_sigmoid(u: np.ndarray) -> np.ndarray:
+    """The sigmoid as first written: one branch per sign of u."""
+    out = np.empty_like(u)
+    pos = u >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-u[pos]))
+    e = np.exp(u[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def test_sigmoid_equals_the_two_branch_form():
+    rng = np.random.default_rng(31)
+    tiny = np.finfo(float).tiny
+    special = np.array([0.0, np.inf, np.nan, 745.2, 1e4, 5e-324, tiny / 3, tiny, 709.0, 36.8])
+    wide = rng.choice([-1.0, 1.0], size=200_000) * 10.0 ** rng.uniform(-320, 308, size=200_000)
+    dense = rng.uniform(-800.0, 800.0, size=200_000)
+    u = np.concatenate([special, -special, wide, dense])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _sigmoid(u)
+    want = two_branch_sigmoid(u)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.isnan(got), np.isnan(u))
+    number = ~np.isnan(u)  # a NaN's sign bit carries no value
+    assert np.array_equal(np.signbit(got[number]), np.signbit(want[number]))
 
 
 @settings(max_examples=30, deadline=None)

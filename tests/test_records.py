@@ -62,6 +62,17 @@ def test_transcript_csv_matches_csv_module_byte_for_byte():
     assert np.array_equal(np.signbit(back.z_values), np.signbit(tr.z_values))
 
 
+def test_transcript_csv_any_width_and_length_matches_csv_module():
+    rng = np.random.default_rng(3)
+    for z in [np.array(ODD).reshape(-1, p) for p in (1, 2, 4, 6)] + [
+            rng.standard_normal((rows, 2)) for rows in (2047, 2048, 2049, 5000)]:
+        ids = np.arange(1, len(z) + 1)
+        tr = Transcript(n_agents=len(z), rho=0.1, senders=ids, receivers=ids[::-1], z_values=z)
+        fh = io.StringIO(newline="")
+        tr.write_csv(fh)
+        assert fh.getvalue() == csv_writer_transcript(tr)
+
+
 def test_trace_csv_matches_csv_module_byte_for_byte():
     rng = np.random.default_rng(0)
     values = rng.choice(ODD, size=(11, 7))
