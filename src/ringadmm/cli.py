@@ -8,6 +8,7 @@ failure, 3 verify-suite failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .config import ConfigError, ExperimentConfig, apply_seed
@@ -95,7 +96,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 3 if failed else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="ringadmm",
         description="Token-passing incremental consensus solver and its attacks",
@@ -114,29 +117,26 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_run)
     p_run.add_argument("--gnuplot", action="store_true",
                        help="also emit a gnuplot script for the trace CSV")
-    p_run.set_defaults(fn=cmd_run)
 
     p_att = sub.add_parser("attack", help="attack a recorded transcript")
     common(p_att)
     p_att.add_argument("--transcript", required=True, help="transcript CSV path")
-    p_att.set_defaults(fn=cmd_attack)
 
     p_sw = sub.add_parser("sweep", help="grid sweep over config overrides")
     common(p_sw, seed_override=False)
     p_sw.add_argument("--sweep", required=True, help="sweep spec file")
-    p_sw.set_defaults(fn=cmd_sweep)
 
     p_ver = sub.add_parser("verify", help="run the invariant suite")
     p_ver.add_argument("--quiet", action="store_true")
-    p_ver.set_defaults(fn=cmd_verify)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up per call, so a cmd_* replaced after the first call still runs
+    commands = {"run": cmd_run, "attack": cmd_attack, "sweep": cmd_sweep, "verify": cmd_verify}
     try:
-        return args.fn(args)
+        return commands[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -139,6 +139,10 @@ class RidgeObjective:
         return v @ ((v.T @ (self.linear + rho_eff * z + y)) / (self._eigvals + rho_eff))
 
 
+_NO_LOGISTIC_PROX = ("logistic loss has no closed-form proximal step; "
+                     "configure the first_order x-update")
+
+
 class LogisticObjective:
     """f(x) = (1/b) sum_j log(1 + exp(-t_j x'o_j)) with targets in {-1, +1}."""
 
@@ -172,10 +176,7 @@ class LogisticObjective:
         return (self.data.features.T * w) @ self.data.features / self.data.n_samples
 
     def prox(self, z: np.ndarray, y: np.ndarray, rho_eff: float) -> np.ndarray:
-        raise ProxUnsupportedError(
-            "logistic loss has no closed-form proximal step; "
-            "configure the first_order x-update"
-        )
+        raise ProxUnsupportedError(_NO_LOGISTIC_PROX)
 
 
 class ObjectiveStack:
@@ -183,10 +184,10 @@ class ObjectiveStack:
 
     `sel` picks one objective per output: an agent index picks that agent
     of every run (a basic slice of the (N, B, ...) parameter arrays), and a
-    tuple (agents, runs) of index arrays picks any agent of any run.  This
-    class calls each objective's own methods; the subclasses evaluate them
-    all in one stacked expression whose results equal those calls bit for
-    bit.  rho_eff is a (B, 1) column.
+    tuple (agents, runs) of index arrays picks any agent of any run.  The
+    subclasses evaluate them all in one stacked expression whose results
+    equal each objective's own methods bit for bit.  rho_eff is a (B, 1)
+    column.
     """
 
     affine = False  # steps affine in the state, which the solver precomputes as operators
@@ -200,27 +201,6 @@ class ObjectiveStack:
 
     def at(self, sel) -> "_Selection":
         return _Selection(self, sel)
-
-    def _pairs(self, sel) -> list[tuple]:
-        if isinstance(sel, tuple):
-            a, b = np.broadcast_arrays(*sel)
-        else:
-            b = np.arange(len(self.columns))
-            a = np.full_like(b, sel)
-        return [(idx, self.columns[b[idx]][a[idx]]) for idx in np.ndindex(a.shape)]
-
-    def prox(self, sel, z: np.ndarray, y: np.ndarray, rho_eff: np.ndarray) -> np.ndarray:
-        return np.array([f.prox(z[i], y[i], float(rho_eff[i][0])) for (i,), f in self._pairs(sel)])
-
-    def gradient(self, sel, x: np.ndarray) -> np.ndarray:
-        return np.array([f.gradient(x[i]) for (i,), f in self._pairs(sel)])
-
-    def value(self, sel, x: np.ndarray) -> np.ndarray:
-        pairs = self._pairs(sel)
-        out = np.empty(x.shape[:-1])
-        for idx, f in pairs:
-            out[idx] = f.value(x[idx])
-        return out
 
 
 class _Selection:
@@ -287,6 +267,9 @@ class LogisticStack(ObjectiveStack):
         super().__init__(columns)
         self.signed = self._stacked("data.targets")[..., None] * self._stacked("data.features")
 
+    def prox(self, sel, z, y, rho_eff):
+        raise ProxUnsupportedError(_NO_LOGISTIC_PROX)
+
     def gradient(self, sel, x):
         s = self.signed[sel]
         slope = _sigmoid(-(s @ x[..., None]))
@@ -297,22 +280,23 @@ class LogisticStack(ObjectiveStack):
 
 
 def stack_kind(objectives: Sequence) -> tuple:
-    """Runs whose objectives have equal kinds stack into one ObjectiveStack:
-    ridge, logistic with one sample count, or any others through their own
-    methods."""
+    """The ObjectiveStack that runs of these objectives step on: ("ridge",)
+    for RidgeObjectives, ("logistic", b) for LogisticObjectives with one
+    sample count b.  Any other problem, subclasses and mixes included, is a
+    ValueError."""
     types = {type(f) for f in objectives}
     if types == {RidgeObjective}:
         return ("ridge",)
     sizes = {f.data.n_samples for f in objectives} if types == {LogisticObjective} else ()
     if len(sizes) == 1:
         return ("logistic", *sizes)
-    return ("objects",)
+    raise ValueError("a problem needs all RidgeObjective or all LogisticObjective objectives "
+                     f"with one sample count, got {sorted(t.__name__ for t in types)}")
 
 
 def stack_objectives(columns: Sequence[Sequence]) -> ObjectiveStack:
-    kinds = {stack_kind(c) for c in columns}
-    kind = kinds.pop()[0] if len(kinds) == 1 else "objects"
-    return {"ridge": RidgeStack, "logistic": LogisticStack}.get(kind, ObjectiveStack)(columns)
+    """The stack of runs whose objectives have one stack_kind."""
+    return {"ridge": RidgeStack, "logistic": LogisticStack}[stack_kind(columns[0])[0]](columns)
 
 
 def _sigmoid(u: np.ndarray) -> np.ndarray:

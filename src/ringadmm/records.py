@@ -131,12 +131,6 @@ class Transcript:
     def dim(self) -> int:
         return self.z_values.shape[1]
 
-    def z_before(self, k: int) -> np.ndarray:
-        """Token value z^k at the start of iteration k."""
-        if k == 0:
-            return np.zeros(self.dim)
-        return self.z_values[k - 1]
-
     def truncated(self, last_k: int) -> "Transcript":
         if not (0 <= last_k <= self.last_iteration):
             raise ValueError(f"iteration {last_k} outside transcript")

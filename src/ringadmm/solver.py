@@ -254,16 +254,6 @@ def accuracy(
     return ratio.sum(axis=-1) / max(init_dist.shape[-1], 1)
 
 
-def aug_lagrangian(
-    objectives: Sequence, x: np.ndarray, y: np.ndarray, z: np.ndarray, rho: float
-) -> float:
-    total = 0.0
-    for i, f in enumerate(objectives):
-        gap = z - x[i]
-        total += f.value(x[i]) + float(y[i] @ gap) + 0.5 * rho * float(gap @ gap)
-    return total
-
-
 def kkt_residuals(
     objectives: Sequence, x: np.ndarray, y: np.ndarray, z: np.ndarray
 ) -> tuple[float, float, float]:
@@ -354,6 +344,7 @@ class _Run:
     def __init__(self, problem: Problem, graph: Graph, config: SolverConfig, every: int = 1):
         if graph.n_agents != problem.n_agents:
             raise ValueError("graph and problem disagree on the number of agents")
+        self.kind = stack_kind(problem.objectives)  # here, so that run_batch fails the run alone
         config.__post_init__()  # again: fields may have been set after construction
         if every < 1:
             raise ValueError(f"every must be at least 1, got {every}")
@@ -373,7 +364,7 @@ class _Run:
     def key(self) -> tuple:
         """Runs with equal keys can step together in one batch."""
         return (self.graph.n_agents, self.problem.dim, self.cyclic,
-                self.config.x_update, stack_kind(self.problem.objectives))
+                self.config.x_update, self.kind)
 
 
 class Simulation:

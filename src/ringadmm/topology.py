@@ -39,9 +39,6 @@ class Graph:
             adj[v].append(u)
         return {i: tuple(sorted(js)) for i, js in adj.items()}
 
-    def cycle_successor(self, agent: int) -> int:
-        return agent % self.n_agents + 1
-
 
 def target_edge_count(n_agents: int, eta: float) -> int:
     # round() is round-half-to-even on ties

@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_cfg
+from conftest import make_cfg, z_before
 from ringadmm.adversary import (
     AttackReport,
     build_colluding_system,
@@ -115,7 +115,7 @@ def ref_colluding_system(tr, target, y_sum=None, pin=True, g=1.0):
     add_row([(columns[(target, 0, "x")], 1.0), (columns[(target, 0, "y")], -1.0 / rho)],
             np.zeros(p), "init")
     for e, k in enumerate(acts):
-        z_k = tr.z_before(k)
+        z_k = z_before(tr, k)
         delta = tr.z_values[k] - z_k
         add_row([(columns[(target, e + 1, "x")], 1.0),
                  (columns[(target, e, "x")], -1.0 / (1.0 + g))],
@@ -178,7 +178,7 @@ def ref_backward(tr):
     pre = [np.zeros(p) for _ in acts]
     post[-1] = tr.z_values[last].copy()
     for idx in range(len(acts) - 1, -1, -1):
-        z_k = tr.z_before(acts[idx])
+        z_k = z_before(tr, acts[idx])
         delta = tr.z_values[acts[idx]] - z_k
         pre[idx] = 2.0 * post[idx] - n * delta - z_k
         if idx > 0:
@@ -186,7 +186,7 @@ def ref_backward(tr):
     vals_x, vals_y = {(target, 0): pre[0]}, {(target, 0): rho * pre[0]}
     y_cur = rho * pre[0]
     for idx, k0 in enumerate(acts):
-        z_k = tr.z_before(k0)
+        z_k = z_before(tr, k0)
         delta = tr.z_values[k0] - z_k
         y_cur = y_cur + 0.5 * rho * (z_k - n * delta - pre[idx])
         vals_x[(target, idx + 1)], vals_y[(target, idx + 1)] = post[idx], y_cur.copy()

@@ -19,7 +19,8 @@ from conftest import assert_fills_checkpoints, make_cfg
 from ringadmm import harness, solver
 from ringadmm.config import ConfigError, ExperimentConfig, apply_seed, parse_kv_text
 from ringadmm.harness import build_problem, parse_sweep_spec, run_sweep
-from ringadmm.objectives import RidgeObjective
+from ringadmm.objectives import (LogisticObjective, ProxUnsupportedError, RidgeObjective,
+                                 generate_logistic_data)
 from ringadmm.solver import GammaSpec, InitSpec, Problem, Variant, XUpdateMode, run, run_batch
 
 KINDS = {
@@ -98,46 +99,33 @@ def test_mixed_kinds_go_to_separate_batches():
         solver.Simulation._batch(runs)
 
 
-class _Counter:
-    calls = 0
-
-
-class _FaultyRidge(RidgeObjective):
-    """Ridge objective whose prox output is scaled by `factor` from the run's
-    `start`-th prox call on (nan: a non-finite state; 1e200: a finite state
-    whose metrics overflow)."""
-
-    def __init__(self, data, counter, start=math.inf, factor=1.0):
-        super().__init__(data)
-        self.counter, self.start, self.factor = counter, start, factor
-
-    def prox(self, z, y, rho_eff):
-        self.counter.calls += 1
-        out = super().prox(z, y, rho_eff)
-        return out * self.factor if self.counter.calls > self.start else out
-
-
-def faulty_run(seed, start=math.inf, factor=1.0, **overrides):
+def faulty_run(prox_fault, seed, start=math.inf, factor=1.0, **overrides):
+    """A ridge run stepped through x_update, whose prox output is scaled by
+    `factor` from iteration `start` on (nan: a non-finite state; 1e200: a
+    finite state whose metrics overflow); each call of the function it
+    returns gives a new problem, with a fault counter of its own."""
     cfg = make_cfg(n_agents=8, seed_data=seed, seed_solver=seed + 1, **overrides)
     graph, problem = build_problem(cfg)
-    counter = _Counter()
-    objectives = [_FaultyRidge(f.data, counter, start, factor) for f in problem.objectives]
-    return lambda: (Problem(objectives, problem.x_star), graph, cfg), counter
+    return lambda: (prox_fault(problem, start, lambda out: out * factor), graph, cfg)
 
 
-def test_ragged_batch_rows_end_as_they_would_alone(monkeypatch):
-    rows = [
-        faulty_run(1, stop_eps=1e-6, max_iters=50_000),     # stops on stop_eps
-        faulty_run(2, start=13, factor=math.nan),           # non-finite state, mid-chunk
-        faulty_run(3, start=70, factor=1e200),              # metrics overflow
-        faulty_run(4, max_iters=50),                        # a short max_iters
-        faulty_run(5, max_iters=3000, variant=Variant.PIADMM1,
+def ragged_faulty_runs(prox_fault) -> list:
+    return [
+        faulty_run(prox_fault, 1, stop_eps=1e-6, max_iters=50_000),  # stops on stop_eps
+        faulty_run(prox_fault, 2, start=13, factor=math.nan),  # non-finite state, mid-chunk
+        faulty_run(prox_fault, 3, start=70, factor=1e200),     # metrics overflow
+        faulty_run(prox_fault, 4, max_iters=50),               # a short max_iters
+        faulty_run(prox_fault, 5, max_iters=3000, variant=Variant.PIADMM1,
                    init=InitSpec.uniform(-1, 1), gamma=GammaSpec.uniform(0.9, 1.1)),
-        faulty_run(6, max_iters=3001, variant=Variant.PIADMM2,
+        faulty_run(prox_fault, 6, max_iters=3001, variant=Variant.PIADMM2,
                    init=InitSpec.uniform(-1, 1), sigma=1e-3),
     ]
+
+
+def test_ragged_batch_rows_end_as_they_would_alone(monkeypatch, prox_fault):
+    rows = ragged_faulty_runs(prox_fault)
     widths = spy_batches(monkeypatch)
-    batch = run_batch([make() for make, _ in rows])
+    batch = run_batch([make() for make in rows])
     assert widths == [len(rows)]
     reasons = [r.trace.stop_reason for r in batch]
     assert reasons[0] == "primal_eps"
@@ -145,29 +133,17 @@ def test_ragged_batch_rows_end_as_they_would_alone(monkeypatch):
     assert reasons[2].startswith("diverged: metrics overflowed at iteration 70 ")
     assert [r.n_iterations for r in batch[3:]] == [50, 3000, 3001]
     assert len(batch[2].transcript.senders) == batch[2].n_iterations + 1
-    for (make, counter), res in zip(rows, batch):
-        counter.calls = 0
+    for make, res in zip(rows, batch):
         assert_identical(res, run(*make()))
 
 
-def test_ragged_batch_rows_fill_their_checkpoints_and_end_alike():
+def test_ragged_batch_rows_fill_their_checkpoints_and_end_alike(prox_fault):
     # the stop_eps stop, the NaN at 13 and the overflow at 70 are not
     # checkpoint rows for every = 8
     every = 8
-    rows = [
-        faulty_run(1, stop_eps=1e-6, max_iters=50_000),
-        faulty_run(2, start=13, factor=math.nan),
-        faulty_run(3, start=70, factor=1e200),
-        faulty_run(4, max_iters=50),
-        faulty_run(5, max_iters=3000, variant=Variant.PIADMM1,
-                   init=InitSpec.uniform(-1, 1), gamma=GammaSpec.uniform(0.9, 1.1)),
-        faulty_run(6, max_iters=3001, variant=Variant.PIADMM2,
-                   init=InitSpec.uniform(-1, 1), sigma=1e-3),
-    ]
-    full = run_batch([make() for make, _ in rows])
-    for _, counter in rows:
-        counter.calls = 0
-    got = run_batch([(*make(), every) for make, _ in rows])
+    rows = ragged_faulty_runs(prox_fault)
+    full = run_batch([make() for make in rows])
+    got = run_batch([(*make(), every) for make in rows])
     assert [r.n_iterations % every for r in got[:3]] != [0, 0, 0]
     for res, want in zip(got, full):
         assert_fills_checkpoints(res, want, every)
@@ -175,14 +151,13 @@ def test_ragged_batch_rows_fill_their_checkpoints_and_end_alike():
 
 @pytest.mark.parametrize("chunk", [1, 3])
 @pytest.mark.parametrize("factor", [math.nan, 1e200])
-def test_ending_on_a_chunks_first_row_keeps_the_last_row(factor, chunk):
+def test_ending_on_a_chunks_first_row_keeps_the_last_row(factor, chunk, prox_fault):
     # a non-finite state or overflowed metrics on the first row of a chunk
     # end the trace on the previous chunk's last row, which no checkpoint
     # asks for
     start = chunk * solver._block_rows(8, 1)
-    make, counter = faulty_run(1, start=start, factor=factor)
+    make = faulty_run(prox_fault, 1, start=start, factor=factor)
     full = run(*make())
-    counter.calls = 0
     got = run(*make(), every=5)
     assert full.n_iterations == start and (start - 1) % 5
     assert full.trace.stop_reason.startswith(
@@ -258,22 +233,16 @@ def test_ragged_walk_batch_rows_end_as_they_would_alone(monkeypatch):
         assert_identical(res, run(*spec))
 
 
-class _SignedZeroRidge(RidgeObjective):
-    """A prox that returns -0.0 in every coordinate."""
-
-    def prox(self, z, y, rho_eff):
-        return -0.0 * np.abs(super().prox(z, y, rho_eff))
-
-
-def test_noise_leaves_the_other_rows_bits_alone():
+def test_noise_leaves_the_other_rows_bits_alone(prox_fault):
     # adding a zero noise row to a quiet run would turn its -0.0 into +0.0
+    # (the prox returns -0.0 in every coordinate)
     specs = []
     for variant in (Variant.IADMM, Variant.PIADMM2):
         cfg = make_cfg(n_agents=5, max_iters=40, variant=variant, sigma=1e-3,
                        init=InitSpec.uniform(-1, 1))
         graph, problem = build_problem(cfg)
-        objectives = [_SignedZeroRidge(f.data) for f in problem.objectives]
-        specs.append((Problem(objectives, problem.x_star), graph, cfg))
+        signed_zero = prox_fault(problem, 0, lambda out: -0.0 * np.abs(out))
+        specs.append((signed_zero, graph, cfg))
     quiet, _ = run_batch(specs)
     assert np.signbit(quiet.history.x_new).all()
     assert_identical(quiet, run(*specs[0]))
@@ -289,6 +258,41 @@ def test_errors_stay_with_their_run():
     assert isinstance(results[1], ValueError) and "need rho > L" in str(results[1])
     assert_identical(results[0], run(*specs[0]))
     assert_identical(results[2], results[0])
+
+
+
+def test_logistic_exact_prox_names_the_first_order_update():
+    cfg = make_cfg(n_agents=6, max_iters=40, problem="logistic",
+                   x_update=XUpdateMode.EXACT_PROX)
+    graph, problem = build_problem(cfg)
+    with pytest.raises(ProxUnsupportedError, match="first_order"):
+        run(problem, graph, cfg)
+    good = make_cfg(n_agents=6, max_iters=40, **KINDS["logistic"])
+    specs = [(problem, graph, cfg), (*build_problem(good)[::-1], good)]
+    results = run_batch(specs)
+    assert isinstance(results[0], ProxUnsupportedError) and "first_order" in str(results[0])
+    assert_identical(results[1], run(*specs[1]))
+
+
+class _SubclassedRidge(RidgeObjective):
+    pass
+
+
+def test_unsupported_problems_fail_alone():
+    # the engine steps all-RidgeObjective and one-sample-count
+    # all-LogisticObjective problems only
+    cfg = make_cfg(n_agents=6, max_iters=40)
+    graph, ridge = build_problem(cfg)
+    _, logistic = build_problem(make_cfg(n_agents=6, problem="logistic"))
+    mixed = Problem(ridge.objectives[:3] + logistic.objectives[3:], ridge.x_star)
+    subclassed = Problem([_SubclassedRidge(f.data) for f in ridge.objectives], ridge.x_star)
+    two_sizes = Problem([LogisticObjective(generate_logistic_data(10 + a % 2, 2, 0, a))
+                         for a in range(6)], ridge.x_star)
+    bad = [mixed, subclassed, two_sizes]
+    results = run_batch([(p, graph, cfg) for p in bad] + [(ridge, graph, cfg)])
+    for res in results[:-1]:
+        assert isinstance(res, ValueError) and "a problem needs all RidgeObjective" in str(res)
+    assert_identical(results[-1], run(ridge, graph, cfg))
 
 
 BASE = """\

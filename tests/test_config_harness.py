@@ -768,3 +768,27 @@ class TestCli:
             [("always_fails", lambda: (False, "forced"))],
         )
         assert main(["verify", "--quiet"]) == 3
+
+    def test_parser_is_built_once_and_commands_looked_up_per_call(self, tmp_path, monkeypatch):
+        # a cached parser must not hold the commands: a cmd_* replaced after
+        # the first call (as the benchmark's tracer does) is the one that runs
+        import argparse
+
+        from ringadmm import cli
+
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(parser, *args, **kwargs):
+            built.append(parser)
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        cli.build_parser.cache_clear()
+        cfg = self.write(tmp_path, BASE_CONFIG)
+        monkeypatch.setattr(cli, "cmd_run", lambda args: 5)
+        assert cli.main(["run", "--config", cfg]) == 5
+        assert len(built) == 5  # the parser and one per subcommand
+        monkeypatch.setattr(cli, "cmd_run", lambda args: 7 if args.quiet else 0)
+        assert cli.main(["run", "--config", cfg, "--quiet"]) == 7
+        assert len(built) == 5

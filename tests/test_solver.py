@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_cfg
+from conftest import aug_lagrangian, make_cfg, z_before
 from ringadmm.harness import build_problem
 from ringadmm.objectives import Dataset, RidgeObjective
 from ringadmm.solver import (
@@ -12,7 +12,6 @@ from ringadmm.solver import (
     Variant,
     XUpdateMode,
     accuracy,
-    aug_lagrangian,
     gamma_lower_bound,
     initialize,
     kkt_residuals,
@@ -344,7 +343,7 @@ class TestStepAndRun:
         # token value equals the average implied by the recorded history
         x_at, y_at = res.history.states_at(50)
         assert np.allclose(
-            tr.z_before(50), np.mean(x_at - y_at / cfg.rho, axis=0), atol=1e-10
+            z_before(tr, 50), np.mean(x_at - y_at / cfg.rho, axis=0), atol=1e-10
         )
 
 

@@ -17,19 +17,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import assert_fills_checkpoints, make_cfg
+from conftest import assert_fills_checkpoints, aug_lagrangian, make_cfg
 from ringadmm.harness import build_problem
-from ringadmm.objectives import RidgeObjective
 from ringadmm.solver import (
     DivergenceError,
     _block_rows,
     GammaSpec,
     InitSpec,
-    Problem,
     Simulation,
     Variant,
     XUpdateMode,
-    aug_lagrangian,
     run,
 )
 from ringadmm.verify import step_equation_errors
@@ -158,26 +155,17 @@ def test_metric_overflow_reports_the_same_iteration():
     assert_same_run(res, sim, records, tokens)
 
 
-class _BreaksAt(RidgeObjective):
-    """A ridge objective whose proximal step returns NaN from a given call on."""
-
-    calls = 0
-    fail_from = 0
-
-    def prox(self, z, y, rho_eff):
-        type(self).calls += 1
-        out = super().prox(z, y, rho_eff)
-        return out * math.nan if type(self).calls > type(self).fail_from else out
+def broken(prox_fault, problem):
+    """A new copy of the ridge `problem` whose proximal step returns NaN
+    from iteration 13 on, mid-chunk."""
+    return prox_fault(problem, 13, lambda out: out * math.nan)
 
 
-def test_non_finite_state_reports_the_same_iteration():
+def test_non_finite_state_reports_the_same_iteration(prox_fault):
     cfg = make_cfg(n_agents=8, max_iters=200)
     graph, problem = build_problem(cfg)
-    broken = Problem([_BreaksAt(f.data) for f in problem.objectives], problem.x_star)
-    _BreaksAt.calls, _BreaksAt.fail_from = 0, 13  # iteration 13, mid-chunk
-    res = run(broken, graph, cfg)
-    _BreaksAt.calls = 0
-    sim, records, tokens, error = step_loop(broken, graph, cfg)
+    res = run(broken(prox_fault, problem), graph, cfg)
+    sim, records, tokens, error = step_loop(broken(prox_fault, problem), graph, cfg)
     assert error == "non-finite state at iteration 13 (agent 6); " \
                     "the configured step scale is likely unstable"
     assert res.trace.stop_reason == f"diverged: {error}"
@@ -257,14 +245,11 @@ def test_run_after_step_on_a_stop_eps_run_equals_run_alone():
     assert_same_result(sim.run(), alone)
 
 
-def test_run_after_step_ends_at_a_divergence_not_yet_returned():
+def test_run_after_step_ends_at_a_divergence_not_yet_returned(prox_fault):
     cfg = make_cfg(n_agents=8, max_iters=200)
     graph, problem = build_problem(cfg)
-    broken = Problem([_BreaksAt(f.data) for f in problem.objectives], problem.x_star)
-    _BreaksAt.calls, _BreaksAt.fail_from = 0, 13
-    alone = run(broken, graph, cfg)
-    _BreaksAt.calls = 0
-    sim = Simulation(broken, graph, cfg)
+    alone = run(broken(prox_fault, problem), graph, cfg)
+    sim = Simulation(broken(prox_fault, problem), graph, cfg)
     for _ in range(5):
         sim.step()  # computes past iteration 13
     res = sim.run()
@@ -272,13 +257,11 @@ def test_run_after_step_ends_at_a_divergence_not_yet_returned():
     assert_same_result(res, alone)
 
 
-def test_step_after_divergence_raises_it_again():
+def test_step_after_divergence_raises_it_again(prox_fault):
     n = 8
     cfg = make_cfg(n_agents=n, max_iters=200, **VARIANT_CONFIGS["piadmm1"])
     graph, problem = build_problem(cfg)
-    broken = Problem([_BreaksAt(f.data) for f in problem.objectives], problem.x_star)
-    _BreaksAt.calls, _BreaksAt.fail_from = 0, 13
-    sim = Simulation(broken, graph, cfg)
+    sim = Simulation(broken(prox_fault, problem), graph, cfg)
     records = [sim.step() for _ in range(13)]
     x, y, z = sim.x.copy(), sim.y.copy(), sim.z.copy()
     for _ in range(2):  # an ended run stays ended
@@ -323,20 +306,20 @@ ENDINGS = {
 }
 
 
+def ending_problem(ending, prox_fault, problem):
+    """The problem of ENDINGS' `ending`, new for each run when it is faulty."""
+    return broken(prox_fault, problem) if ending == "non_finite_state" else problem
+
+
 @pytest.mark.parametrize("steps", [0, 1, "block", "end"])
 @pytest.mark.parametrize("ending", sorted(ENDINGS))
-def test_run_after_step_equals_run_alone(ending, steps, monkeypatch):
+def test_run_after_step_equals_run_alone(ending, steps, prox_fault):
     kw, reason = ENDINGS[ending]
     cfg = make_cfg(n_agents=8, **kw)
     graph, problem = build_problem(cfg)
-    if ending == "non_finite_state":
-        problem = Problem([_BreaksAt(f.data) for f in problem.objectives], problem.x_star)
-        monkeypatch.setattr(_BreaksAt, "fail_from", 13)
-    monkeypatch.setattr(_BreaksAt, "calls", 0)
-    alone = run(problem, graph, cfg)
+    alone = run(ending_problem(ending, prox_fault, problem), graph, cfg)
     assert alone.trace.stop_reason.startswith(reason)
-    _BreaksAt.calls = 0
-    sim = Simulation(problem, graph, cfg)
+    sim = Simulation(ending_problem(ending, prox_fault, problem), graph, cfg)
     count = {"block": _block_rows(8, 1), "end": cfg.max_iters + 1}.get(steps, steps)
     try:
         for _ in range(count):
@@ -373,18 +356,13 @@ def test_trace_fills_the_rows_asked_for(kind, every):
 
 @pytest.mark.parametrize("every", [7, 2**63])
 @pytest.mark.parametrize("ending", sorted(ENDINGS))
-def test_endings_do_not_depend_on_the_rows_filled(ending, every, monkeypatch):
+def test_endings_do_not_depend_on_the_rows_filled(ending, every, prox_fault):
     kw, reason = ENDINGS[ending]
     cfg = make_cfg(n_agents=8, **kw)
     graph, problem = build_problem(cfg)
-    if ending == "non_finite_state":
-        problem = Problem([_BreaksAt(f.data) for f in problem.objectives], problem.x_star)
-        monkeypatch.setattr(_BreaksAt, "fail_from", 13)
-    monkeypatch.setattr(_BreaksAt, "calls", 0)
-    full = run(problem, graph, cfg)
+    full = run(ending_problem(ending, prox_fault, problem), graph, cfg)
     assert full.trace.stop_reason.startswith(reason)
-    _BreaksAt.calls = 0
-    got = run(problem, graph, cfg, every=every)
+    got = run(ending_problem(ending, prox_fault, problem), graph, cfg, every=every)
     assert_fills_checkpoints(got, full, every)
     assert not np.isnan(got.trace.final.accuracy) or not len(got.trace)
 
