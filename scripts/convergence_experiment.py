@@ -64,7 +64,9 @@ def main() -> int:
                     cfgs.append((seed, apply_seed(cfg, seed)))
 
     rows = []
-    for (seed, cfg), result in zip(cfgs, run_configs([cfg for _, cfg in cfgs])):
+    # only every N-th trace row and the last are read: fill only those
+    results = run_configs([cfg for _, cfg in cfgs], every=[cfg.n_agents for _, cfg in cfgs])
+    for (seed, cfg), result in zip(cfgs, results):
         if isinstance(result, Exception):
             raise result
         for rec in result.trace.records[:: cfg.n_agents]:

@@ -110,6 +110,13 @@ def activations_of(transcript: Transcript, agent: int) -> list[int]:
     return np.flatnonzero(transcript.senders == agent).tolist()
 
 
+def _reported(agents: list[int] | None, n: int) -> list[int]:
+    """The agents an attack reports: `agents`, each one of 1..N, or all."""
+    if agents is not None and not all(1 <= a <= n for a in agents):
+        raise ValueError(f"agents must be in 1..{n}, got {list(agents)}")
+    return list(range(1, n + 1)) if agents is None else agents
+
+
 def _epochs(senders: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
     """Per iteration, the active agent's epoch (its earlier activations) and
     its slot before the update; per agent, the slot of its epoch 0 and its
@@ -161,6 +168,7 @@ def exact_recursion_attack(
     (default: all).
     """
     n = transcript.n_agents
+    agents = _reported(agents, n)
     senders = transcript.senders
     epoch, prev, first, _ = _epochs(senders, n)
     z_prev, n_delta = _token_steps(transcript)
@@ -174,7 +182,6 @@ def exact_recursion_attack(
         s = prev[ks]
         xs[s + 1] = 0.5 * (fwd_x[ks] + xs[s])
         ys[s + 1] = ys[s] + half_rho * (fwd_y[ks] - xs[s])
-    agents = list(range(1, n + 1)) if agents is None else agents
     est_x, est_y = _expand_epochs(xs, ys, senders, {a: first[a - 1] for a in agents}, agents)
     return AttackReport(
         kind="exact_recursion",
@@ -357,8 +364,8 @@ def lsq_attack(
     agents: list[int] | None = None,
 ) -> AttackReport:
     """Least-squares state reconstruction from the token transcript."""
+    wanted = _reported(agents, transcript.n_agents)
     ms = build_ls_system(transcript, kkt_row=kkt_row, pin_last_cycle=pin_last_cycle)
-    wanted = agents if agents is not None else list(range(1, transcript.n_agents + 1))
     return _lsq_report("lsq", ms, tol, max_iter, wanted)
 
 

@@ -196,10 +196,8 @@ def run_attack(
     try:
         if opts.kind == "colluding":
             regen, unscored = _scoring_run(cfg, transcript)
-            y_final = None
-            if regen is not None:
-                _, y_all = regen.history.states_at(regen.history.last_iteration + 1)
-                y_final = np.delete(y_all, opts.target - 1, axis=0).sum(axis=0)
+            y_final = (None if regen is None
+                       else np.delete(regen.y, opts.target - 1, axis=0).sum(axis=0))
             rep = adversary.colluding_attack(transcript, target=opts.target,
                                              colluder_final_y_sum=y_final,
                                              pin=opts.pin_last_cycle, tol=opts.lsqr_tol,

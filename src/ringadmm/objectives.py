@@ -6,7 +6,6 @@ synthetic data generation and a centralized optimum oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -179,52 +178,22 @@ class LogisticObjective:
         raise ProxUnsupportedError(_NO_LOGISTIC_PROX)
 
 
-class ObjectiveStack:
-    """The objectives of B runs over the same N agents, indexed agent-first.
+class RidgeStack:
+    """The ridge objectives of B runs over the same N agents, indexed
+    agent-first; columns[b][a] is run b's agent a.
 
     `sel` picks one objective per output: an agent index picks that agent
     of every run (a basic slice of the (N, B, ...) parameter arrays), and a
-    tuple (agents, runs) of index arrays picks any agent of any run.  The
-    subclasses evaluate them all in one stacked expression whose results
-    equal each objective's own methods bit for bit.  rho_eff is a (B, 1)
-    column.
+    tuple (agents, runs) of index arrays picks any agent of any run.  Each
+    method takes `sel` first and evaluates the picked objectives in one
+    stacked expression whose results equal each objective's own methods bit
+    for bit; LogisticStack's do the same.  rho_eff is a (B, 1) column.
     """
 
-    affine = False  # steps affine in the state, which the solver precomputes as operators
+    affine = True  # steps affine in the state, which the solver precomputes as operators
 
     def __init__(self, columns: Sequence[Sequence]):
-        self.columns = [list(c) for c in columns]  # columns[b][a]: run b, agent a
-
-    def _stacked(self, attr: str) -> np.ndarray:
-        get = attrgetter(attr)
-        return np.array([[get(c[a]) for c in self.columns] for a in range(len(self.columns[0]))])
-
-    def at(self, sel) -> "_Selection":
-        return _Selection(self, sel)
-
-
-class _Selection:
-    """The objectives `sel` picks from a stack, behind one objective's
-    prox/gradient signatures."""
-
-    __slots__ = ("stack", "sel")
-
-    def __init__(self, stack: ObjectiveStack, sel):
-        self.stack, self.sel = stack, sel
-
-    def prox(self, z, y, rho_eff):
-        return self.stack.prox(self.sel, z, y, rho_eff)
-
-    def gradient(self, x):
-        return self.stack.gradient(self.sel, x)
-
-
-class RidgeStack(ObjectiveStack):
-    affine = True
-
-    def __init__(self, columns: Sequence[Sequence]):
-        super().__init__(columns)
-        params = [RidgeParameters.of(c) for c in self.columns]
+        params = [RidgeParameters.of(c) for c in columns]
 
         def runs(name: str) -> np.ndarray:  # the (N, B, ...) stack of one parameter
             return np.stack([getattr(q, name) for q in params], axis=1)
@@ -257,15 +226,18 @@ class RidgeStack(ObjectiveStack):
         return (quad - linear @ col)[..., 0, 0] + q[..., -1]
 
 
-class LogisticStack(ObjectiveStack):
-    """Logistic objectives with one sample count b; no proximal step.  Holds
-    the signed features t_j o_j as one (N, B, b, p) stack: with t_j = +-1,
-    the margins S x and the gradient -S' sigmoid(-S x) / b equal each
-    objective's t (O x) and -O' (t sigmoid(-t O x)) / b bit for bit."""
+class LogisticStack:
+    """Logistic objectives with one sample count b, selected as in
+    RidgeStack; no proximal step.  Holds the signed features t_j o_j as one
+    (N, B, b, p) stack: with t_j = +-1, the margins S x and the gradient
+    -S' sigmoid(-S x) / b equal each objective's t (O x) and
+    -O' (t sigmoid(-t O x)) / b bit for bit."""
+
+    affine = False
 
     def __init__(self, columns: Sequence[Sequence]):
-        super().__init__(columns)
-        self.signed = self._stacked("data.targets")[..., None] * self._stacked("data.features")
+        self.signed = np.array([[f.data.targets[:, None] * f.data.features for f in agent]
+                                for agent in zip(*columns)])
 
     def prox(self, sel, z, y, rho_eff):
         raise ProxUnsupportedError(_NO_LOGISTIC_PROX)
@@ -280,7 +252,7 @@ class LogisticStack(ObjectiveStack):
 
 
 def stack_kind(objectives: Sequence) -> tuple:
-    """The ObjectiveStack that runs of these objectives step on: ("ridge",)
+    """The stack that runs of these objectives step on: ("ridge",)
     for RidgeObjectives, ("logistic", b) for LogisticObjectives with one
     sample count b.  Any other problem, subclasses and mixes included, is a
     ValueError."""
@@ -294,7 +266,7 @@ def stack_kind(objectives: Sequence) -> tuple:
                      f"with one sample count, got {sorted(t.__name__ for t in types)}")
 
 
-def stack_objectives(columns: Sequence[Sequence]) -> ObjectiveStack:
+def stack_objectives(columns: Sequence[Sequence]) -> RidgeStack | LogisticStack:
     """The stack of runs whose objectives have one stack_kind."""
     return {"ridge": RidgeStack, "logistic": LogisticStack}[stack_kind(columns[0])[0]](columns)
 

@@ -194,17 +194,20 @@ def x_update(
     z: np.ndarray,
     rho_eff: float | np.ndarray,
     mode: XUpdateMode,
+    *sel,
 ) -> np.ndarray:
     """New primal iterate of the active agent.
 
     exact_prox minimizes f(x) + (rho_eff/2)||z - x + y/rho_eff||^2 exactly;
     first_order takes the linearized step z + y/rho_eff - grad f(x)/rho_eff.
-    The states may be (B, p) rows of a batch, with rho_eff a (B, 1) column
-    and `objective` an ObjectiveStack selection.  rho_eff must be positive.
+    `objective` is one agent's objective, or a RidgeStack or LogisticStack
+    with its selection `sel`, passed on as the first argument of the
+    stack's prox and gradient; the states are then (B, p) rows of a batch
+    and rho_eff a (B, 1) column.  rho_eff must be positive.
     """
     if mode == XUpdateMode.EXACT_PROX:
-        return objective.prox(z, y, rho_eff)
-    return z + y / rho_eff - objective.gradient(x_current) / rho_eff
+        return objective.prox(*sel, z, y, rho_eff)
+    return z + y / rho_eff - objective.gradient(*sel, x_current) / rho_eff
 
 
 def y_update(
@@ -424,7 +427,6 @@ class Simulation:
         """Per-run columns and operators of the runs still in the batch, and a new block."""
         runs = self._alive
         self._stack = stack_objectives([r.problem.objectives for r in runs])
-        self._at = [self._stack.at(i) for i in range(self.n_agents)]
         self._rho = np.array([[r.config.rho] for r in runs])
         self._stop_eps = np.array([[r.config.stop_eps] for r in runs])
         self._max_iters = np.array([[r.config.max_iters] for r in runs])
@@ -453,7 +455,7 @@ class Simulation:
         eye, mode = np.eye(4 * self.dim + 1, 4 * self.dim)[:, None, None], \
             self.runs[0].config.x_update
         x, y, z, omega = [a.copy() for a in np.split(eye, 4, axis=-1)]  # contiguous: faster
-        x_new = x_update(self._stack.at(sel), x, y, z, rho_eff, mode) + omega
+        x_new = x_update(self._stack, x, y, z, rho_eff, mode, sel) + omega
         y_new = y_update(y, z, x_new, rho_eff)
         z_new = z_update_incremental(z, x, y, x_new, y_new, rho, self.n_agents)
         ops = np.concatenate([x_new, y_new, z_new], axis=-1)
@@ -593,13 +595,12 @@ class Simulation:
                 xy[sel], z = new_xy[j], new_z[j]
             z = z.copy()
         else:
-            (x, y), mode, at = np.split(xy, 2, axis=2), runs[0].config.x_update, self._at
+            (x, y), mode = np.split(xy, 2, axis=2), runs[0].config.x_update
             for j in range(n):
                 sel = shared[j] if shared is not None else (walk[0][j], walk[1])
                 x_old, y_old = x[sel], y[sel]
                 re = rho if rho_eff is None else rho_eff[j]
-                f = self._stack.at(sel) if shared is None else at[sel]
-                x_new = x_update(f, x_old, y_old, z, re, mode)
+                x_new = x_update(self._stack, x_old, y_old, z, re, mode, sel)
                 if self._noise_rows:
                     np.add(x_new, noise[j], out=x_new, where=self._noise_mask)
                 y_new = y_update(y_old, z, x_new, re)

@@ -282,6 +282,20 @@ class TestLsqAttack:
         assert rep.agents == [2, 5]
 
 
+@pytest.mark.parametrize("attack", [exact_recursion_attack, lsq_attack])
+def test_agents_outside_one_to_n_are_rejected(attack):
+    res = run_cfg(make_cfg(n_agents=5, eta=1.0, max_iters=40))
+    for agents in ([0], [-1], [6], [2, 6]):
+        with pytest.raises(ValueError, match=r"agents must be in 1\.\.5, got "):
+            attack(res.transcript, agents=agents)
+    # a valid list is reported, with the estimates of the full report
+    whole, rep = attack(res.transcript), attack(res.transcript, agents=[5, 2])
+    assert rep.agents == [2, 5]
+    for a in (2, 5):
+        assert rep.est_x[a].tobytes() == whole.est_x[a].tobytes()
+        assert rep.est_y[a].tobytes() == whole.est_y[a].tobytes()
+
+
 class TestColludingAttack:
     def _run(self, c, seed):
         cfg = make_cfg(n_agents=10, eta=0.5, variant=Variant.PIADMM1,

@@ -15,11 +15,13 @@ from ringadmm.objectives import (
     OptimizerError,
     ProxUnsupportedError,
     RidgeObjective,
+    RidgeStack,
     _sigmoid,
     centralized_optimum,
     generate_logistic_data,
     generate_ridge_data,
 )
+from ringadmm.solver import XUpdateMode, x_update
 
 
 def fd_gradient(obj, x, h=1e-5):
@@ -251,6 +253,36 @@ class TestLogisticStack:
                 got = getattr(stack, method)(sel, x)
                 want = one_by_one(columns, sel, x, method)
                 assert got.shape == want.shape and got.tobytes() == want.tobytes(), (name, method)
+
+
+def ridge_columns(n: int, runs: int, b: int, p: int, seed: int) -> list[list]:
+    """columns[r][a]: run r's ridge objective of agent a, one stack per run."""
+    return [RidgeObjective.stack([generate_ridge_data(b, p, [seed, r, a]) for a in range(n)])
+            for r in range(runs)]
+
+
+@pytest.mark.parametrize("runs", [1, 3])
+@pytest.mark.parametrize("stack_of, mode", [
+    (RidgeStack, XUpdateMode.EXACT_PROX),
+    (RidgeStack, XUpdateMode.FIRST_ORDER),
+    (LogisticStack, XUpdateMode.FIRST_ORDER),
+])
+def test_x_update_of_a_stack_equals_the_objectives(stack_of, mode, runs):
+    """x_update(stack, ..., sel) equals x_update of each picked objective
+    alone, bit for bit, on the cyclic agent slice and the walk gather."""
+    n, p = TestLogisticStack.N, TestLogisticStack.P
+    make = ridge_columns if stack_of is RidgeStack else logistic_columns
+    columns = make(n, runs, TestLogisticStack.B_SAMPLES, p, runs)
+    stack = stack_of(columns)
+    rng = np.random.default_rng([runs, mode == XUpdateMode.EXACT_PROX])
+    walk = rng.integers(0, n, size=runs)
+    for sel, agents in ((2, np.full(runs, 2)), ((walk, np.arange(runs)), walk)):
+        x, y, z = rng.standard_normal((3, runs, p)) * 10.0
+        rho_eff = rng.uniform(0.5, 20.0, size=(runs, 1))
+        got = x_update(stack, x, y, z, rho_eff, mode, sel)
+        want = np.array([x_update(columns[r][agents[r]], x[r], y[r], z[r], rho_eff[r, 0], mode)
+                         for r in range(runs)])
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), sel
 
 
 def two_branch_sigmoid(u: np.ndarray) -> np.ndarray:

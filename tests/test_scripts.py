@@ -1,5 +1,6 @@
-"""The two experiment scripts run end to end at a tiny size."""
+"""The experiment scripts and the output comparison run end to end at a tiny size."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,10 +8,11 @@ from pathlib import Path
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
-def run_script(name: str, *args: str) -> None:
+def run_script(name: str, *args: str) -> str:
     done = subprocess.run([sys.executable, str(SCRIPTS / name), *args],
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 def test_convergence_experiment(tmp_path):
@@ -32,3 +34,12 @@ def test_privacy_attack_experiment(tmp_path):
     for path in out.iterdir():
         lines = path.read_text().splitlines()
         assert lines[0] == "#schema=1" and len(lines) > 2
+
+
+def test_compare_outputs_finds_no_difference_between_a_tree_and_itself():
+    tree = str(SCRIPTS.parent)
+    out = run_script("compare_outputs.py", tree, tree, "--sizes", "tiny", "--parts", "0",
+                     "--seeds", "23")
+    ops, files = re.fullmatch(r"(\d+) ops, (\d+) files compared: no difference",
+                              out.splitlines()[-1]).groups()
+    assert int(ops) > 0 and int(files) > int(ops)
