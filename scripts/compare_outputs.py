@@ -4,7 +4,7 @@
     python scripts/compare_outputs.py OLD_TREE NEW_TREE --sizes tiny --parts 0 --seeds 23
 
 Each tree writes the inputs of its own `perfbench/workloads.setup_part` for
-every workload, size, seed and set-up part asked for, then runs each op
+every workload, and every size, seed and set-up part asked for, then runs each op
 through its own `ringadmm.cli.main`, as the benchmark does.  Each tree runs
 in one subprocess, in a temporary directory of its own.  Compared are every
 op's exit code, standard output and standard error, and every file written,
@@ -32,15 +32,15 @@ SHOWN = 10  # differences printed
 PLACEHOLDER = b"<work>"
 
 
-def collect(tree: str, work: str, workloads, sizes, seeds, parts) -> None:
-    """Write the inputs and run the ops of one tree under `work`.  Op i of a
+def collect(tree: str, work: str, sizes, seeds, parts) -> None:
+    """Write the inputs and run the ops of every workload of one tree under `work`.  Op i of a
     part writes to out/<part>-<i>, and its exit code and streams go to
     streams/<part>-<i>/."""
     sys.path[:0] = [os.path.join(tree, "src"), os.path.join(tree, "perfbench")]
     import workloads as bench  # the tree's own perfbench/workloads.py
     from ringadmm.cli import main
 
-    for name, size, seed, part in itertools.product(workloads, sizes, seeds, parts):
+    for name, size, seed, part in itertools.product(WORKLOADS, sizes, seeds, parts):
         base = os.path.join(work, f"{name}-{size}-{seed}")
         for i, op in enumerate(bench.setup_part(name, seed, part, base, size)):
             key = f"{part}-{i}"
@@ -95,14 +95,13 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("old_tree")
     parser.add_argument("new_tree")
-    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     parser.add_argument("--sizes", nargs="+", choices=("tiny", "full"), default=["tiny", "full"])
     parser.add_argument("--seeds", nargs="+", type=int, default=[23, 41])
     parser.add_argument("--parts", nargs="+", type=int, choices=(0, 1, 2), default=[0, 1, 2])
     # in the child: run OLD_TREE's ops under this work directory, compare nothing
     parser.add_argument("--collect", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    selection = (args.workloads, args.sizes, args.seeds, args.parts)
+    selection = (args.sizes, args.seeds, args.parts)
     if args.collect:
         collect(args.old_tree, args.collect, *selection)
         return 0
@@ -116,8 +115,8 @@ def main(argv=None) -> int:
             works.append(work)
             children.append(subprocess.Popen(
                 [sys.executable, os.path.abspath(__file__), tree, tree, "--collect", work,
-                 "--workloads", *args.workloads, "--sizes", *args.sizes,
-                 "--seeds", *map(str, args.seeds), "--parts", *map(str, args.parts)],
+                 "--sizes", *args.sizes, "--seeds", *map(str, args.seeds),
+                 "--parts", *map(str, args.parts)],
                 env=env, cwd=work, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True))
         failed = False
         for tree, child in zip((args.old_tree, args.new_tree), children):

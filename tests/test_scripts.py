@@ -1,11 +1,19 @@
 """The experiment scripts and the output comparison run end to end at a tiny size."""
 
+import importlib.util
 import re
 import subprocess
 import sys
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name: str):
+    spec = importlib.util.spec_from_file_location(name.removesuffix(".py"), SCRIPTS / name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def run_script(name: str, *args: str) -> str:
@@ -43,3 +51,23 @@ def test_compare_outputs_finds_no_difference_between_a_tree_and_itself():
     ops, files = re.fullmatch(r"(\d+) ops, (\d+) files compared: no difference",
                               out.splitlines()[-1]).groups()
     assert int(ops) > 0 and int(files) > int(ops)
+
+
+def test_compare_outputs_reports_each_kind_of_difference(tmp_path):
+    compare = load_script("compare_outputs.py").compare
+    old, new = tmp_path / "old", tmp_path / "new"
+    for work in (old, new):
+        (work / "out").mkdir(parents=True)
+        # differs only in its own work directory's path: equal
+        (work / "out" / "summary.txt").write_text(f"written to {work}/out\n")
+        (work / "out" / "same.csv").write_text("1,2,3\n")
+        (work / "streams" / "0-0").mkdir(parents=True)
+        (work / "streams" / "0-0" / "exit_code").write_text("0\n")
+    (old / "out" / "one_byte.csv").write_text("a\n0.5\n")
+    (new / "out" / "one_byte.csv").write_text("a\n0.6\n")
+    (old / "out" / "gone.csv").write_text("x\n")
+    (new / "out" / "added.csv").write_text("x\n")
+    diffs, files, ops = compare(str(old), str(new))
+    assert diffs == ["only in OLD: out/gone.csv", "only in NEW: out/added.csv",
+                     "differs: out/one_byte.csv: line 2: b'0.5' != b'0.6'"]
+    assert (files, ops) == (4, 1)
