@@ -21,6 +21,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import pairwise
 from typing import Sequence
 
 import numpy as np
@@ -207,7 +208,14 @@ def x_update(
     """
     if mode == XUpdateMode.EXACT_PROX:
         return objective.prox(*sel, z, y, rho_eff)
-    return z + y / rho_eff - objective.gradient(*sel, x_current) / rho_eff
+    return first_order_step(z, y, objective.gradient(*sel, x_current), rho_eff)
+
+
+def first_order_step(z: np.ndarray, y: np.ndarray, gradient: np.ndarray,
+                     rho_eff: float | np.ndarray) -> np.ndarray:
+    """x_update's first_order step from gradient = grad f(x_current), which
+    the solver evaluates for a window of agents at once."""
+    return z + y / rho_eff - gradient / rho_eff
 
 
 def y_update(
@@ -316,6 +324,23 @@ def _block_rows(n_agents: int, batch: int) -> int:
     return max(1, min(max(n_agents, 128), 2**14 // (n_agents * batch)))
 
 
+def _windows(agents: np.ndarray) -> list[int]:
+    """The bounds of a chunk's windows, from its (iteration, run) active
+    `agents`: each runs up to the first iteration whose agent acted earlier
+    in it in the same run, so a ring's spans N iterations."""
+    n, width = agents.shape
+    key = (agents * width + np.arange(width)).ravel()
+    order = np.argsort(key, kind="stable")
+    repeat = key[order[1:]] == key[order[:-1]]
+    before = np.full(n * width, -1)  # the iteration in which the same agent of the run acted last
+    before[order[1:][repeat]] = order[:-1][repeat] // width
+    bounds = [0]
+    for j, b in enumerate(before.reshape(n, width).max(axis=1).tolist()):
+        if b >= bounds[-1]:
+            bounds.append(j)
+    return bounds + [n]
+
+
 class _Block:
     """Per-iteration values of up to `size` consecutive iterations of a batch
     of runs, as (iteration, run, ...) arrays: the active agent and the
@@ -375,12 +400,16 @@ class Simulation:
     the ordinary run.
 
     States are laid out agent-first as (N, B, 2p), x beside y.  In a cyclic
-    batch every run activates the same agent, read and written with one basic
-    slice; random-walk runs gather theirs per run.  rho, the gamma draws, the
-    noise and the stopping rules are per-run columns.  Each iteration only
-    updates the states (on an affine stack with one precomputed operator, see
-    _operators) and records them in blocks of one cycle, or at least 128
-    iterations (_block_rows).
+    batch every run activates the same agent; random-walk runs each their
+    own.  rho, the gamma draws, the noise and the stopping rules are per-run
+    columns.  Each chunk of iterations is stepped in windows in which no
+    run's agent acts twice: N iterations of a ring, fewer of a walk
+    (_windows).  All that a window reads but the token is there at its
+    start, so its agents' (x_i, y_i) are gathered, their gradients (first
+    order) evaluated and their new states written back once per window;
+    only the steps that read the token (on an affine stack one precomputed
+    operator, see _operators) run per iteration, recorded in blocks of one
+    cycle, or at least 128 iterations (_block_rows).
     The metrics of each chunk of iterations are computed afterwards in one
     vectorised pass, the only place where runs end: each at its chunk's first
     diverging, converged or last allowed iteration.  Ended runs leave the
@@ -535,7 +564,8 @@ class Simulation:
     def _advance(self, limit: int) -> tuple:
         """Up to `limit` iterations of the state update of every run in the
         batch, as many as the current block has free rows for (a full block
-        is followed by a new one), recorded in those rows.  Returns the
+        is followed by a new one), stepped window by window (see Simulation)
+        and recorded in those rows.  Returns the
         chunk's start for _metrics: its first row and iteration, the (x, y)
         states side by side as (B, N, 2p) and the objective values."""
         if self._block.n == len(self._block.agents):
@@ -547,13 +577,9 @@ class Simulation:
         chunk = (lo, k0, xy.copy().transpose(1, 0, 2), self._fvals)
 
         agents, receivers = block.agents[lo : lo + n], block.receivers[lo : lo + n]
-        # the active agent (0-based) of each iteration: one for all runs (a
-        # cyclic batch, or a single run) is a basic slice of the (N, B, ...)
-        # arrays; otherwise each run's agent is gathered
         if self.cyclic:
             ring = np.arange(self.active[0] - 1, self.active[0] + n) % self.n_agents
             agents[:], receivers[:] = ring[:n, None] + 1, ring[1 : n + 1, None] + 1
-            shared, walk = ring[:n].tolist(), None
         else:
             # a walking run draws nothing but its walk from its stream (no
             # random start, gamma or noise)
@@ -562,8 +588,6 @@ class Simulation:
                 for u in r.rng.random(n).tolist():
                     path.append(next_agent(r.graph, path[-1], u))
                 agents[:, b], receivers[:, b] = path[:-1], path[1:]
-            walk = (agents - 1, self._col[:, 0])
-            shared = walk[0][:, 0].tolist() if width == 1 else None
 
         # the chunk's gammas (piadmm1) and noise (piadmm2)
         g = self._gamma_rows
@@ -579,36 +603,42 @@ class Simulation:
             block.values[lo : lo + n, b, 6] = np.sqrt(np.einsum("ij,ij->i", omega, omega))
             noise[:, b] = omega
 
+        mode, pick = runs[0].config.x_update, agents - 1
         if self._ops is not None:
             # the active agents' operators applied to s = (x_i, y_i, z, omega, 1)
-            pick = ring[:n] if self.cyclic else walk
-            ops = self._ops[pick]
+            ops = self._ops[pick, self._col[:, 0]]
             if len(g):  # piadmm1 is cyclic; its rows take the chunk's own operators
                 ops[:, g] = self._operators((ring[:n, None], g), rho_eff[:, g], rho[g])
-            s = np.ones((width, 1, 4 * p + 1))
-            head, out = s[:, 0, : 4 * p], block.states[lo : lo + n, :, None]
-            new_xy, new_z = block.states[lo : lo + n, :, : 2 * p], block.z[lo : lo + n]
-            for j in range(n):
-                sel = shared[j] if shared is not None else (walk[0][j], walk[1])
-                np.concatenate((xy[sel], z, noise[j]), axis=1, out=head)
-                np.matmul(s, ops[j], out=out[j])
-                xy[sel], z = new_xy[j], new_z[j]
-            z = z.copy()
-        else:
-            (x, y), mode = np.split(xy, 2, axis=2), runs[0].config.x_update
-            for j in range(n):
-                sel = shared[j] if shared is not None else (walk[0][j], walk[1])
-                x_old, y_old = x[sel], y[sel]
-                re = rho if rho_eff is None else rho_eff[j]
-                x_new = x_update(self._stack, x_old, y_old, z, re, mode, sel)
-                if self._noise_rows:
-                    np.add(x_new, noise[j], out=x_new, where=self._noise_mask)
-                y_new = y_update(y_old, z, x_new, re)
-                z = z_update_incremental(z, x_old, y_old, x_new, y_new, rho, self.n_agents)
-                x[sel], y[sel] = x_new, y_new
-                block.x[lo + j], block.y[lo + j], block.z[lo + j] = x_new, y_new, z
+            s = np.ones((n, width, 1, 4 * p + 1))
+            s[:, :, 0, 3 * p : 4 * p] = noise
+            s_z, out = s[:, :, 0, 2 * p : 3 * p], block.states[lo : lo + n, :, None]
+        for j0, j1 in pairwise(_windows(pick)):
+            # the window's agents' states: gathered, stepped and written back once
+            sel = (pick[j0:j1], self._col[:, 0])
+            old = xy[sel]
+            if self._ops is not None:
+                s[j0:j1, :, 0, : 2 * p] = old
+                for j in range(j0, j1):
+                    s_z[j] = z
+                    np.matmul(s[j], ops[j], out=out[j])
+                    z = block.z[lo + j]
+            else:
+                x, y = old[..., :p], old[..., p:]
+                if mode == XUpdateMode.FIRST_ORDER:
+                    grad = self._stack.gradient(sel, x)
+                for i, j in enumerate(range(j0, j1)):
+                    re = rho if rho_eff is None else rho_eff[j]
+                    x_new = first_order_step(z, y[i], grad[i], re) \
+                        if mode == XUpdateMode.FIRST_ORDER else \
+                        x_update(self._stack, x[i], y[i], z, re, mode, (sel[0][i], sel[1]))
+                    if self._noise_rows:
+                        np.add(x_new, noise[j], out=x_new, where=self._noise_mask)
+                    y_new = y_update(y[i], z, x_new, re)
+                    z = z_update_incremental(z, x[i], y[i], x_new, y_new, rho, self.n_agents)
+                    block.x[lo + j], block.y[lo + j], block.z[lo + j] = x_new, y_new, z
+            xy[sel] = block.states[lo + j0 : lo + j1, :, : 2 * p]
         block.n = lo + n
-        self._z, self.k = z, k0 + n
+        self._z, self.k = z.copy(), k0 + n
         self.active = receivers[-1].copy()
         return chunk
 

@@ -15,7 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import assert_fills_checkpoints, make_cfg
+from conftest import assert_fills_checkpoints, assert_identical, make_cfg
 from ringadmm import harness, solver
 from ringadmm.config import ConfigError, ExperimentConfig, apply_seed, parse_kv_text
 from ringadmm.harness import build_problem, parse_sweep_spec, run_sweep
@@ -34,31 +34,6 @@ KINDS = {
     "logistic_wadmm": dict(problem="logistic", x_update=XUpdateMode.FIRST_ORDER,
                            variant=Variant.WADMM_BASELINE),
 }
-
-
-def bits(a) -> tuple:
-    a = np.ascontiguousarray(a)
-    return a.shape, a.dtype.str, a.view(np.uint8).tobytes()
-
-
-def assert_identical(got: solver.RunResult, want: solver.RunResult) -> None:
-    assert got.n_iterations == want.n_iterations
-    assert (got.trace.stop_reason, got.trace.diverged) == (want.trace.stop_reason,
-                                                           want.trace.diverged)
-    g, w = got.transcript, want.transcript
-    assert (g.n_agents, g.rho, g.deterministic_init, g.stopped_by_eps) == \
-        (w.n_agents, w.rho, w.deterministic_init, w.stopped_by_eps)
-    assert bits(g.stop_eps) == bits(w.stop_eps)
-    pairs = [
-        (got.trace.agents, want.trace.agents), (got.trace.values, want.trace.values),
-        (g.senders, w.senders), (g.receivers, w.receivers), (g.z_values, w.z_values),
-        (got.history.x0, want.history.x0), (got.history.y0, want.history.y0),
-        (got.history.agents, want.history.agents),
-        (got.history.x_new, want.history.x_new), (got.history.y_new, want.history.y_new),
-        (got.x, want.x), (got.y, want.y), (got.z, want.z),
-    ]
-    for a, b in pairs:
-        assert bits(a) == bits(b)
 
 
 def spy_batches(monkeypatch) -> list[int]:

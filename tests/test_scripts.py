@@ -71,3 +71,24 @@ def test_compare_outputs_reports_each_kind_of_difference(tmp_path):
     assert diffs == ["only in OLD: out/gone.csv", "only in NEW: out/added.csv",
                      "differs: out/one_byte.csv: line 2: b'0.5' != b'0.6'"]
     assert (files, ops) == (4, 1)
+
+
+def test_bench_pairs_summary_compares_the_sides_pair_by_pair():
+    summarize = load_script("bench_pairs.py").summarize
+    metrics = [{"name": "ops_per_s", "unit": "1/s", "better": "higher", "bound": 0.24},
+               {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25}]
+    parent = [{"ops_per_s": v, "setup_s": s} for v, s in ((20.0, 0.4), (22.0, 0.5), (21.0, 0.3),
+                                                          (19.0, 0.4))]
+    change = [{"ops_per_s": v, "setup_s": s} for v, s in ((25.0, 0.5), (21.0, 0.4), (26.0, 0.3),
+                                                          (24.0, 0.6))]
+    out = summarize(parent, change, metrics)
+    ops = out["ops_per_s"]
+    assert ops["parent"] == {"median": 20.5, "q1": 19.75, "q3": 21.25, "n": 4}
+    assert ops["change"] == {"median": 24.5, "q1": 23.25, "q3": 25.25, "n": 4}
+    assert (ops["change_wins"], ops["ties"]) == (3, 0)  # higher is better: 21 < 22 loses
+    assert ops["ratio_change_over_parent"] == 24.5 / 20.5
+    assert ops["worse_by_frac"] == 1.0 - 24.5 / 20.5 < 0
+    assert (ops["bound"], ops["unit"]) == (0.24, "1/s")
+    setup = out["setup_s"]
+    assert (setup["change_wins"], setup["ties"]) == (1, 1)  # lower is better: 0.4 < 0.5 wins
+    assert setup["worse_by_frac"] == 0.45 / 0.4 - 1.0 > 0
