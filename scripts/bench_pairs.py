@@ -1,14 +1,15 @@
 """Time two source trees of ringadmm in alternating pairs of benchmark runs.
 
     python scripts/bench_pairs.py OLD_TREE NEW_TREE --label L
-    python scripts/bench_pairs.py OLD_TREE NEW_TREE --label L --pairs runs=10 sweep=3 \
-        --first-seed 9101 --seconds 30
+    python scripts/bench_pairs.py OLD_TREE NEW_TREE --label L --first-seed 9101
 
 Each run is one `perfbench/run.py --workload W --seed S --seconds T --trace 0`
-of a tree's own benchmark, started in that tree.  A pair runs both trees on
-one workload and seed, back to back; the k-th pair overall (from 0) runs
-OLD_TREE first when k is even and NEW_TREE first when k is odd.  Workloads
-run in the order given, each on consecutive seeds that follow the previous
+of a tree's own benchmark, started in that tree, with T the `run_seconds` of
+NEW_TREE's BENCHMARK.json.  A pair runs both trees on one workload and seed,
+back to back; the k-th pair overall (from 0) runs OLD_TREE first when k is
+even and NEW_TREE first when k is odd.  The pairs are those of PAIRS, in its
+order: 10 of `runs`, the count a gain claim needs, then 3 each of `attacks`
+and `sweep`; each workload runs on consecutive seeds that follow the previous
 workload's, from --first-seed on.
 
 Writes BENCH_<L>.json into the current directory: per workload and
@@ -35,6 +36,7 @@ import sys
 import numpy as np
 
 SIDES = ("parent", "change")
+PAIRS = {"runs": 10, "attacks": 3, "sweep": 3}
 
 
 def quartiles(values: list[float]) -> dict:
@@ -89,32 +91,28 @@ def main(argv=None) -> int:
     parser.add_argument("old_tree")
     parser.add_argument("new_tree")
     parser.add_argument("--label", required=True)
-    parser.add_argument("--pairs", nargs="+", default=["runs=10", "attacks=3", "sweep=3"],
-                        help="WORKLOAD=COUNT, in the order to run")
     parser.add_argument("--first-seed", type=int, default=9101)
-    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--change", default="", help="one line on what the change does")
     args = parser.parse_args(argv)
     trees = dict(zip(SIDES, map(os.path.abspath, (args.old_tree, args.new_tree))))
     with open(os.path.join(trees["change"], "BENCHMARK.json")) as fh:
-        metrics = json.load(fh)["end_to_end"]
-
-    pairs = {w: int(n) for w, n in (p.split("=") for p in args.pairs)}
+        spec = json.load(fh)
+    metrics, seconds = spec["end_to_end"], spec["run_seconds"]
     seeds, next_seed = {}, args.first_seed
-    for w, n in pairs.items():
+    for w, n in PAIRS.items():
         seeds[w], next_seed = list(range(next_seed, next_seed + n)), next_seed + n
-    runs = {w: {side: [] for side in SIDES} for w in pairs}
+    runs = {w: {side: [] for side in SIDES} for w in PAIRS}
     k = 0
-    for w in pairs:
+    for w in PAIRS:
         for seed in seeds[w]:
             for side in (SIDES if k % 2 == 0 else SIDES[::-1]):
-                runs[w][side].append(bench_once(trees[side], w, seed, args.seconds))
+                runs[w][side].append(bench_once(trees[side], w, seed, seconds))
                 print(f"pair {k}: {w} seed {seed} {side}: ops_per_s "
                       f"{runs[w][side][-1]['ops_per_s']:.3f}", file=sys.stderr)
             k += 1
 
     def per_side(fn) -> dict:
-        return {w: {side: fn(runs[w][side]) for side in SIDES} for w in pairs}
+        return {w: {side: fn(runs[w][side]) for side in SIDES} for w in PAIRS}
 
     def op_medians(side_runs: list[dict]) -> dict:
         labels = {label: [] for r in side_runs for label in r["op_s"]}
@@ -126,11 +124,11 @@ def main(argv=None) -> int:
     bench = {
         "label": args.label,
         "change": args.change,
-        "command": "python3 perfbench/run.py --workload {" + ",".join(pairs)
-                   + f"}} --seed S --seconds {args.seconds:g} --trace 0",
-        "pairs": pairs,
+        "command": "python3 perfbench/run.py --workload {" + ",".join(PAIRS)
+                   + f"}} --seed S --seconds {seconds:g} --trace 0",
+        "pairs": PAIRS,
         "seeds": seeds,
-        "order": f"pairs run in the order {', '.join(pairs)}, seeds ascending; the k-th pair "
+        "order": f"pairs run in the order {', '.join(PAIRS)}, seeds ascending; the k-th pair "
                  "overall (from 0) runs the parent first when k is even, the change first "
                  "when k is odd",
         "host": f"{os.cpu_count()} vCPUs, {platform.system()} {platform.machine()}, Python "
@@ -142,10 +140,10 @@ def main(argv=None) -> int:
                                     "failed": sum(r["failed"] for r in rs),
                                     "all_correct": all(r["correct"] for r in rs)}),
         "end_to_end": {w: summarize(runs[w]["parent"], runs[w]["change"], metrics)
-                       for w in pairs},
+                       for w in PAIRS},
         "import_s": {w: summarize(runs[w]["parent"], runs[w]["change"],
                                   [{"name": "import_s", "unit": "s", "better": "lower"}])
-                     ["import_s"] for w in pairs},
+                     ["import_s"] for w in PAIRS},
         "op_seconds_by_kind": per_side(op_medians),
         "runs": per_side(lambda rs: [{k: v for k, v in r.items() if k != "op_s"} for r in rs]),
     }
@@ -153,10 +151,10 @@ def main(argv=None) -> int:
     with open(path, "w") as fh:
         json.dump(bench, fh, indent=1)
         fh.write("\n")
-    for w in pairs:
+    for w in PAIRS:
         s = bench["end_to_end"][w]["ops_per_s"]
         print(f"{w}: ops_per_s {s['parent']['median']:.3f} -> {s['change']['median']:.3f} "
-              f"(change wins {s['change_wins']} of {pairs[w]})")
+              f"(change wins {s['change_wins']} of {PAIRS[w]})")
     print(f"wrote {path}")
     return 0
 

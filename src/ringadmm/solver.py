@@ -624,13 +624,11 @@ class Simulation:
                     z = block.z[lo + j]
             else:
                 x, y = old[..., :p], old[..., p:]
-                if mode == XUpdateMode.FIRST_ORDER:
-                    grad = self._stack.gradient(sel, x)
+                grad = self._stack.gradient(sel, x) if mode == XUpdateMode.FIRST_ORDER else None
                 for i, j in enumerate(range(j0, j1)):
                     re = rho if rho_eff is None else rho_eff[j]
-                    x_new = first_order_step(z, y[i], grad[i], re) \
-                        if mode == XUpdateMode.FIRST_ORDER else \
-                        x_update(self._stack, x[i], y[i], z, re, mode, (sel[0][i], sel[1]))
+                    x_new = x_update(self._stack, x[i], y[i], z, re, mode, (sel[0][i], sel[1])) \
+                        if grad is None else first_order_step(z, y[i], grad[i], re)
                     if self._noise_rows:
                         np.add(x_new, noise[j], out=x_new, where=self._noise_mask)
                     y_new = y_update(y[i], z, x_new, re)
