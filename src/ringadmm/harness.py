@@ -341,14 +341,13 @@ def run_sweep(
             if not quiet:
                 print(f"sweep point {overrides} seed={seed} failed: {result}")
             continue
-        for k in result.trace.checkpoints(_trace_every(cfg)).tolist():
-            rec = result.trace.record(k)
-            rows.append([
-                run_index, overrides, seed_col, rec.k, rec.agent,
-                repr(rec.accuracy), repr(rec.aug_lagrangian),
-                repr(rec.r_primal), repr(rec.r_dualstep),
-                repr(rec.r_gradsum), rec.comm_units, "ok",
-            ])
+        # k, agent, the five metrics and k + 1 communication units, as the
+        # trace's IterationRecord of row k holds them
+        ks = result.trace.checkpoints(_trace_every(cfg))
+        for k, agent, values in zip(ks.tolist(), result.trace.agents[ks].tolist(),
+                                    result.trace.values[ks, :5].tolist()):
+            rows.append([run_index, overrides, seed_col, k, agent, *map(repr, values),
+                         k + 1, "ok"])
 
     def write(fh):
         fh.write(SCHEMA_LINE + "\n")

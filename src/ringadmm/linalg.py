@@ -123,6 +123,12 @@ class SparseSystem:
         return out
 
 
+def _norm(v: np.ndarray) -> float:
+    """||v|| of a real 1-D array: what np.linalg.norm computes, without its
+    dispatch."""
+    return math.sqrt(v.dot(v))
+
+
 @dataclass
 class LsqrResult:
     x: np.ndarray
@@ -170,18 +176,19 @@ def lsqr(system: SparseSystem, tol: float = 1e-10, max_iter: int | None = None) 
 
     x = np.zeros(n)
     u = b.copy()
-    beta = float(np.linalg.norm(u))
+    beta = _norm(u)
     normb = beta
     if beta == 0.0:
         return LsqrResult(x, 0.0, 0, True, np.array([0.0]))
     u /= beta
     v = at @ u
-    alpha = float(np.linalg.norm(v))
+    alpha = _norm(v)
     if alpha == 0.0:
         # A'b = 0: x = 0 already minimizes the residual.
         return LsqrResult(x, beta, 0, True, np.array([beta]))
     v /= alpha
     w = v.copy()
+    step = np.empty(n)
     phibar = beta
     rhobar = alpha
     anorm_sq = alpha * alpha
@@ -189,14 +196,19 @@ def lsqr(system: SparseSystem, tol: float = 1e-10, max_iter: int | None = None) 
     converged = False
     iterations = 0
 
+    # u, v, w and x are updated in place, each by the same operations on the
+    # same operands as u = A v - alpha u, v = A'u - beta v, x += (phi/rho) w
+    # and w = v - (theta/rho) w, so they equal those expressions bit for bit
     for it in range(1, max_iter + 1):
         iterations = it
-        u = a @ v - alpha * u
-        beta = float(np.linalg.norm(u))
+        u *= alpha
+        np.subtract(a @ v, u, out=u)
+        beta = _norm(u)
         if beta > 0.0:
             u /= beta
-        v = at @ u - beta * v
-        alpha = float(np.linalg.norm(v))
+        v *= beta
+        np.subtract(at @ u, v, out=v)
+        alpha = _norm(v)
         if alpha > 0.0:
             v /= alpha
         anorm_sq += alpha * alpha + beta * beta
@@ -209,8 +221,9 @@ def lsqr(system: SparseSystem, tol: float = 1e-10, max_iter: int | None = None) 
         phi = c * phibar
         phibar = s * phibar
 
-        x += (phi / rho) * w
-        w = v - (theta / rho) * w
+        x += np.multiply(w, phi / rho, out=step)
+        w *= theta / rho
+        np.subtract(v, w, out=w)
         history.append(phibar)
 
         # phibar estimates ||r||; alpha*|c|*phibar estimates ||A'r||.

@@ -317,18 +317,23 @@ class RunResult:
 
 
 def _block_rows(n_agents: int, batch: int) -> int:
-    """Iterations per block, and so per update and metrics pass: one cycle,
-    but at least 128 to share the passes' fixed cost (which the few rows
-    the metrics score no longer hide), and few enough that their
-    (batch, rows, N, p) arrays stay near 2**14 agent states."""
-    return max(1, min(max(n_agents, 128), 2**14 // (n_agents * batch)))
+    """Iterations per block, and so per chunk: as many as keep its (batch,
+    rows, N, p) arrays within a budget of 2**15 agent states, and at most
+    1,024 (or one cycle, if longer).  Each chunk's update and metrics passes
+    have a fixed cost, which the longer chunk spreads; a run that stops on
+    stop_eps has computed up to one chunk past its stop, which it drops.  No
+    result depends on the chunk's length."""
+    return max(1, min(max(n_agents, 1024), 2**15 // (n_agents * batch)))
 
 
-def _windows(agents: np.ndarray) -> list[int]:
+def _windows(agents: np.ndarray, ring: int = 0) -> list[int]:
     """The bounds of a chunk's windows, from its (iteration, run) active
     `agents`: each runs up to the first iteration whose agent acted earlier
-    in it in the same run, so a ring's spans N iterations."""
+    in it in the same run.  On a ring of `ring` agents, that is every
+    ring-th iteration, and no scan is needed."""
     n, width = agents.shape
+    if ring:
+        return list(range(0, n, ring)) + [n]
     key = (agents * width + np.arange(width)).ravel()
     order = np.argsort(key, kind="stable")
     repeat = key[order[1:]] == key[order[:-1]]
@@ -408,13 +413,14 @@ class Simulation:
     start, so its agents' (x_i, y_i) are gathered, their gradients (first
     order) evaluated and their new states written back once per window;
     only the steps that read the token (on an affine stack one precomputed
-    operator, see _operators) run per iteration, recorded in blocks of one
-    cycle, or at least 128 iterations (_block_rows).
+    operator, see _operators) run per iteration, recorded in blocks of up to
+    1,024 iterations, fewer where N B is large (_block_rows).
     The metrics of each chunk of iterations are computed afterwards in one
     vectorised pass, the only place where runs end: each at its chunk's first
-    diverging, converged or last allowed iteration.  Ended runs leave the
-    batch and stay ended.  `k` counts the iterations computed, or those that
-    step() has returned.
+    diverging, converged or last allowed iteration, so a run that stops on
+    stop_eps has computed up to one chunk past its stop, and drops it.
+    Ended runs leave the batch and stay ended.  `k` counts the iterations
+    computed, or those that step() has returned.
 
     A run's trace fills the five metric columns of the rows
     RunTrace.checkpoints(every) keeps: iterations k with k % every == 0, and
@@ -612,7 +618,7 @@ class Simulation:
             s = np.ones((n, width, 1, 4 * p + 1))
             s[:, :, 0, 3 * p : 4 * p] = noise
             s_z, out = s[:, :, 0, 2 * p : 3 * p], block.states[lo : lo + n, :, None]
-        for j0, j1 in pairwise(_windows(pick)):
+        for j0, j1 in pairwise(_windows(pick, self.n_agents if self.cyclic else 0)):
             # the window's agents' states: gathered, stepped and written back once
             sel = (pick[j0:j1], self._col[:, 0])
             old = xy[sel]

@@ -129,9 +129,9 @@ def test_ragged_batch_rows_fill_their_checkpoints_and_end_alike(prox_fault):
 def test_ending_on_a_chunks_first_row_keeps_the_last_row(factor, chunk, prox_fault):
     # a non-finite state or overflowed metrics on the first row of a chunk
     # end the trace on the previous chunk's last row, which no checkpoint
-    # asks for
+    # asks for; max_iters lets the run reach that chunk
     start = chunk * solver._block_rows(8, 1)
-    make = faulty_run(prox_fault, 1, start=start, factor=factor)
+    make = faulty_run(prox_fault, 1, start=start, factor=factor, max_iters=start + 10)
     full = run(*make())
     got = run(*make(), every=5)
     assert full.n_iterations == start and (start - 1) % 5

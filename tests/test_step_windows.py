@@ -67,9 +67,9 @@ def faulty(prox_fault, start: float, change) -> list:
 
 
 def cut_windows() -> list:
-    """Runs of 200 agents, whose blocks of 81 rows end every chunk inside a
+    """Runs of 200 agents, whose blocks of 163 rows end every chunk inside a
     window."""
-    assert _block_rows(200, 1) == 81
+    assert _block_rows(200, 1) == 163
     return alone(*(spec(k, n_agents=200, max_iters=400)
                    for k in ("iadmm_randinit", "piadmm1", "piadmm2", "first_order")))
 
@@ -119,7 +119,10 @@ def test_windowed_loop_equals_the_per_iteration_loop(scenario, prox_fault, monke
 def test_windows_hold_no_agent_twice_and_end_at_the_first_repeat():
     rng = np.random.default_rng(5)
     ring = np.arange(3, 3 + 40)[:, None] % 7 * np.ones(2, dtype=np.int64)
-    assert _windows(ring) == [0, 7, 14, 21, 28, 35, 40]
+    assert _windows(ring) == _windows(ring, 7) == [0, 7, 14, 21, 28, 35, 40]
+    for n_agents, start, n in ((1, 0, 5), (3, 2, 3), (5, 4, 1), (8, 1, 17), (12, 5, 24)):
+        ring = np.arange(start, start + n)[:, None] % n_agents * np.ones(3, dtype=np.int64)
+        assert _windows(ring, n_agents) == _windows(ring)
     walks = rng.integers(0, 6, size=(60, 3))
     bounds = _windows(walks)
     assert bounds[0] == 0 and bounds[-1] == len(walks)
@@ -128,3 +131,47 @@ def test_windows_hold_no_agent_twice_and_end_at_the_first_repeat():
         assert all(len(set(col)) == len(col) for col in window.T)  # no agent twice
         if j1 < len(walks):  # the next iteration repeats an agent of some run
             assert any(walks[j1, b] in window[:, b] for b in range(walks.shape[1]))
+
+
+# chunk lengths to force on _block_rows(n_agents, batch), as functions of N
+CHUNK_ROWS = {
+    "1": lambda n, batch: 1,
+    "7": lambda n, batch: 7,
+    "N - 1": lambda n, batch: n - 1,
+    "default": _block_rows,
+    "past max_iters": lambda n, batch: 4000,
+}
+
+
+def chunked_runs() -> list:
+    """Ridge and logistic runs of 100 agents, on rings and walks, alone and
+    in a mixed batch, one alone and one in the batch filling only every
+    7th or 5th trace row, one stepped and one of 8 agents that stops on
+    stop_eps after 1,453 iterations: more than one chunk each at the
+    default length."""
+    assert _block_rows(100, 3) < _block_rows(100, 1) < 400 and _block_rows(8, 1) < 1453
+    big = dict(n_agents=100, max_iters=400)
+    mixed = [(*spec(k, seed_solver=s, **big), every) for k, s, every in (
+        ("piadmm1", 3, 1), ("piadmm2", 4, 5), ("iadmm_randinit", 5, 1))]
+    (stop,) = alone(spec("iadmm", max_iters=3000, stop_eps=1e-5))
+    assert (stop.trace.stop_reason, stop.n_iterations) == ("primal_eps", 1453)
+    return (alone((*spec("iadmm_randinit", **big), 7),
+                  *(spec(k, **big) for k in ("first_order", "wadmm", "logistic_piadmm1",
+                                             "logistic_wadmm")))
+            + run_batch(mixed) + [stop] + stepped(11, spec("piadmm2", **big)))
+
+
+def test_results_do_not_depend_on_the_chunk_length(monkeypatch):
+    results = {}
+    for name, rows in CHUNK_ROWS.items():
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "_block_rows", rows)
+            results[name] = chunked_runs()
+    want = results.pop("1")
+    for name, got in results.items():
+        assert len(got) == len(want), name
+        for g, w in zip(got, want):
+            if isinstance(g, np.ndarray):
+                assert bits(g) == bits(w), name
+            else:
+                assert_identical(g, w)
