@@ -11,8 +11,9 @@ op's exit code, standard output and standard error, and every file written,
 inputs included, with the temporary directory's path replaced.  The
 defaults cover 3 workloads x 2 sizes x 2 seeds x 3 parts: 1,152 ops.
 
-Prints the first differences and exits 1 if there are any, else 0; exits 2
-when a tree's ops cannot be run.
+Prints the first differences and, per op label (`run:logistic`, `sweep`,
+...), how many of its ops differ in any of their files; exits 1 if anything
+differs, else 0; exits 2 when a tree's ops cannot be run.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ PLACEHOLDER = b"<work>"
 
 def collect(tree: str, work: str, sizes, seeds, parts) -> None:
     """Write the inputs and run the ops of every workload of one tree under `work`.  Op i of a
-    part writes to out/<part>-<i>, and its exit code and streams go to
+    part writes to out/<part>-<i>, and its exit code, streams and label go to
     streams/<part>-<i>/."""
     sys.path[:0] = [os.path.join(tree, "src"), os.path.join(tree, "perfbench")]
     import workloads as bench  # the tree's own perfbench/workloads.py
@@ -53,7 +54,7 @@ def collect(tree: str, work: str, sizes, seeds, parts) -> None:
             streams = os.path.join(base, "streams", key)
             os.makedirs(streams)
             for fname, text in (("exit_code", f"{rc}\n"), ("stdout", out.getvalue()),
-                                ("stderr", err.getvalue())):
+                                ("stderr", err.getvalue()), ("label", f"{op.label}\n")):
                 with open(os.path.join(streams, fname), "w") as fh:
                     fh.write(text)
 
@@ -74,21 +75,39 @@ def first_difference(old: bytes, new: bytes) -> str:
     return f"{len(old.splitlines())} lines != {len(new.splitlines())} lines"
 
 
-def compare(old_work: str, new_work: str) -> tuple[list[str], int, int]:
+def op_of(rel: str) -> tuple[str, str] | None:
+    """The op (work directory, <part>-<i>) that wrote the file `rel`, or None for an input."""
+    parts = rel.split(os.sep)
+    return (parts[0], parts[2]) if len(parts) > 3 and parts[1] in ("out", "streams") else None
+
+
+def compare(old_work: str, new_work: str) -> tuple[list[str], int, int, dict[str, list[int]]]:
     """The differences between the two work directories, the number of
-    files compared and the number of ops run."""
+    files compared, the number of ops run and, per op label, how many ops
+    differ in any file and how many there are."""
     old_files, new_files = files_under(old_work), files_under(new_work)
-    diffs = [f"only in OLD: {rel}" for rel in sorted(old_files - new_files)]
-    diffs += [f"only in NEW: {rel}" for rel in sorted(new_files - old_files)]
+    only_old, only_new = sorted(old_files - new_files), sorted(new_files - old_files)
+    diffs = [f"only in OLD: {rel}" for rel in only_old]
+    diffs += [f"only in NEW: {rel}" for rel in only_new]
+    changed = {op_of(rel) for rel in only_old + only_new}  # the ops with a differing file
     shared = sorted(old_files & new_files)
     for rel in shared:
         if filecmp.cmp(os.path.join(old_work, rel), os.path.join(new_work, rel), shallow=False):
             continue
         old, new = content(old_work, rel), content(new_work, rel)
         if old != new:
+            changed.add(op_of(rel))
             diffs.append(f"differs: {rel}: {first_difference(old, new)}")
+    by_label: dict[str, list[int]] = {}
+    for rel in sorted(old_files | new_files):
+        if os.path.basename(rel) == "label":
+            work = new_work if rel in new_files else old_work
+            with open(os.path.join(work, rel)) as fh:
+                counts = by_label.setdefault(fh.read().strip(), [0, 0])
+            counts[0] += op_of(rel) in changed
+            counts[1] += 1
     ops = sum(os.path.basename(rel) == "exit_code" for rel in shared)
-    return diffs, len(shared), ops
+    return diffs, len(shared), ops, by_label
 
 
 def main(argv=None) -> int:
@@ -127,11 +146,13 @@ def main(argv=None) -> int:
                 failed = True
         if failed:
             return 2
-        diffs, files, ops = compare(*works)
+        diffs, files, ops, by_label = compare(*works)
     for line in diffs[:SHOWN]:
         print(line)
     if len(diffs) > SHOWN:
         print(f"... and {len(diffs) - SHOWN} more")
+    for label, (changed, total) in sorted(by_label.items()):
+        print(f"{label}: {changed} of {total} ops differ")
     print(f"{ops} ops, {files} files compared: "
           + (f"{len(diffs)} differences" if diffs else "no difference"))
     return 1 if diffs else 0

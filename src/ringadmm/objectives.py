@@ -233,7 +233,7 @@ class LogisticStack:
     -S' sigmoid(-S x) / b equal each objective's t (O x) and
     -O' (t sigmoid(-t O x)) / b bit for bit."""
 
-    affine = False
+    affine = False  # the first-order step is affine given the gradient, an operator input
 
     def __init__(self, columns: Sequence[Sequence]):
         self.signed = np.array([[f.data.targets[:, None] * f.data.features for f in agent]

@@ -214,7 +214,7 @@ def x_update(
 def first_order_step(z: np.ndarray, y: np.ndarray, gradient: np.ndarray,
                      rho_eff: float | np.ndarray) -> np.ndarray:
     """x_update's first_order step from gradient = grad f(x_current), which
-    the solver evaluates for a window of agents at once."""
+    the solver's logistic operators take as an input (see Simulation._operators)."""
     return z + y / rho_eff - gradient / rho_eff
 
 
@@ -412,9 +412,11 @@ class Simulation:
     (_windows).  All that a window reads but the token is there at its
     start, so its agents' (x_i, y_i) are gathered, their gradients (first
     order) evaluated and their new states written back once per window;
-    only the steps that read the token (on an affine stack one precomputed
-    operator, see _operators) run per iteration, recorded in blocks of up to
-    1,024 iterations, fewer where N B is large (_block_rows).
+    only the steps that read the token run per iteration: one precomputed
+    operator (_operators; a logistic one takes the gradients as an input),
+    or x_update on a stack that is not affine with the exact prox.  They are
+    recorded in blocks of up to 1,024 iterations, fewer where N B is large
+    (_block_rows) or the runs end sooner.
     The metrics of each chunk of iterations are computed afterwards in one
     vectorised pass, the only place where runs end: each at its chunk's first
     diverging, converged or last allowed iteration, so a run that stops on
@@ -478,28 +480,35 @@ class Simulation:
         self._noise_rows = [b for b, r in enumerate(runs) if r.config.variant == Variant.PIADMM2]
         noisy = np.isin(np.arange(len(runs)), self._noise_rows)[:, None]
         self._noise_mask = True if noisy.all() else noisy  # np.add's where=
-        self._ops = self._operators((np.arange(self.n_agents)[:, None], self._col[:, 0]),
-                                    self._rho, self._rho) if self._stack.affine else None
+        prox = not self._stack.affine and runs[0].config.x_update == XUpdateMode.EXACT_PROX
+        self._ops = None if prox else self._operators(
+            (np.arange(self.n_agents)[:, None], self._col[:, 0]), self._rho, self._rho)
         self._new_block()
 
     def _operators(self, sel, rho_eff, rho) -> np.ndarray:
         """The updates of the agents that the (n, B) index arrays `sel` pick, as
         (n, B, 4p + 1, 3p) maps A: (x_i', y_i', z') = s @ A for s = (x_i, y_i, z,
-        omega, 1), omega the noise added to x'.  Read off x_update, y_update and
-        z_update_incremental at the unit vectors, less their value at 0, and at 0."""
-        eye, mode = np.eye(4 * self.dim + 1, 4 * self.dim)[:, None, None], \
-            self.runs[0].config.x_update
-        x, y, z, omega = [a.copy() for a in np.split(eye, 4, axis=-1)]  # contiguous: faster
-        x_new = x_update(self._stack, x, y, z, rho_eff, mode, sel) + omega
+        omega, 1), omega the noise added to x'; on a logistic stack, the same
+        (5p + 1, 3p) map for every agent, with s = (x_i, y_i, z, omega, g, 1) and
+        g the agent's gradient.  Read off x_update (first_order_step, given g),
+        y_update and z_update_incremental at the unit vectors, less their value
+        at 0, and at 0."""
+        blocks, mode = 4 if self._stack.affine else 5, self.runs[0].config.x_update
+        eye = np.eye(blocks * self.dim + 1, blocks * self.dim)[:, None, None]
+        x, y, z, omega, *g = [a.copy() for a in np.split(eye, blocks, axis=-1)]  # contiguous: faster
+        x_new = (first_order_step(z, y, g[0], rho_eff) if g else
+                 x_update(self._stack, x, y, z, rho_eff, mode, sel)) + omega
         y_new = y_update(y, z, x_new, rho_eff)
         z_new = z_update_incremental(z, x, y, x_new, y_new, rho, self.n_agents)
         ops = np.concatenate([x_new, y_new, z_new], axis=-1)
         ops[:-1] -= ops[-1]
+        ops = np.broadcast_to(ops, (len(ops), *np.broadcast(*sel).shape, ops.shape[-1]))
         return ops.transpose(1, 2, 0, 3).copy()
 
     def _new_block(self) -> None:
-        self._block = _Block(_block_rows(self.n_agents, len(self._alive)),
-                             len(self._alive), self.dim)
+        rows = min(_block_rows(self.n_agents, len(self._alive)),
+                   int(self._max_iters.max()) - self.k)  # none past the longest run's end
+        self._block = _Block(rows, len(self._alive), self.dim)
         for b, r in enumerate(self._alive):
             r.blocks.append((self._block, b))
 
@@ -571,9 +580,10 @@ class Simulation:
         """Up to `limit` iterations of the state update of every run in the
         batch, as many as the current block has free rows for (a full block
         is followed by a new one), stepped window by window (see Simulation)
-        and recorded in those rows.  Returns the
-        chunk's start for _metrics: its first row and iteration, the (x, y)
-        states side by side as (B, N, 2p) and the objective values."""
+        and recorded in those rows.  A window fills the blocks of s (see
+        _operators) that the token does not.  Returns the chunk's start for
+        _metrics: its first row and iteration, the (x, y) states side by
+        side as (B, N, 2p) and the objective values."""
         if self._block.n == len(self._block.agents):
             self._new_block()
         block, runs = self._block, self._alive
@@ -611,11 +621,11 @@ class Simulation:
 
         mode, pick = runs[0].config.x_update, agents - 1
         if self._ops is not None:
-            # the active agents' operators applied to s = (x_i, y_i, z, omega, 1)
+            # the active agents' operators applied to s (see _operators)
             ops = self._ops[pick, self._col[:, 0]]
             if len(g):  # piadmm1 is cyclic; its rows take the chunk's own operators
                 ops[:, g] = self._operators((ring[:n, None], g), rho_eff[:, g], rho[g])
-            s = np.ones((n, width, 1, 4 * p + 1))
+            s = np.ones((n, width, 1, ops.shape[-2]))
             s[:, :, 0, 3 * p : 4 * p] = noise
             s_z, out = s[:, :, 0, 2 * p : 3 * p], block.states[lo : lo + n, :, None]
         for j0, j1 in pairwise(_windows(pick, self.n_agents if self.cyclic else 0)):
@@ -624,17 +634,17 @@ class Simulation:
             old = xy[sel]
             if self._ops is not None:
                 s[j0:j1, :, 0, : 2 * p] = old
+                if not self._stack.affine:  # the window's gradients, evaluated at once
+                    s[j0:j1, :, 0, 4 * p : 5 * p] = self._stack.gradient(sel, old[..., :p])
                 for j in range(j0, j1):
                     s_z[j] = z
                     np.matmul(s[j], ops[j], out=out[j])
                     z = block.z[lo + j]
-            else:
+            else:  # a stack that is not affine, stepped by its exact prox
                 x, y = old[..., :p], old[..., p:]
-                grad = self._stack.gradient(sel, x) if mode == XUpdateMode.FIRST_ORDER else None
                 for i, j in enumerate(range(j0, j1)):
                     re = rho if rho_eff is None else rho_eff[j]
-                    x_new = x_update(self._stack, x[i], y[i], z, re, mode, (sel[0][i], sel[1])) \
-                        if grad is None else first_order_step(z, y[i], grad[i], re)
+                    x_new = x_update(self._stack, x[i], y[i], z, re, mode, (sel[0][i], sel[1]))
                     if self._noise_rows:
                         np.add(x_new, noise[j], out=x_new, where=self._noise_mask)
                     y_new = y_update(y[i], z, x_new, re)

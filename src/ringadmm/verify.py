@@ -239,17 +239,19 @@ def step_equation_errors(problem: solver.Problem, config: solver.SolverConfig,
 
 
 def check_step_equations() -> tuple[bool, str]:
-    """Short runs of every ridge variant replayed through the update functions."""
+    """Short runs of every ridge variant, and a first-order ridge and
+    logistic run, replayed through the update functions."""
     worst = 0.0
-    for variant, mode in [(v, "exact_prox") for v in solver.Variant] + [("iadmm", "first_order")]:
-        cfg = _quick_cfg(variant=solver.Variant(variant), x_update=solver.XUpdateMode(mode),
-                         init=solver.InitSpec.uniform(-1, 1), stop_eps=0.0, sigma=1e-2,
-                         gamma=solver.GammaSpec.uniform(0.9, 1.1))
+    for kind, variant, mode in [("ridge", v, "exact_prox") for v in solver.Variant] + [
+            ("ridge", "iadmm", "first_order"), ("logistic", "piadmm1", "first_order")]:
+        cfg = _quick_cfg(problem=kind, variant=solver.Variant(variant),
+                         x_update=solver.XUpdateMode(mode), init=solver.InitSpec.uniform(-1, 1),
+                         stop_eps=0.0, sigma=1e-2, gamma=solver.GammaSpec.uniform(0.9, 1.1))
         graph, problem = build_problem(cfg)
         result = solver.run(problem, graph, cfg)
         worst = max(worst, *step_equation_errors(problem, cfg, result).values())
         if worst > 1e-12 or result.n_iterations != cfg.max_iters:
-            return False, f"{cfg.variant.value} {mode}: worst error {worst:.2e}"
+            return False, f"{kind} {cfg.variant.value} {mode}: worst error {worst:.2e}"
     return True, f"worst relative step-equation error {worst:.2e}"
 
 

@@ -88,7 +88,8 @@ def z_before(transcript, k: int) -> np.ndarray:
 def per_iteration_advance(self, limit: int) -> tuple:
     """Simulation._advance as it was before its windows: every iteration
     gathers the active agents' (x_i, y_i), steps them and scatters them
-    back, and a first-order x-update evaluates its gradient then.  Kept as
+    back, and a first-order x-update evaluates its gradient then (on a
+    logistic batch, the input block g of the same operator).  Kept as
     the reference that the windowed loop equals bit for bit; install it
     with `monkeypatch.setattr(solver.Simulation, "_advance", ...)`."""
     if self._block.n == len(self._block.agents):
@@ -133,17 +134,19 @@ def per_iteration_advance(self, limit: int) -> tuple:
         noise[:, b] = omega
 
     if self._ops is not None:
-        # the active agents' operators applied to s = (x_i, y_i, z, omega, 1)
+        # the active agents' operators applied to s = (x_i, y_i, z, omega, 1),
+        # or to (x_i, y_i, z, omega, g, 1) with the active agents' gradients g
         pick = ring[:n] if self.cyclic else walk
         ops = self._ops[pick]
         if len(g):  # piadmm1 is cyclic; its rows take the chunk's own operators
             ops[:, g] = self._operators((ring[:n, None], g), rho_eff[:, g], rho[g])
-        s = np.ones((width, 1, 4 * p + 1))
-        head, out = s[:, 0, : 4 * p], block.states[lo : lo + n, :, None]
+        s = np.ones((width, 1, ops.shape[-2]))
+        head, out = s[:, 0, :-1], block.states[lo : lo + n, :, None]
         new_xy, new_z = block.states[lo : lo + n, :, : 2 * p], block.z[lo : lo + n]
         for j in range(n):
             sel = shared[j] if shared is not None else (walk[0][j], walk[1])
-            np.concatenate((xy[sel], z, noise[j]), axis=1, out=head)
+            grad = () if self._stack.affine else (self._stack.gradient(sel, xy[sel][:, :p]),)
+            np.concatenate((xy[sel], z, noise[j], *grad), axis=1, out=head)
             np.matmul(s, ops[j], out=out[j])
             xy[sel], z = new_xy[j], new_z[j]
         z = z.copy()

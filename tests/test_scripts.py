@@ -51,6 +51,9 @@ def test_compare_outputs_finds_no_difference_between_a_tree_and_itself():
     ops, files = re.fullmatch(r"(\d+) ops, (\d+) files compared: no difference",
                               out.splitlines()[-1]).groups()
     assert int(ops) > 0 and int(files) > int(ops)
+    counts = re.findall(r"^(\S+): 0 of (\d+) ops differ$", out, re.M)
+    assert {"run:logistic", "sweep", "attack:exact_iadmm"} <= {label for label, _ in counts}
+    assert sum(int(n) for _, n in counts) == int(ops)
 
 
 def test_compare_outputs_reports_each_kind_of_difference(tmp_path):
@@ -67,10 +70,31 @@ def test_compare_outputs_reports_each_kind_of_difference(tmp_path):
     (new / "out" / "one_byte.csv").write_text("a\n0.6\n")
     (old / "out" / "gone.csv").write_text("x\n")
     (new / "out" / "added.csv").write_text("x\n")
-    diffs, files, ops = compare(str(old), str(new))
+    diffs, files, ops, _ = compare(str(old), str(new))
     assert diffs == ["only in OLD: out/gone.csv", "only in NEW: out/added.csv",
                      "differs: out/one_byte.csv: line 2: b'0.5' != b'0.6'"]
     assert (files, ops) == (4, 1)
+
+
+def test_compare_outputs_counts_the_differing_ops_of_each_label(tmp_path):
+    compare = load_script("compare_outputs.py").compare
+    old, new = tmp_path / "old", tmp_path / "new"
+    labels = {"0-0": "run:logistic", "0-1": "run:logistic", "0-2": "run:iadmm", "0-3": "run:iadmm"}
+    for work in (old, new):
+        (work / "runs-tiny-23" / "inputs" / "0").mkdir(parents=True)
+        for key, label in labels.items():
+            (work / "runs-tiny-23" / "streams" / key).mkdir(parents=True)
+            (work / "runs-tiny-23" / "streams" / key / "exit_code").write_text("0\n")
+            (work / "runs-tiny-23" / "streams" / key / "label").write_text(f"{label}\n")
+            (work / "runs-tiny-23" / "out" / key).mkdir(parents=True)
+            (work / "runs-tiny-23" / "out" / key / "summary.txt").write_text("z=1\n")
+    base = ("runs-tiny-23", "out")
+    new.joinpath(*base, "0-0", "summary.txt").write_text("z=2\n")  # an op's file differs
+    new.joinpath(*base, "0-1", "extra.csv").write_text("x\n")  # an op writes one more file
+    new.joinpath("runs-tiny-23", "inputs", "0", "run0.cfg").write_text("p = 2\n")  # no op's
+    diffs, files, ops, by_label = compare(str(old), str(new))
+    assert len(diffs) == 3 and ops == 4
+    assert by_label == {"run:logistic": [2, 2], "run:iadmm": [0, 2]}
 
 
 def test_bench_pairs_summary_compares_the_sides_pair_by_pair():

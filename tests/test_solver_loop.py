@@ -7,7 +7,8 @@ one iteration at a time.  Both must produce the same records, states and
 stopping point bit for bit.  Every
 recorded iteration must also follow x_update, y_update and
 z_update_incremental applied to the states before it, whether the loop took
-the iteration as a precomputed operator (ridge) or through those functions.
+the iteration as a precomputed operator (ridge, and logistic with the
+gradient as an input) or through those functions.
 """
 
 import dataclasses
@@ -43,6 +44,9 @@ VARIANT_CONFIGS = {
 
 
 STEP_KINDS = {**VARIANT_CONFIGS, "first_order": dict(x_update=XUpdateMode.FIRST_ORDER)}
+# the logistic operator, which takes each window's gradients as an input block
+STEP_KINDS.update({f"logistic_{k}": {**VARIANT_CONFIGS[k], **VARIANT_CONFIGS["logistic"]}
+                   for k in ("iadmm_randinit", "piadmm1", "piadmm2", "wadmm")})
 
 
 @pytest.mark.parametrize("kind", sorted(STEP_KINDS))
@@ -54,7 +58,7 @@ def test_recorded_iterations_follow_the_step_equations(kind):
     res = run(problem, graph, cfg)
     assert res.trace.stop_reason == "max_iters"
     errors = step_equation_errors(problem, cfg, res)
-    assert set(errors) == {"omega" if kind == "piadmm2" else "x", "y", "z"}
+    assert set(errors) == {"omega" if kind.endswith("piadmm2") else "x", "y", "z"}
     assert max(errors.values()) <= 1e-12, errors
 
 
