@@ -412,10 +412,9 @@ class Simulation:
     (_windows).  All that a window reads but the token is there at its
     start, so its agents' (x_i, y_i) are gathered, their gradients (first
     order) evaluated and their new states written back once per window;
-    only the steps that read the token run per iteration: one precomputed
-    operator (_operators; a logistic one takes the gradients as an input),
-    or x_update on a stack that is not affine with the exact prox.  They are
-    recorded in blocks of up to 1,024 iterations, fewer where N B is large
+    only the step that reads the token runs per iteration: one precomputed
+    operator per run (_operators; a logistic one takes the gradients as an
+    input).  The steps are recorded in blocks of up to 1,024 iterations, fewer where N B is large
     (_block_rows) or the runs end sooner.
     The metrics of each chunk of iterations are computed afterwards in one
     vectorised pass, the only place where runs end: each at its chunk's first
@@ -478,22 +477,21 @@ class Simulation:
         self._col = np.arange(len(runs))[:, None]
         self._gamma_rows = np.flatnonzero([r.config.variant == Variant.PIADMM1 for r in runs])
         self._noise_rows = [b for b, r in enumerate(runs) if r.config.variant == Variant.PIADMM2]
-        noisy = np.isin(np.arange(len(runs)), self._noise_rows)[:, None]
-        self._noise_mask = True if noisy.all() else noisy  # np.add's where=
-        prox = not self._stack.affine and runs[0].config.x_update == XUpdateMode.EXACT_PROX
-        self._ops = None if prox else self._operators(
+        self._ops = self._operators(
             (np.arange(self.n_agents)[:, None], self._col[:, 0]), self._rho, self._rho)
         self._new_block()
 
     def _operators(self, sel, rho_eff, rho) -> np.ndarray:
         """The updates of the agents that the (n, B) index arrays `sel` pick, as
         (n, B, 4p + 1, 3p) maps A: (x_i', y_i', z') = s @ A for s = (x_i, y_i, z,
-        omega, 1), omega the noise added to x'; on a logistic stack, the same
-        (5p + 1, 3p) map for every agent, with s = (x_i, y_i, z, omega, g, 1) and
-        g the agent's gradient.  Read off x_update (first_order_step, given g),
-        y_update and z_update_incremental at the unit vectors, less their value
-        at 0, and at 0."""
-        blocks, mode = 4 if self._stack.affine else 5, self.runs[0].config.x_update
+        omega, 1), omega the noise added to x'; for a first-order step on a
+        logistic stack, the same (5p + 1, 3p) map for every agent, with s = (x_i,
+        y_i, z, omega, g, 1) and g the agent's gradient.  Read off x_update
+        (first_order_step, given g), y_update and z_update_incremental at the
+        unit vectors, less their value at 0, and at 0; a logistic exact prox
+        raises its ProxUnsupportedError here."""
+        mode = self.runs[0].config.x_update
+        blocks = 5 if not self._stack.affine and mode == XUpdateMode.FIRST_ORDER else 4
         eye = np.eye(blocks * self.dim + 1, blocks * self.dim)[:, None, None]
         x, y, z, omega, *g = [a.copy() for a in np.split(eye, blocks, axis=-1)]  # contiguous: faster
         x_new = (first_order_step(z, y, g[0], rho_eff) if g else
@@ -580,8 +578,9 @@ class Simulation:
         """Up to `limit` iterations of the state update of every run in the
         batch, as many as the current block has free rows for (a full block
         is followed by a new one), stepped window by window (see Simulation)
-        and recorded in those rows.  A window fills the blocks of s (see
-        _operators) that the token does not.  Returns the chunk's start for
+        and recorded in those rows.  The chunk's noise goes straight into the
+        noise block of s (see _operators), and a window fills the other blocks
+        that the token does not.  Returns the chunk's start for
         _metrics: its first row and iteration, the (x, y) states side by
         side as (B, N, 2p) and the objective values."""
         if self._block.n == len(self._block.agents):
@@ -605,51 +604,37 @@ class Simulation:
                     path.append(next_agent(r.graph, path[-1], u))
                 agents[:, b], receivers[:, b] = path[:-1], path[1:]
 
-        # the chunk's gammas (piadmm1) and noise (piadmm2)
-        g = self._gamma_rows
-        rho_eff = np.repeat(rho[None], n, axis=0) if len(g) else None
-        for b in g:
-            r, cfg = runs[b], runs[b].config
-            gamma = sample_gamma(cfg.gamma, r.rng, cfg.rho, r.lipschitz, self.n_agents, size=n)
-            block.values[lo : lo + n, b, 5] = gamma
-            rho_eff[:, b, 0] = cfg.rho * gamma
-        noise = np.zeros((n, width, p))
+        # the chunk's gammas (piadmm1), and its noise (piadmm2) in the noise block of s
+        g, pick = self._gamma_rows, agents - 1
+        ops = self._ops[pick, self._col[:, 0]]
+        s = np.zeros((n, width, 1, ops.shape[-2]))
+        s[..., -1] = 1.0
+        if len(g):  # piadmm1 is cyclic; its rows take the chunk's own operators
+            rho_eff = np.empty((n, len(g), 1))
+            for i, b in enumerate(g):
+                r, cfg = runs[b], runs[b].config
+                gamma = sample_gamma(cfg.gamma, r.rng, cfg.rho, r.lipschitz, self.n_agents, size=n)
+                block.values[lo : lo + n, b, 5] = gamma
+                rho_eff[:, i, 0] = cfg.rho * gamma
+            ops[:, g] = self._operators((ring[:n, None], g), rho_eff, rho[g])
         for b in self._noise_rows:
             omega = runs[b].rng.normal(0.0, runs[b].config.sigma, size=(n, p))
             block.values[lo : lo + n, b, 6] = np.sqrt(np.einsum("ij,ij->i", omega, omega))
-            noise[:, b] = omega
+            s[:, b, 0, 3 * p : 4 * p] = omega
 
-        mode, pick = runs[0].config.x_update, agents - 1
-        if self._ops is not None:
-            # the active agents' operators applied to s (see _operators)
-            ops = self._ops[pick, self._col[:, 0]]
-            if len(g):  # piadmm1 is cyclic; its rows take the chunk's own operators
-                ops[:, g] = self._operators((ring[:n, None], g), rho_eff[:, g], rho[g])
-            s = np.ones((n, width, 1, ops.shape[-2]))
-            s[:, :, 0, 3 * p : 4 * p] = noise
-            s_z, out = s[:, :, 0, 2 * p : 3 * p], block.states[lo : lo + n, :, None]
+        # the active agents' operators applied to s (see _operators)
+        s_z, out = s[:, :, 0, 2 * p : 3 * p], block.states[lo : lo + n, :, None]
         for j0, j1 in pairwise(_windows(pick, self.n_agents if self.cyclic else 0)):
             # the window's agents' states: gathered, stepped and written back once
             sel = (pick[j0:j1], self._col[:, 0])
             old = xy[sel]
-            if self._ops is not None:
-                s[j0:j1, :, 0, : 2 * p] = old
-                if not self._stack.affine:  # the window's gradients, evaluated at once
-                    s[j0:j1, :, 0, 4 * p : 5 * p] = self._stack.gradient(sel, old[..., :p])
-                for j in range(j0, j1):
-                    s_z[j] = z
-                    np.matmul(s[j], ops[j], out=out[j])
-                    z = block.z[lo + j]
-            else:  # a stack that is not affine, stepped by its exact prox
-                x, y = old[..., :p], old[..., p:]
-                for i, j in enumerate(range(j0, j1)):
-                    re = rho if rho_eff is None else rho_eff[j]
-                    x_new = x_update(self._stack, x[i], y[i], z, re, mode, (sel[0][i], sel[1]))
-                    if self._noise_rows:
-                        np.add(x_new, noise[j], out=x_new, where=self._noise_mask)
-                    y_new = y_update(y[i], z, x_new, re)
-                    z = z_update_incremental(z, x[i], y[i], x_new, y_new, rho, self.n_agents)
-                    block.x[lo + j], block.y[lo + j], block.z[lo + j] = x_new, y_new, z
+            s[j0:j1, :, 0, : 2 * p] = old
+            if not self._stack.affine:  # the window's gradients, evaluated at once
+                s[j0:j1, :, 0, 4 * p : 5 * p] = self._stack.gradient(sel, old[..., :p])
+            for j in range(j0, j1):
+                s_z[j] = z
+                np.matmul(s[j], ops[j], out=out[j])
+                z = block.z[lo + j]
             xy[sel] = block.states[lo + j0 : lo + j1, :, : 2 * p]
         block.n = lo + n
         self._z, self.k = z.copy(), k0 + n

@@ -1,3 +1,4 @@
+import math
 from typing import Sequence
 
 import numpy as np
@@ -6,7 +7,6 @@ import pytest
 from ringadmm import solver
 from ringadmm.config import ExperimentConfig
 from ringadmm.harness import build_problem
-from ringadmm.objectives import RidgeStack
 
 
 def make_cfg(**overrides) -> ExperimentConfig:
@@ -133,93 +133,53 @@ def per_iteration_advance(self, limit: int) -> tuple:
         block.values[lo : lo + n, b, 6] = np.sqrt(np.einsum("ij,ij->i", omega, omega))
         noise[:, b] = omega
 
-    if self._ops is not None:
-        # the active agents' operators applied to s = (x_i, y_i, z, omega, 1),
-        # or to (x_i, y_i, z, omega, g, 1) with the active agents' gradients g
-        pick = ring[:n] if self.cyclic else walk
-        ops = self._ops[pick]
-        if len(g):  # piadmm1 is cyclic; its rows take the chunk's own operators
-            ops[:, g] = self._operators((ring[:n, None], g), rho_eff[:, g], rho[g])
-        s = np.ones((width, 1, ops.shape[-2]))
-        head, out = s[:, 0, :-1], block.states[lo : lo + n, :, None]
-        new_xy, new_z = block.states[lo : lo + n, :, : 2 * p], block.z[lo : lo + n]
-        for j in range(n):
-            sel = shared[j] if shared is not None else (walk[0][j], walk[1])
-            grad = () if self._stack.affine else (self._stack.gradient(sel, xy[sel][:, :p]),)
-            np.concatenate((xy[sel], z, noise[j], *grad), axis=1, out=head)
-            np.matmul(s, ops[j], out=out[j])
-            xy[sel], z = new_xy[j], new_z[j]
-        z = z.copy()
-    else:
-        (x, y), mode = np.split(xy, 2, axis=2), runs[0].config.x_update
-        for j in range(n):
-            sel = shared[j] if shared is not None else (walk[0][j], walk[1])
-            x_old, y_old = x[sel], y[sel]
-            re = rho if rho_eff is None else rho_eff[j]
-            x_new = solver.x_update(self._stack, x_old, y_old, z, re, mode, sel)
-            if self._noise_rows:
-                np.add(x_new, noise[j], out=x_new, where=self._noise_mask)
-            y_new = solver.y_update(y_old, z, x_new, re)
-            z = solver.z_update_incremental(z, x_old, y_old, x_new, y_new, rho, self.n_agents)
-            x[sel], y[sel] = x_new, y_new
-            block.x[lo + j], block.y[lo + j], block.z[lo + j] = x_new, y_new, z
+    # the active agents' operators applied to s = (x_i, y_i, z, omega, 1),
+    # or to (x_i, y_i, z, omega, g, 1) with the active agents' gradients g
+    pick = ring[:n] if self.cyclic else walk
+    ops = self._ops[pick]
+    if len(g):  # piadmm1 is cyclic; its rows take the chunk's own operators
+        ops[:, g] = self._operators((ring[:n, None], g), rho_eff[:, g], rho[g])
+    s = np.ones((width, 1, ops.shape[-2]))
+    head, out = s[:, 0, :-1], block.states[lo : lo + n, :, None]
+    new_xy, new_z = block.states[lo : lo + n, :, : 2 * p], block.z[lo : lo + n]
+    for j in range(n):
+        sel = shared[j] if shared is not None else (walk[0][j], walk[1])
+        grad = () if self._stack.affine else (self._stack.gradient(sel, xy[sel][:, :p]),)
+        np.concatenate((xy[sel], z, noise[j], *grad), axis=1, out=head)
+        np.matmul(s, ops[j], out=out[j])
+        xy[sel], z = new_xy[j], new_z[j]
     block.n = lo + n
-    self._z, self.k = z, k0 + n
+    self._z, self.k = z.copy(), k0 + n
     self.active = receivers[-1].copy()
     return chunk
 
 
-class _Fault:
-    """`change` applied to the prox output of one run of `objectives` from
-    its `start`-th call on; one call per iteration, so from iteration
-    `start` on.  Holding the objectives keeps their id theirs."""
-
-    def __init__(self, objectives, start, change):
-        self.objectives, self.start, self.change, self.calls = objectives, start, change, 0
-
-
-class _FaultyStack(RidgeStack):
-    """Ridge objectives stepped one iteration at a time through x_update
-    (not as operators), with each faulty run's prox output changed."""
-
-    affine = False
-
-    def __init__(self, columns, faults):
-        super().__init__(columns)
-        self.faults = faults  # per run: its _Fault, or None
-
-    def prox(self, sel, z, y, rho_eff):
-        out = super().prox(sel, z, y, rho_eff)
-        for b, fault in enumerate(self.faults):
-            if fault is not None:
-                fault.calls += 1
-                if fault.calls > fault.start:
-                    out[b] = fault.change(out[b])
-        return out
-
-
 @pytest.fixture
-def prox_fault(monkeypatch):
-    """prox_fault(problem, start, change) is a copy of the ridge `problem`
-    whose runs step on _FaultyStack: each run of it, alone or in a batch,
-    has its prox output replaced by change(output) from iteration `start`
-    on.  Each call gives a problem with a counter of its own, so use a new
-    one for every run."""
-    faults = {}  # id(problem.objectives) -> its _Fault
-    plain = solver.stack_objectives
+def state_fault(monkeypatch):
+    """state_fault(problem, start, change) is a copy of `problem` whose runs,
+    alone or in a batch, have each recorded (x_i, y_i, z) row of iteration
+    `start` on replaced by change(row) before the chunk is scored
+    (Simulation._metrics, the one place where runs end).  Meant for faults
+    that end the run there, as a NaN state or overflowing metrics do: the
+    states that the next chunk steps from are not changed."""
+    faults = {}  # id(problem) -> (problem, start, change); holding it keeps its id
+    metrics = solver.Simulation._metrics
 
-    def stack(columns):
-        chosen = [faults.get(id(c)) for c in columns]
-        if not any(chosen):
-            return plain(columns)
-        return _FaultyStack(columns, chosen)
+    def faulty_metrics(self, chunk):
+        (lo, k0, *_), block = chunk, self._block
+        for b, r in enumerate(self._alive):
+            _, start, change = faults.get(id(r.problem), (None, math.inf, None))
+            if start < k0 + block.n - lo:
+                rows = block.states[lo + max(start - k0, 0) : block.n, b]
+                rows[:] = change(rows)
+        return metrics(self, chunk)
 
     def make(problem, start, change):
-        objectives = list(problem.objectives)
-        faults[id(objectives)] = _Fault(objectives, start, change)
-        return solver.Problem(objectives, problem.x_star)
+        copy = solver.Problem(problem.objectives, problem.x_star)
+        faults[id(copy)] = (copy, start, change)
+        return copy
 
-    monkeypatch.setattr(solver, "stack_objectives", stack)
+    monkeypatch.setattr(solver.Simulation, "_metrics", faulty_metrics)
     return make
 
 
@@ -229,21 +189,3 @@ def small_ridge():
     cfg = make_cfg()
     graph, problem = build_problem(cfg)
     return cfg, graph, problem
-
-
-def bfs_connected(graph) -> bool:
-    seen = {1}
-    frontier = [1]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in graph.neighbors[u]:
-                if v not in seen:
-                    seen.add(v)
-                    nxt.append(v)
-        frontier = nxt
-    return len(seen) == graph.n_agents
-
-
-def total_gradient_norm(objectives, x: np.ndarray) -> float:
-    return float(np.linalg.norm(sum(f.gradient(x) for f in objectives)))

@@ -74,31 +74,31 @@ def test_mixed_kinds_go_to_separate_batches():
         solver.Simulation._batch(runs)
 
 
-def faulty_run(prox_fault, seed, start=math.inf, factor=1.0, **overrides):
-    """A ridge run stepped through x_update, whose prox output is scaled by
-    `factor` from iteration `start` on (nan: a non-finite state; 1e200: a
-    finite state whose metrics overflow); each call of the function it
-    returns gives a new problem, with a fault counter of its own."""
+def faulty_run(state_fault, seed, start=math.inf, factor=1.0, **overrides):
+    """A ridge run whose recorded states are scaled by `factor` from
+    iteration `start` on (nan: a non-finite state; 1e200: a finite state
+    whose metrics overflow); each call of the function it returns gives the
+    run's inputs."""
     cfg = make_cfg(n_agents=8, seed_data=seed, seed_solver=seed + 1, **overrides)
     graph, problem = build_problem(cfg)
-    return lambda: (prox_fault(problem, start, lambda out: out * factor), graph, cfg)
+    return lambda: (state_fault(problem, start, lambda out: out * factor), graph, cfg)
 
 
-def ragged_faulty_runs(prox_fault) -> list:
+def ragged_faulty_runs(state_fault) -> list:
     return [
-        faulty_run(prox_fault, 1, stop_eps=1e-6, max_iters=50_000),  # stops on stop_eps
-        faulty_run(prox_fault, 2, start=13, factor=math.nan),  # non-finite state, mid-chunk
-        faulty_run(prox_fault, 3, start=70, factor=1e200),     # metrics overflow
-        faulty_run(prox_fault, 4, max_iters=50),               # a short max_iters
-        faulty_run(prox_fault, 5, max_iters=3000, variant=Variant.PIADMM1,
+        faulty_run(state_fault, 1, stop_eps=1e-6, max_iters=50_000),  # stops on stop_eps
+        faulty_run(state_fault, 2, start=13, factor=math.nan),  # non-finite state, mid-chunk
+        faulty_run(state_fault, 3, start=70, factor=1e200),     # metrics overflow
+        faulty_run(state_fault, 4, max_iters=50),               # a short max_iters
+        faulty_run(state_fault, 5, max_iters=3000, variant=Variant.PIADMM1,
                    init=InitSpec.uniform(-1, 1), gamma=GammaSpec.uniform(0.9, 1.1)),
-        faulty_run(prox_fault, 6, max_iters=3001, variant=Variant.PIADMM2,
+        faulty_run(state_fault, 6, max_iters=3001, variant=Variant.PIADMM2,
                    init=InitSpec.uniform(-1, 1), sigma=1e-3),
     ]
 
 
-def test_ragged_batch_rows_end_as_they_would_alone(monkeypatch, prox_fault):
-    rows = ragged_faulty_runs(prox_fault)
+def test_ragged_batch_rows_end_as_they_would_alone(monkeypatch, state_fault):
+    rows = ragged_faulty_runs(state_fault)
     widths = spy_batches(monkeypatch)
     batch = run_batch([make() for make in rows])
     assert widths == [len(rows)]
@@ -112,11 +112,11 @@ def test_ragged_batch_rows_end_as_they_would_alone(monkeypatch, prox_fault):
         assert_identical(res, run(*make()))
 
 
-def test_ragged_batch_rows_fill_their_checkpoints_and_end_alike(prox_fault):
+def test_ragged_batch_rows_fill_their_checkpoints_and_end_alike(state_fault):
     # the stop_eps stop, the NaN at 13 and the overflow at 70 are not
     # checkpoint rows for every = 8
     every = 8
-    rows = ragged_faulty_runs(prox_fault)
+    rows = ragged_faulty_runs(state_fault)
     full = run_batch([make() for make in rows])
     got = run_batch([(*make(), every) for make in rows])
     assert [r.n_iterations % every for r in got[:3]] != [0, 0, 0]
@@ -126,12 +126,12 @@ def test_ragged_batch_rows_fill_their_checkpoints_and_end_alike(prox_fault):
 
 @pytest.mark.parametrize("chunk", [1, 3])
 @pytest.mark.parametrize("factor", [math.nan, 1e200])
-def test_ending_on_a_chunks_first_row_keeps_the_last_row(factor, chunk, prox_fault):
+def test_ending_on_a_chunks_first_row_keeps_the_last_row(factor, chunk, state_fault):
     # a non-finite state or overflowed metrics on the first row of a chunk
     # end the trace on the previous chunk's last row, which no checkpoint
     # asks for; max_iters lets the run reach that chunk
     start = chunk * solver._block_rows(8, 1)
-    make = faulty_run(prox_fault, 1, start=start, factor=factor, max_iters=start + 10)
+    make = faulty_run(state_fault, 1, start=start, factor=factor, max_iters=start + 10)
     full = run(*make())
     got = run(*make(), every=5)
     assert full.n_iterations == start and (start - 1) % 5
@@ -208,21 +208,6 @@ def test_ragged_walk_batch_rows_end_as_they_would_alone(monkeypatch):
         assert_identical(res, run(*spec))
 
 
-def test_noise_leaves_the_other_rows_bits_alone(prox_fault):
-    # adding a zero noise row to a quiet run would turn its -0.0 into +0.0
-    # (the prox returns -0.0 in every coordinate)
-    specs = []
-    for variant in (Variant.IADMM, Variant.PIADMM2):
-        cfg = make_cfg(n_agents=5, max_iters=40, variant=variant, sigma=1e-3,
-                       init=InitSpec.uniform(-1, 1))
-        graph, problem = build_problem(cfg)
-        signed_zero = prox_fault(problem, 0, lambda out: -0.0 * np.abs(out))
-        specs.append((signed_zero, graph, cfg))
-    quiet, _ = run_batch(specs)
-    assert np.signbit(quiet.history.x_new).all()
-    assert_identical(quiet, run(*specs[0]))
-
-
 def test_errors_stay_with_their_run():
     good = make_cfg(n_agents=6, max_iters=40)
     floor = make_cfg(n_agents=6, max_iters=40, variant=Variant.PIADMM1, rho=1e-3,
@@ -242,6 +227,8 @@ def test_logistic_exact_prox_names_the_first_order_update():
     graph, problem = build_problem(cfg)
     with pytest.raises(ProxUnsupportedError, match="first_order"):
         run(problem, graph, cfg)
+    with pytest.raises(ProxUnsupportedError, match="first_order"):
+        solver.Simulation(problem, graph, cfg)  # when its batch starts
     good = make_cfg(n_agents=6, max_iters=40, **KINDS["logistic"])
     specs = [(problem, graph, cfg), (*build_problem(good)[::-1], good)]
     results = run_batch(specs)

@@ -159,17 +159,17 @@ def test_metric_overflow_reports_the_same_iteration():
     assert_same_run(res, sim, records, tokens)
 
 
-def broken(prox_fault, problem):
-    """A new copy of the ridge `problem` whose proximal step returns NaN
-    from iteration 13 on, mid-chunk."""
-    return prox_fault(problem, 13, lambda out: out * math.nan)
+def broken(state_fault, problem):
+    """A copy of `problem` whose recorded states are NaN from iteration 13
+    on, mid-chunk."""
+    return state_fault(problem, 13, lambda out: out * math.nan)
 
 
-def test_non_finite_state_reports_the_same_iteration(prox_fault):
+def test_non_finite_state_reports_the_same_iteration(state_fault):
     cfg = make_cfg(n_agents=8, max_iters=200)
     graph, problem = build_problem(cfg)
-    res = run(broken(prox_fault, problem), graph, cfg)
-    sim, records, tokens, error = step_loop(broken(prox_fault, problem), graph, cfg)
+    res = run(broken(state_fault, problem), graph, cfg)
+    sim, records, tokens, error = step_loop(broken(state_fault, problem), graph, cfg)
     assert error == "non-finite state at iteration 13 (agent 6); " \
                     "the configured step scale is likely unstable"
     assert res.trace.stop_reason == f"diverged: {error}"
@@ -249,11 +249,11 @@ def test_run_after_step_on_a_stop_eps_run_equals_run_alone():
     assert_same_result(sim.run(), alone)
 
 
-def test_run_after_step_ends_at_a_divergence_not_yet_returned(prox_fault):
+def test_run_after_step_ends_at_a_divergence_not_yet_returned(state_fault):
     cfg = make_cfg(n_agents=8, max_iters=200)
     graph, problem = build_problem(cfg)
-    alone = run(broken(prox_fault, problem), graph, cfg)
-    sim = Simulation(broken(prox_fault, problem), graph, cfg)
+    alone = run(broken(state_fault, problem), graph, cfg)
+    sim = Simulation(broken(state_fault, problem), graph, cfg)
     for _ in range(5):
         sim.step()  # computes past iteration 13
     res = sim.run()
@@ -261,11 +261,11 @@ def test_run_after_step_ends_at_a_divergence_not_yet_returned(prox_fault):
     assert_same_result(res, alone)
 
 
-def test_step_after_divergence_raises_it_again(prox_fault):
+def test_step_after_divergence_raises_it_again(state_fault):
     n = 8
     cfg = make_cfg(n_agents=n, max_iters=200, **VARIANT_CONFIGS["piadmm1"])
     graph, problem = build_problem(cfg)
-    sim = Simulation(broken(prox_fault, problem), graph, cfg)
+    sim = Simulation(broken(state_fault, problem), graph, cfg)
     records = [sim.step() for _ in range(13)]
     x, y, z = sim.x.copy(), sim.y.copy(), sim.z.copy()
     for _ in range(2):  # an ended run stays ended
@@ -310,20 +310,20 @@ ENDINGS = {
 }
 
 
-def ending_problem(ending, prox_fault, problem):
-    """The problem of ENDINGS' `ending`, new for each run when it is faulty."""
-    return broken(prox_fault, problem) if ending == "non_finite_state" else problem
+def ending_problem(ending, state_fault, problem):
+    """The problem of ENDINGS' `ending`."""
+    return broken(state_fault, problem) if ending == "non_finite_state" else problem
 
 
 @pytest.mark.parametrize("steps", [0, 1, "block", "end"])
 @pytest.mark.parametrize("ending", sorted(ENDINGS))
-def test_run_after_step_equals_run_alone(ending, steps, prox_fault):
+def test_run_after_step_equals_run_alone(ending, steps, state_fault):
     kw, reason = ENDINGS[ending]
     cfg = make_cfg(n_agents=8, **kw)
     graph, problem = build_problem(cfg)
-    alone = run(ending_problem(ending, prox_fault, problem), graph, cfg)
+    alone = run(ending_problem(ending, state_fault, problem), graph, cfg)
     assert alone.trace.stop_reason.startswith(reason)
-    sim = Simulation(ending_problem(ending, prox_fault, problem), graph, cfg)
+    sim = Simulation(ending_problem(ending, state_fault, problem), graph, cfg)
     count = {"block": _block_rows(8, 1), "end": cfg.max_iters + 1}.get(steps, steps)
     try:
         for _ in range(count):
@@ -360,13 +360,13 @@ def test_trace_fills_the_rows_asked_for(kind, every):
 
 @pytest.mark.parametrize("every", [7, 2**63])
 @pytest.mark.parametrize("ending", sorted(ENDINGS))
-def test_endings_do_not_depend_on_the_rows_filled(ending, every, prox_fault):
+def test_endings_do_not_depend_on_the_rows_filled(ending, every, state_fault):
     kw, reason = ENDINGS[ending]
     cfg = make_cfg(n_agents=8, **kw)
     graph, problem = build_problem(cfg)
-    full = run(ending_problem(ending, prox_fault, problem), graph, cfg)
+    full = run(ending_problem(ending, state_fault, problem), graph, cfg)
     assert full.trace.stop_reason.startswith(reason)
-    got = run(ending_problem(ending, prox_fault, problem), graph, cfg, every=every)
+    got = run(ending_problem(ending, state_fault, problem), graph, cfg, every=every)
     assert_fills_checkpoints(got, full, every)
     assert not np.isnan(got.trace.final.accuracy) or not len(got.trace)
 

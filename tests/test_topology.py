@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bfs_connected, make_cfg
+from conftest import make_cfg
 from ringadmm.harness import build_problem
+from ringadmm.verify import _bfs_connected as bfs_connected
 from ringadmm.solver import Variant, run
 from ringadmm.topology import (
     Graph,
