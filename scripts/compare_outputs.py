@@ -12,7 +12,10 @@ inputs included, with the temporary directory's path replaced.  The
 defaults cover 3 workloads x 2 sizes x 2 seeds x 3 parts: 1,152 ops.
 
 Prints the first differences and, per op label (`run:logistic`, `sweep`,
-...), how many of its ops differ in any of their files; exits 1 if anything
+...), how many of its ops differ in any of their files and, for each CSV
+file name that differs, the largest absolute difference between two numeric
+fields in the same place (`non-numeric` if the files do not line up field by
+field, or differ in a field that is not a number); exits 1 if anything
 differs, else 0; exits 2 when a tree's ops cannot be run.
 """
 
@@ -23,6 +26,7 @@ import contextlib
 import filecmp
 import io
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -75,22 +79,49 @@ def first_difference(old: bytes, new: bytes) -> str:
     return f"{len(old.splitlines())} lines != {len(new.splitlines())} lines"
 
 
+def largest_difference(old: bytes, new: bytes) -> float | None:
+    """The largest |new - old| over the fields of two CSV texts that differ,
+    if the texts have the same number of lines and fields and every differing
+    pair of fields is numeric (inf where one is NaN), else None."""
+    old_lines, new_lines = old.splitlines(), new.splitlines()
+    if len(old_lines) != len(new_lines):
+        return None
+    worst = 0.0
+    for a, b in zip(old_lines, new_lines):
+        if a == b:
+            continue
+        old_fields, new_fields = a.split(b","), b.split(b",")
+        if len(old_fields) != len(new_fields):
+            return None
+        for x, y in zip(old_fields, new_fields):
+            if x != y:
+                try:
+                    diff = abs(float(y) - float(x))
+                except ValueError:
+                    return None
+                worst = max(worst, math.inf if math.isnan(diff) else diff)
+    return worst
+
+
 def op_of(rel: str) -> tuple[str, str] | None:
     """The op (work directory, <part>-<i>) that wrote the file `rel`, or None for an input."""
     parts = rel.split(os.sep)
     return (parts[0], parts[2]) if len(parts) > 3 and parts[1] in ("out", "streams") else None
 
 
-def compare(old_work: str, new_work: str) -> tuple[list[str], int, int, dict[str, list[int]]]:
+def compare(old_work: str, new_work: str) -> tuple[list[str], int, int, dict, dict]:
     """The differences between the two work directories, the number of
-    files compared, the number of ops run and, per op label, how many ops
-    differ in any file and how many there are."""
+    files compared, the number of ops run, per op label how many ops differ
+    in any file and how many there are, and per op label and CSV file name
+    the largest numeric difference of the files that differ (None if one
+    pair is not numeric; see largest_difference)."""
     old_files, new_files = files_under(old_work), files_under(new_work)
     only_old, only_new = sorted(old_files - new_files), sorted(new_files - old_files)
     diffs = [f"only in OLD: {rel}" for rel in only_old]
     diffs += [f"only in NEW: {rel}" for rel in only_new]
     changed = {op_of(rel) for rel in only_old + only_new}  # the ops with a differing file
     shared = sorted(old_files & new_files)
+    numeric: dict[tuple, dict[str, float | None]] = {}  # op -> CSV file name -> difference
     for rel in shared:
         if filecmp.cmp(os.path.join(old_work, rel), os.path.join(new_work, rel), shallow=False):
             continue
@@ -98,16 +129,25 @@ def compare(old_work: str, new_work: str) -> tuple[list[str], int, int, dict[str
         if old != new:
             changed.add(op_of(rel))
             diffs.append(f"differs: {rel}: {first_difference(old, new)}")
+            if rel.endswith(".csv"):
+                numeric.setdefault(op_of(rel), {})[os.path.basename(rel)] = \
+                    largest_difference(old, new)
     by_label: dict[str, list[int]] = {}
+    deltas: dict[str, dict[str, float | None]] = {}
     for rel in sorted(old_files | new_files):
         if os.path.basename(rel) == "label":
             work = new_work if rel in new_files else old_work
             with open(os.path.join(work, rel)) as fh:
-                counts = by_label.setdefault(fh.read().strip(), [0, 0])
+                label = fh.read().strip()
+            counts = by_label.setdefault(label, [0, 0])
             counts[0] += op_of(rel) in changed
             counts[1] += 1
+            for name, diff in numeric.get(op_of(rel), {}).items():
+                worst = deltas.setdefault(label, {})
+                known = worst.get(name, 0.0)
+                worst[name] = None if None in (diff, known) else max(diff, known)
     ops = sum(os.path.basename(rel) == "exit_code" for rel in shared)
-    return diffs, len(shared), ops, by_label
+    return diffs, len(shared), ops, by_label, deltas
 
 
 def main(argv=None) -> int:
@@ -146,13 +186,16 @@ def main(argv=None) -> int:
                 failed = True
         if failed:
             return 2
-        diffs, files, ops, by_label = compare(*works)
+        diffs, files, ops, by_label, deltas = compare(*works)
     for line in diffs[:SHOWN]:
         print(line)
     if len(diffs) > SHOWN:
         print(f"... and {len(diffs) - SHOWN} more")
     for label, (changed, total) in sorted(by_label.items()):
-        print(f"{label}: {changed} of {total} ops differ")
+        worst = ", ".join(f"{name} {'non-numeric' if d is None else f'{d:.1e}'}"
+                          for name, d in sorted(deltas.get(label, {}).items()))
+        print(f"{label}: {changed} of {total} ops differ"
+              + (f"; max abs diff {worst}" if worst else ""))
     print(f"{ops} ops, {files} files compared: "
           + (f"{len(diffs)} differences" if diffs else "no difference"))
     return 1 if diffs else 0

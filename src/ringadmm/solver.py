@@ -321,19 +321,30 @@ def _block_rows(n_agents: int, batch: int) -> int:
     rows, N, p) arrays within a budget of 2**15 agent states, and at most
     1,024 (or one cycle, if longer).  Each chunk's update and metrics passes
     have a fixed cost, which the longer chunk spreads; a run that stops on
-    stop_eps has computed up to one chunk past its stop, which it drops.  No
-    result depends on the chunk's length."""
+    stop_eps has computed up to one chunk past its stop, which it drops.  A
+    ring rounds this up to whole cycles (Simulation._new_block).  No result
+    depends on the chunk's length."""
     return max(1, min(max(n_agents, 1024), 2**15 // (n_agents * batch)))
 
 
-def _windows(agents: np.ndarray, ring: int = 0) -> list[int]:
+def _segment(dim: int) -> int:
+    """The length L of a ring segment at dimension p, 100 at p = 2: a
+    segment's token map T, (L + 1) p x L p, then holds about 200^2 doubles
+    (320 kB) whatever N is."""
+    return max(1, 200 // dim)
+
+
+def _windows(agents: np.ndarray, ring: int = 0, length: int = 0) -> list[int]:
     """The bounds of a chunk's windows, from its (iteration, run) active
-    `agents`: each runs up to the first iteration whose agent acted earlier
-    in it in the same run.  On a ring of `ring` agents, that is every
-    ring-th iteration, and no scan is needed."""
+    `agents`; no run's agent acts twice in a window.  On a ring of `ring`
+    agents, whose chunks start at agent 1 (Simulation), the windows are the
+    ring's fixed segments of `length` positions (by default the whole ring)
+    cycle after cycle, and no scan is needed.  On a walk each window runs up
+    to the first iteration whose agent acted earlier in it in the same run."""
     n, width = agents.shape
     if ring:
-        return list(range(0, n, ring)) + [n]
+        starts = range(0, ring, length or ring)
+        return [c + q for c in range(0, n, ring) for q in starts if c + q < n] + [n]
     key = (agents * width + np.arange(width)).ravel()
     order = np.argsort(key, kind="stable")
     repeat = key[order[1:]] == key[order[:-1]]
@@ -372,7 +383,9 @@ class _Run:
     start, then piadmm1's gammas or piadmm2's noise, or wadmm's walk (one
     uniform per iteration, mapped to a neighbour by next_agent), drawn a
     chunk at a time.  Agent 1 is active first; wadmm walks, every other
-    variant follows the ring."""
+    variant follows the ring.  A ring run whose operators repeat every cycle
+    (all but piadmm1 with a random gamma) takes its tokens from the
+    transfer maps of the ring's segments (see Simulation)."""
 
     def __init__(self, problem: Problem, graph: Graph, config: SolverConfig, every: int = 1):
         if graph.n_agents != problem.n_agents:
@@ -383,6 +396,8 @@ class _Run:
             raise ValueError(f"every must be at least 1, got {every}")
         self.problem, self.graph, self.config, self.every = problem, graph, config, every
         self.cyclic = config.variant != Variant.WADMM_BASELINE
+        self.transfer = self.cyclic and not (config.variant == Variant.PIADMM1
+                                             and config.gamma.kind not in ("constant", "floor"))
         self.rng = np.random.default_rng(config.seed_solver)
         self.lipschitz = problem.lipschitz()
         if config.variant == Variant.PIADMM1 and config.gamma.kind == "floor":
@@ -408,18 +423,29 @@ class Simulation:
     batch every run activates the same agent; random-walk runs each their
     own.  rho, the gamma draws, the noise and the stopping rules are per-run
     columns.  Each chunk of iterations is stepped in windows in which no
-    run's agent acts twice: N iterations of a ring, fewer of a walk
-    (_windows).  All that a window reads but the token is there at its
-    start, so its agents' (x_i, y_i) are gathered, their gradients (first
-    order) evaluated and their new states written back once per window;
-    only the step that reads the token runs per iteration: one precomputed
-    operator per run (_operators; a logistic one takes the gradients as an
-    input).  The steps are recorded in blocks of up to 1,024 iterations, fewer where N B is large
-    (_block_rows) or the runs end sooner.
-    The metrics of each chunk of iterations are computed afterwards in one
-    vectorised pass, the only place where runs end: each at its chunk's first
-    diverging, converged or last allowed iteration, so a run that stops on
-    stop_eps has computed up to one chunk past its stop, and drops it.
+    run's agent acts twice: the ring's fixed segments of up to L positions
+    (_segment; L = 100 at p = 2), or a walk's runs of new agents (_windows).
+    All that a window reads but the token is there at its start, so its
+    agents' (x_i, y_i) are gathered, their gradients (first order) evaluated
+    and their new states written back once per window.  Every step is one
+    precomputed operator per run (_operators; a logistic one takes the
+    gradients as an input).  A ring run whose operators repeat every cycle,
+    a transfer run (`_Run.transfer`), takes a window's tokens in one product
+    with its segment's map T (_transfer_maps, built once per batch
+    composition), and its new (x, y) in one more; the transfer runs come
+    first in the batch.  A walk, whose windows follow no fixed positions, and
+    a piadmm1 run that draws gamma, whose operators change every iteration,
+    step their token one iteration at a time.  A ring's chunks are whole
+    cycles from agent 1, so every window is a whole segment and neither the
+    chunk length nor a run's batch-mates change a transfer run's rounding.
+    The steps are recorded in blocks of up to 1,024 iterations, fewer where
+    N B is large (_block_rows) or the runs end sooner, rounded up to whole
+    cycles on a ring.  The metrics of each chunk of iterations are computed
+    afterwards in one vectorised pass, the only place where runs end: each
+    at its chunk's first diverging, converged or last allowed iteration, so
+    a run that stops on stop_eps has computed up to one chunk past its stop,
+    a ring run whose max_iters ends inside a cycle up to the cycle's end,
+    and drops those iterations.
     Ended runs leave the batch and stay ended.  `k` counts the iterations
     computed, or those that step() has returned.
 
@@ -445,16 +471,17 @@ class Simulation:
         first = runs[0]
         self.n_agents, self.dim = first.graph.n_agents, first.problem.dim
         self.cyclic = first.cyclic
-        self.runs, self._alive = runs, list(runs)
+        # the transfer rows first, so that they and the others are slices
+        self.runs, self._alive = runs, sorted(runs, key=lambda r: not r.transfer)
         self.k = 0
         # step()'s chunk (the end of its iterations to return, first row and
         # iteration, states, tokens) and x, y, z after the iteration it returned last
         self._stepped = self._now = None
         self.active = np.ones(len(runs), dtype=np.int64)
-        self._xy = np.stack([np.hstack([r.x0, r.y0]) for r in runs], axis=1)
+        self._xy = np.stack([np.hstack([r.x0, r.y0]) for r in self._alive], axis=1)
         self._z = np.zeros((len(runs), self.dim))
         self._columns()
-        x0 = np.array([r.x0 for r in runs])
+        x0 = np.array([r.x0 for r in self._alive])
         with np.errstate(over="ignore", invalid="ignore"):
             self._fvals = self._stack.value(
                 (np.arange(self.n_agents), np.arange(len(runs))[:, None]), x0)
@@ -475,11 +502,50 @@ class Simulation:
         self._scale = (np.abs(self._x_star).max(), self._rho.max(),
                        self._init_dist[self._init_dist > 0.0].min(initial=math.inf))
         self._col = np.arange(len(runs))[:, None]
-        self._gamma_rows = np.flatnonzero([r.config.variant == Variant.PIADMM1 for r in runs])
+        self._gamma_rows = [b for b, r in enumerate(runs) if r.config.variant == Variant.PIADMM1]
         self._noise_rows = [b for b, r in enumerate(runs) if r.config.variant == Variant.PIADMM2]
+        self._transfers = t = sum(r.transfer for r in runs)  # the first rows
+        rho_eff = self._rho.copy()  # rho * gamma for a transfer piadmm1 run's constant gamma
+        for b in [b for b in self._gamma_rows if b < t]:
+            rho_eff[b] = runs[b].config.rho * self._gammas(b, 1)
         self._ops = self._operators(
-            (np.arange(self.n_agents)[:, None], self._col[:, 0]), self._rho, self._rho)
+            (np.arange(self.n_agents)[:, None], self._col[:, 0]), rho_eff, self._rho)
+        self._maps = self._transfer_maps(self._ops[:, :t]) if t else {}
         self._new_block()
+
+    def _gammas(self, b: int, n: int) -> np.ndarray:
+        """n gamma draws of the batch's row b, a piadmm1 run."""
+        r, cfg = self._alive[b], self._alive[b].config
+        return sample_gamma(cfg.gamma, r.rng, cfg.rho, r.lipschitz, self.n_agents, size=n)
+
+    def _transfer_maps(self, ops: np.ndarray) -> dict:
+        """Per ring segment of L positions q0..q0 + L - 1 (see _windows), the
+        maps of the transfer rows, from their (N, t, rows, 3p) operators
+        (_operators): T, with which the tokens z_1..z_L after the segment's
+        iterations are [z_0, c_1, ..., c_L] @ T, and the operators' z and (x,
+        y) columns of the segment.  z_0 is the token before the segment, and c_j (the
+        step's constant) is agent q0 + j's row s with its z block at 0 times
+        its z columns, so that z_j = z_(j-1) M_j + c_j with M_j the operator's
+        z-to-z block.  T is block upper triangular: the column of z_j holds
+        M_(i+1)...M_j in the row of c_i (z_0's for i = 0) and the identity in
+        c_j's, each column one product from the one before it; so T takes N
+        batched products per batch composition."""
+        t, p = ops.shape[1], self.dim
+        z_cols, xy_cols = ops[..., 2 * p :].copy(), ops[..., : 2 * p].copy()
+        zz = z_cols[:, :, 2 * p : 3 * p]  # the z-to-z blocks M
+        bounds = list(range(0, self.n_agents, _segment(p))) + [self.n_agents]
+        maps = {}
+        for q0, q1 in pairwise(bounds):
+            m = q1 - q0
+            T = np.zeros((t, (m + 1) * p, m * p))
+            diag = np.arange(m)
+            T.reshape(t, m + 1, p, m, p)[:, diag + 1, :, diag] = np.eye(p)
+            T[:, :p, :p] = zz[q0]
+            for i in range(1, m):
+                np.matmul(T[:, : (i + 1) * p, (i - 1) * p : i * p], zz[q0 + i],
+                          out=T[:, : (i + 1) * p, i * p : (i + 1) * p])
+            maps[q0] = (T, z_cols[q0:q1], xy_cols[q0:q1])
+        return maps
 
     def _operators(self, sel, rho_eff, rho) -> np.ndarray:
         """The updates of the agents that the (n, B) index arrays `sel` pick, as
@@ -506,6 +572,8 @@ class Simulation:
     def _new_block(self) -> None:
         rows = min(_block_rows(self.n_agents, len(self._alive)),
                    int(self._max_iters.max()) - self.k)  # none past the longest run's end
+        if self.cyclic:  # whole cycles
+            rows = -(-rows // self.n_agents) * self.n_agents
         self._block = _Block(rows, len(self._alive), self.dim)
         for b, r in enumerate(self._alive):
             r.blocks.append((self._block, b))
@@ -578,23 +646,28 @@ class Simulation:
         """Up to `limit` iterations of the state update of every run in the
         batch, as many as the current block has free rows for (a full block
         is followed by a new one), stepped window by window (see Simulation)
-        and recorded in those rows.  The chunk's noise goes straight into the
-        noise block of s (see _operators), and a window fills the other blocks
-        that the token does not.  Returns the chunk's start for
-        _metrics: its first row and iteration, the (x, y) states side by
-        side as (B, N, 2p) and the objective values."""
+        and recorded in those rows; a ring's chunk is whole cycles, `limit`
+        rounded up.  The chunk's noise goes straight into the noise block of
+        s (see _operators), and a window fills the other blocks that the
+        token does not.  Per window, the transfer rows' tokens are one
+        product with their segment's T (_transfer_maps) and their new (x, y)
+        one more; the other rows step one iteration at a time.  Returns the
+        chunk's start for _metrics: its first row and iteration, the (x, y)
+        states side by side as (B, N, 2p) and the objective values."""
         if self._block.n == len(self._block.agents):
             self._new_block()
         block, runs = self._block, self._alive
-        lo, k0, width, p = block.n, self.k, len(runs), self.dim
+        lo, k0, width, p, n_agents = block.n, self.k, len(runs), self.dim, self.n_agents
+        if self.cyclic:
+            limit = -(-limit // n_agents) * n_agents
         n = min(limit, len(block.agents) - lo)
-        xy, z, rho = self._xy, self._z, self._rho
+        xy, t = self._xy, self._transfers
         chunk = (lo, k0, xy.copy().transpose(1, 0, 2), self._fvals)
 
         agents, receivers = block.agents[lo : lo + n], block.receivers[lo : lo + n]
-        if self.cyclic:
-            ring = np.arange(self.active[0] - 1, self.active[0] + n) % self.n_agents
-            agents[:], receivers[:] = ring[:n, None] + 1, ring[1 : n + 1, None] + 1
+        if self.cyclic:  # from agent 1
+            ring = np.arange(n + 1) % n_agents
+            agents[:], receivers[:] = ring[:n, None] + 1, ring[1:, None] + 1
         else:
             # a walking run draws nothing but its walk from its stream (no
             # random start, gamma or noise)
@@ -604,42 +677,74 @@ class Simulation:
                     path.append(next_agent(r.graph, path[-1], u))
                 agents[:, b], receivers[:, b] = path[:-1], path[1:]
 
-        # the chunk's gammas (piadmm1), and its noise (piadmm2) in the noise block of s
-        g, pick = self._gamma_rows, agents - 1
-        ops = self._ops[pick, self._col[:, 0]]
-        s = np.zeros((n, width, 1, ops.shape[-2]))
+        # the chunk's gammas (piadmm1), and its noise (piadmm2) in the noise
+        # block of s; the rows past the transfer rows step through `ops`
+        pick = agents - 1
+        s = np.zeros((n, width, 1, self._ops.shape[-2]))
         s[..., -1] = 1.0
-        if len(g):  # piadmm1 is cyclic; its rows take the chunk's own operators
-            rho_eff = np.empty((n, len(g), 1))
-            for i, b in enumerate(g):
-                r, cfg = runs[b], runs[b].config
-                gamma = sample_gamma(cfg.gamma, r.rng, cfg.rho, r.lipschitz, self.n_agents, size=n)
-                block.values[lo : lo + n, b, 5] = gamma
-                rho_eff[:, i, 0] = cfg.rho * gamma
-            ops[:, g] = self._operators((ring[:n, None], g), rho_eff, rho[g])
+        rho_eff = np.empty((n, width - t, 1))
+        for b in self._gamma_rows:
+            gamma = block.values[lo : lo + n, b, 5] = self._gammas(b, n)
+            if b >= t:  # a random gamma: the chunk's own operators
+                rho_eff[:, b - t, 0] = runs[b].config.rho * gamma
+        if not self.cyclic:
+            ops = self._ops[pick, self._col[:, 0]]
+        elif t < width:  # piadmm1 with random gammas
+            ops = self._operators((ring[:n, None], np.arange(t, width)), rho_eff, self._rho[t:])
         for b in self._noise_rows:
             omega = runs[b].rng.normal(0.0, runs[b].config.sigma, size=(n, p))
             block.values[lo : lo + n, b, 6] = np.sqrt(np.einsum("ij,ij->i", omega, omega))
             s[:, b, 0, 3 * p : 4 * p] = omega
 
-        # the active agents' operators applied to s (see _operators)
-        s_z, out = s[:, :, 0, 2 * p : 3 * p], block.states[lo : lo + n, :, None]
-        for j0, j1 in pairwise(_windows(pick, self.n_agents if self.cyclic else 0)):
+        # the other rows' s, records and tokens
+        s_c, out, z_c = s[:, t:], block.states[lo : lo + n, t:, None], block.z[lo : lo + n, t:]
+        s_z, z, tokens = s_c[:, :, 0, 2 * p : 3 * p], self._z[t:], self._z[:t]
+        for j0, j1 in pairwise(_windows(pick, n_agents if self.cyclic else 0, _segment(p))):
             # the window's agents' states: gathered, stepped and written back once
             sel = (pick[j0:j1], self._col[:, 0])
-            old = xy[sel]
+            at = slice(j0 % n_agents, j0 % n_agents + j1 - j0) if self.cyclic else sel
+            old = xy[at]
             s[j0:j1, :, 0, : 2 * p] = old
             if not self._stack.affine:  # the window's gradients, evaluated at once
                 s[j0:j1, :, 0, 4 * p : 5 * p] = self._stack.gradient(sel, old[..., :p])
-            for j in range(j0, j1):
+            if t:
+                states = block.states[lo + j0 : lo + j1, :t]
+                self._transfer(j0 % n_agents, s[j0:j1, :t], tokens, states)
+                tokens = states[-1, :, 2 * p :]
+            for j in range(j0, j1) if t < width else ():
                 s_z[j] = z
-                np.matmul(s[j], ops[j], out=out[j])
-                z = block.z[lo + j]
-            xy[sel] = block.states[lo + j0 : lo + j1, :, : 2 * p]
+                np.matmul(s_c[j], ops[j], out=out[j])
+                z = z_c[j]
+            xy[at] = block.states[lo + j0 : lo + j1, :, : 2 * p]
         block.n = lo + n
-        self._z, self.k = z.copy(), k0 + n
+        self._z, self.k = block.z[lo + n - 1].copy(), k0 + n
         self.active = receivers[-1].copy()
         return chunk
+
+    def _transfer(self, q0: int, s: np.ndarray, z0: np.ndarray, out: np.ndarray) -> None:
+        """The transfer rows' iterations of the window at ring position q0,
+        from their (m, t, 1, 4p + 1) rows s with the z block at 0 and their
+        (t, p) tokens z0 before it (see _transfer_maps): the tokens as one
+        product with T, then the new (x, y) with the tokens in s, written to
+        `out` (m, t, 3p).  A non-finite c_j would reach the tokens before it
+        through T's zero blocks (0 * inf), so it is left out there, and the
+        tokens from z_j on are NaN, as a chain of steps makes them."""
+        T, z_cols, xy_cols = self._maps[q0]
+        m, t, p = len(s), len(z0), self.dim
+        v = np.empty((t, m + 1, p))
+        v[:, 0] = z0
+        c, row = v[:, 1:].transpose(1, 0, 2), v.reshape(t, 1, -1)
+        np.matmul(s, z_cols, out=c[:, :, None])
+        tokens = (row @ T).reshape(t, m, p).transpose(1, 0, 2)
+        if not np.isfinite(tokens[-1]).all():  # then some c_j may be non-finite
+            bad = np.logical_or.accumulate(~np.isfinite(c).all(axis=2), axis=0)
+            c[bad] = 0.0
+            tokens = (row @ T).reshape(t, m, p).transpose(1, 0, 2)
+            tokens[bad] = math.nan
+        out[..., 2 * p :] = tokens
+        s[0, :, 0, 2 * p : 3 * p] = z0
+        s[1:, :, 0, 2 * p : 3 * p] = tokens[:-1]
+        np.matmul(s, xy_cols, out=out[:, :, None, : 2 * p])
 
     def _metrics(self, chunk: tuple) -> tuple[dict, np.ndarray, np.ndarray, np.ndarray]:
         """Metrics of the chunk that _advance just recorded, and where runs end.
@@ -658,7 +763,9 @@ class Simulation:
         its own row: r_primal is scored on every row when some run has
         stop_eps > 0, and every metric on every row when _finite_metrics
         cannot prove them finite.  Returns, per ended row of the batch, the
-        run's iterations, its transmissions and its stop reason; the (B,
+        run's iterations, its transmissions, its stop reason and its (N, 2p)
+        states after its last transmission (a row scored here, or the
+        chunk's start); the (B,
         rows, N, 2p) states and (B, rows, p) tokens after each scored
         iteration (all of the chunk's when every = 1); and the (B, N)
         objective values after the chunk.
@@ -750,6 +857,8 @@ class Simulation:
                                       f"(agent {agent}); the run is diverging")
             else:
                 ended[b] = (k + 1, k + 1, "primal_eps" if converged[b, r] else "max_iters")
+            last = ended[b][1] - 1 - k0  # the chunk row after which the run's states are final
+            ended[b] += (xy[b, np.searchsorted(at, last)] if last >= 0 else start[b],)
         return ended, xy, zs[:, at], f[:, -1]
 
     def _finite_metrics(self, start: np.ndarray, states: np.ndarray, f: np.ndarray) -> bool:
@@ -805,11 +914,11 @@ class Simulation:
             self._chunk()
         return [r.result for r in self.runs]
 
-    def _end(self, ended: dict[int, tuple[int, int, str]]) -> None:
+    def _end(self, ended: dict[int, tuple]) -> None:
         """Results of the ended rows (row -> iterations, transmissions, stop
-        reason); the other rows stay in the batch."""
-        for b, (k, sent, stop_reason) in ended.items():
-            self._alive[b].result = self._result(b, k, sent, stop_reason)
+        reason, final states); the other rows stay in the batch."""
+        for b, end in ended.items():
+            self._alive[b].result = self._result(b, *end)
         stay = [b for b in range(len(self._alive)) if b not in ended]
         self._alive = [self._alive[b] for b in stay]
         if ended and stay:
@@ -817,7 +926,8 @@ class Simulation:
             self._fvals, self.active = self._fvals[stay], self.active[stay]
             self._columns()
 
-    def _result(self, b: int, k: int, sent: int, stop_reason: str) -> RunResult:
+    def _result(self, b: int, k: int, sent: int, stop_reason: str,
+                final: np.ndarray) -> RunResult:
         run, cfg = self._alive[b], self._alive[b].config
 
         def cat(name: str) -> np.ndarray:
@@ -842,7 +952,7 @@ class Simulation:
         )
         history = StateHistory(x0=run.x0, y0=run.y0, agents=senders,
                                x_new=cat("x")[:sent], y_new=cat("y")[:sent])
-        x, y = history.states_at(sent)
+        x, y = final[:, : self.dim].copy(), final[:, self.dim :].copy()
         z = transcript.z_values[sent - 1].copy() if sent else np.zeros(self.dim)
         return RunResult(trace, transcript, history, x, y, z, k)
 

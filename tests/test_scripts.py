@@ -1,10 +1,13 @@
 """The experiment scripts and the output comparison run end to end at a tiny size."""
 
 import importlib.util
+import math
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -70,7 +73,7 @@ def test_compare_outputs_reports_each_kind_of_difference(tmp_path):
     (new / "out" / "one_byte.csv").write_text("a\n0.6\n")
     (old / "out" / "gone.csv").write_text("x\n")
     (new / "out" / "added.csv").write_text("x\n")
-    diffs, files, ops, _ = compare(str(old), str(new))
+    diffs, files, ops, *_ = compare(str(old), str(new))
     assert diffs == ["only in OLD: out/gone.csv", "only in NEW: out/added.csv",
                      "differs: out/one_byte.csv: line 2: b'0.5' != b'0.6'"]
     assert (files, ops) == (4, 1)
@@ -92,9 +95,38 @@ def test_compare_outputs_counts_the_differing_ops_of_each_label(tmp_path):
     new.joinpath(*base, "0-0", "summary.txt").write_text("z=2\n")  # an op's file differs
     new.joinpath(*base, "0-1", "extra.csv").write_text("x\n")  # an op writes one more file
     new.joinpath("runs-tiny-23", "inputs", "0", "run0.cfg").write_text("p = 2\n")  # no op's
-    diffs, files, ops, by_label = compare(str(old), str(new))
+    diffs, files, ops, by_label, _ = compare(str(old), str(new))
     assert len(diffs) == 3 and ops == 4
     assert by_label == {"run:logistic": [2, 2], "run:iadmm": [0, 2]}
+
+
+def test_compare_outputs_gives_the_largest_numeric_difference_per_label_and_file(tmp_path):
+    script = load_script("compare_outputs.py")
+    assert script.largest_difference(b"k,z\n0,1.5\n1,2.0\n", b"k,z\n0,1.25\n1,2.5\n") == 0.5
+    assert script.largest_difference(b"a\n1\n", b"a\n1\n2\n") is None  # one more line
+    assert script.largest_difference(b"a,b\n1,x\n", b"a,b\n1,y\n") is None  # not a number
+    assert script.largest_difference(b"a\nnan\n", b"a\n1.0\n") == math.inf
+    old, new = tmp_path / "old", tmp_path / "new"
+    ops = {"0-0": ("run:iadmm", "0.5"), "0-1": ("run:iadmm", "0.75"), "0-2": ("sweep", "x")}
+    for work in (old, new):
+        for key, (label, value) in ops.items():
+            streams, out = work / "w" / "streams" / key, work / "w" / "out" / key
+            streams.mkdir(parents=True)
+            out.mkdir(parents=True)
+            (streams / "exit_code").write_text("0\n")
+            (streams / "label").write_text(f"{label}\n")
+            (out / "transcript.csv").write_text(f"k,z\n0,{value}\n")
+            (out / "run_trace.csv").write_text("k,a\n0,1.0\n")
+    base = new / "w" / "out"
+    (base / "0-0" / "transcript.csv").write_text("k,z\n0,0.5000001\n")
+    (base / "0-1" / "transcript.csv").write_text("k,z\n0,0.7\n")
+    (base / "0-1" / "run_trace.csv").write_text("k,a\n0,1.0\n1,2.0\n")
+    (base / "0-2" / "transcript.csv").write_text("k,z\n0,y\n")
+    *_, deltas = script.compare(str(old), str(new))
+    assert deltas.keys() == {"run:iadmm", "sweep"}
+    assert deltas["run:iadmm"]["transcript.csv"] == pytest.approx(0.05)
+    assert deltas["run:iadmm"]["run_trace.csv"] is None and deltas["sweep"] == {
+        "transcript.csv": None}
 
 
 def test_bench_pairs_summary_compares_the_sides_pair_by_pair():

@@ -23,6 +23,7 @@ from ringadmm.harness import build_problem
 from ringadmm.solver import (
     DivergenceError,
     _block_rows,
+    _segment,
     GammaSpec,
     InitSpec,
     Simulation,
@@ -47,14 +48,24 @@ STEP_KINDS = {**VARIANT_CONFIGS, "first_order": dict(x_update=XUpdateMode.FIRST_
 # the logistic operator, which takes each window's gradients as an input block
 STEP_KINDS.update({f"logistic_{k}": {**VARIANT_CONFIGS[k], **VARIANT_CONFIGS["logistic"]}
                    for k in ("iadmm_randinit", "piadmm1", "piadmm2", "wadmm")})
+# transfer runs over two ring segments (100 + 20 positions at p = 2) and three cycles
+SEGMENTS = dict(n_agents=120, max_iters=3 * 120 + 40)
+STEP_KINDS.update({f"segments_{k}": {**v, **SEGMENTS} for k, v in {
+    "iadmm_randinit": VARIANT_CONFIGS["iadmm_randinit"],
+    "piadmm2": VARIANT_CONFIGS["piadmm2"],
+    "piadmm1_constant": {**VARIANT_CONFIGS["piadmm1"], "gamma": GammaSpec.constant(1.5)},
+    "logistic_iadmm_randinit": STEP_KINDS["logistic_iadmm_randinit"],
+}.items()})
 
 
 @pytest.mark.parametrize("kind", sorted(STEP_KINDS))
 def test_recorded_iterations_follow_the_step_equations(kind):
     # an operator that folds the noise or the step scale in wrongly moves
     # the states by far less than the other tests notice
-    cfg = make_cfg(n_agents=7, max_iters=150, **STEP_KINDS[kind])
+    cfg = make_cfg(**{"n_agents": 7, "max_iters": 150, **STEP_KINDS[kind]})
     graph, problem = build_problem(cfg)
+    if kind.startswith("segments_"):
+        assert _segment(problem.dim) < cfg.n_agents < 2 * _segment(problem.dim)
     res = run(problem, graph, cfg)
     assert res.trace.stop_reason == "max_iters"
     errors = step_equation_errors(problem, cfg, res)
