@@ -322,8 +322,8 @@ def _block_rows(n_agents: int, batch: int) -> int:
     1,024 (or one cycle, if longer).  Each chunk's update and metrics passes
     have a fixed cost, which the longer chunk spreads; a run that stops on
     stop_eps has computed up to one chunk past its stop, which it drops.  A
-    ring rounds this up to whole cycles (Simulation._new_block).  No result
-    depends on the chunk's length."""
+    ring rounds this up to a segment's end (Simulation._segment_end).  No
+    result depends on the chunk's length."""
     return max(1, min(max(n_agents, 1024), 2**15 // (n_agents * batch)))
 
 
@@ -336,15 +336,18 @@ def _segment(dim: int) -> int:
 
 def _windows(agents: np.ndarray, ring: int = 0, length: int = 0) -> list[int]:
     """The bounds of a chunk's windows, from its (iteration, run) active
-    `agents`; no run's agent acts twice in a window.  On a ring of `ring`
-    agents, whose chunks start at agent 1 (Simulation), the windows are the
-    ring's fixed segments of `length` positions (by default the whole ring)
-    cycle after cycle, and no scan is needed.  On a walk each window runs up
-    to the first iteration whose agent acted earlier in it in the same run."""
+    `agents` (0-based); no run's agent acts twice in a window.  On a ring of
+    `ring` agents a window is `ring` iterations from the chunk's start or,
+    given a segment `length`, one of the ring's fixed segments: a new window
+    starts at each agent whose position is a multiple of `length` (a chunk
+    of Simulation starts at one).  Neither needs a scan.  On a walk each
+    window runs up to the first iteration whose agent acted earlier in it in
+    the same run."""
     n, width = agents.shape
+    if ring and length:
+        return [0, *(np.flatnonzero(agents[1:, 0] % length == 0) + 1).tolist(), n]
     if ring:
-        starts = range(0, ring, length or ring)
-        return [c + q for c in range(0, n, ring) for q in starts if c + q < n] + [n]
+        return list(range(0, n, ring)) + [n]
     key = (agents * width + np.arange(width)).ravel()
     order = np.argsort(key, kind="stable")
     repeat = key[order[1:]] == key[order[:-1]]
@@ -435,17 +438,18 @@ class Simulation:
     composition), and its new (x, y) in one more; the transfer runs come
     first in the batch.  A walk, whose windows follow no fixed positions, and
     a piadmm1 run that draws gamma, whose operators change every iteration,
-    step their token one iteration at a time.  A ring's chunks are whole
-    cycles from agent 1, so every window is a whole segment and neither the
-    chunk length nor a run's batch-mates change a transfer run's rounding.
-    The steps are recorded in blocks of up to 1,024 iterations, fewer where
-    N B is large (_block_rows) or the runs end sooner, rounded up to whole
-    cycles on a ring.  The metrics of each chunk of iterations are computed
-    afterwards in one vectorised pass, the only place where runs end: each
-    at its chunk's first diverging, converged or last allowed iteration, so
-    a run that stops on stop_eps has computed up to one chunk past its stop,
-    a ring run whose max_iters ends inside a cycle up to the cycle's end,
-    and drops those iterations.
+    step their token one iteration at a time.  A ring's chunks end where a
+    segment ends (whole cycles when N <= L), so every window is a whole
+    segment and neither the chunk length nor a run's batch-mates change a
+    transfer run's rounding.  The steps are recorded in blocks of up to
+    1,024 iterations, fewer where N B is large (_block_rows) or the runs end
+    sooner, on a ring rounded up to a segment's end (_segment_end).  The
+    metrics of each chunk of iterations are computed afterwards in one
+    vectorised pass, the only place where runs end: each at its chunk's
+    first diverging, converged or last allowed iteration, so a run that
+    stops on stop_eps has computed up to one chunk past its stop, a ring run
+    whose max_iters ends inside a segment up to the segment's end, and drops
+    those iterations.
     Ended runs leave the batch and stay ended.  `k` counts the iterations
     computed, or those that step() has returned.
 
@@ -572,11 +576,19 @@ class Simulation:
     def _new_block(self) -> None:
         rows = min(_block_rows(self.n_agents, len(self._alive)),
                    int(self._max_iters.max()) - self.k)  # none past the longest run's end
-        if self.cyclic:  # whole cycles
-            rows = -(-rows // self.n_agents) * self.n_agents
-        self._block = _Block(rows, len(self._alive), self.dim)
+        self._block = _Block(self._segment_end(rows), len(self._alive), self.dim)
         for b, r in enumerate(self._alive):
             r.blocks.append((self._block, b))
+
+    def _segment_end(self, rows: int) -> int:
+        """On a ring, `rows` iterations from the next one rounded up to end
+        on a segment's end (see _windows), so that every chunk's windows are
+        whole segments; on a walk, `rows`."""
+        if not self.cyclic:
+            return rows
+        n, length = self.n_agents, _segment(self.dim)
+        end = (int(self.active[0]) - 1 + rows) % n
+        return rows + min(-(-end // length) * length, n) - end
 
     def _single(self) -> None:
         if len(self.runs) != 1:
@@ -646,8 +658,8 @@ class Simulation:
         """Up to `limit` iterations of the state update of every run in the
         batch, as many as the current block has free rows for (a full block
         is followed by a new one), stepped window by window (see Simulation)
-        and recorded in those rows; a ring's chunk is whole cycles, `limit`
-        rounded up.  The chunk's noise goes straight into the noise block of
+        and recorded in those rows; on a ring `limit` is rounded up to a
+        segment's end.  The chunk's noise goes straight into the noise block of
         s (see _operators), and a window fills the other blocks that the
         token does not.  Per window, the transfer rows' tokens are one
         product with their segment's T (_transfer_maps) and their new (x, y)
@@ -658,15 +670,13 @@ class Simulation:
             self._new_block()
         block, runs = self._block, self._alive
         lo, k0, width, p, n_agents = block.n, self.k, len(runs), self.dim, self.n_agents
-        if self.cyclic:
-            limit = -(-limit // n_agents) * n_agents
-        n = min(limit, len(block.agents) - lo)
+        n = min(self._segment_end(limit), len(block.agents) - lo)
         xy, t = self._xy, self._transfers
         chunk = (lo, k0, xy.copy().transpose(1, 0, 2), self._fvals)
 
         agents, receivers = block.agents[lo : lo + n], block.receivers[lo : lo + n]
-        if self.cyclic:  # from agent 1
-            ring = np.arange(n + 1) % n_agents
+        if self.cyclic:
+            ring = np.arange(self.active[0] - 1, self.active[0] + n) % n_agents
             agents[:], receivers[:] = ring[:n, None] + 1, ring[1:, None] + 1
         else:
             # a walking run draws nothing but its walk from its stream (no
@@ -702,14 +712,15 @@ class Simulation:
         for j0, j1 in pairwise(_windows(pick, n_agents if self.cyclic else 0, _segment(p))):
             # the window's agents' states: gathered, stepped and written back once
             sel = (pick[j0:j1], self._col[:, 0])
-            at = slice(j0 % n_agents, j0 % n_agents + j1 - j0) if self.cyclic else sel
+            q0 = int(pick[j0, 0])  # on a ring, the window's first position
+            at = slice(q0, q0 + j1 - j0) if self.cyclic else sel
             old = xy[at]
             s[j0:j1, :, 0, : 2 * p] = old
             if not self._stack.affine:  # the window's gradients, evaluated at once
                 s[j0:j1, :, 0, 4 * p : 5 * p] = self._stack.gradient(sel, old[..., :p])
             if t:
                 states = block.states[lo + j0 : lo + j1, :t]
-                self._transfer(j0 % n_agents, s[j0:j1, :t], tokens, states)
+                self._transfer(q0, s[j0:j1, :t], tokens, states)
                 tokens = states[-1, :, 2 * p :]
             for j in range(j0, j1) if t < width else ():
                 s_z[j] = z

@@ -24,7 +24,7 @@ from conftest import RESULT_ARRAYS, assert_identical, bits, make_cfg, per_iterat
 from ringadmm import solver
 from ringadmm.harness import build_problem
 from ringadmm.solver import (GammaSpec, InitSpec, Simulation, Variant, XUpdateMode, _block_rows,
-                             _windows, run, run_batch)
+                             _segment, _windows, run, run_batch)
 
 RANDOM_START = dict(init=InitSpec.uniform(-1, 1))
 LOGISTIC = dict(problem="logistic", x_update=XUpdateMode.FIRST_ORDER)
@@ -99,7 +99,7 @@ def cut_windows() -> list:
     """Runs of 200 agents, two ring segments each, whose blocks of 163 rows
     would end a chunk inside a window if they were not rounded up to a
     whole cycle."""
-    assert _block_rows(200, 1) == 163 and solver._segment(2) < 200
+    assert _block_rows(200, 1) == 163 and _segment(2) < 200
     return on_their_own([spec(k, n_agents=200, max_iters=400)
                          for k in ("iadmm_randinit", "piadmm1", "piadmm2", "first_order")])
 
@@ -276,3 +276,21 @@ def test_results_do_not_depend_on_the_chunk_length(monkeypatch):
                 assert bits(g) == bits(w), name
             else:
                 assert_identical(g, w)
+
+
+def test_ring_results_do_not_depend_on_the_chunk_length_across_segments(monkeypatch):
+    """Rings of 250 agents, three segments of 100, 100 and 50 positions,
+    whose chunks end mid-cycle wherever a segment ends: a transfer run
+    alone and in a batch beside a gamma-drawing piadmm1 run."""
+    assert _segment(2) == 100
+    specs = [spec(k, n_agents=250, max_iters=700, seed_solver=s)
+             for k, s in (("iadmm_randinit", 3), ("piadmm2", 4), ("piadmm1", 5))]
+    results = {}
+    for name, rows in CHUNK_ROWS.items():
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "_block_rows", rows)
+            results[name] = run_batch(specs) + [run(*specs[0])]
+    want = results.pop("1")
+    for name, got in results.items():
+        for g, w in zip(got, want):
+            assert_identical(g, w)
