@@ -317,14 +317,14 @@ class RunResult:
 
 
 def _block_rows(n_agents: int, batch: int) -> int:
-    """Iterations per block, and so per chunk: as many as keep its (batch,
-    rows, N, p) arrays within a budget of 2**15 agent states, and at most
-    1,024 (or one cycle, if longer).  Each chunk's update and metrics passes
-    have a fixed cost, which the longer chunk spreads; a run that stops on
-    stop_eps has computed up to one chunk past its stop, which it drops.  A
-    ring rounds this up to a segment's end (Simulation._segment_end).  No
+    """Iterations per chunk: as many as keep its (batch, rows, N, p) arrays
+    within a budget of 2**15 agent states, and at most 1,024.  Each chunk's
+    update and metrics passes have a fixed cost, which the longer chunk
+    spreads; a run that stops on stop_eps has computed up to one chunk past
+    its stop, which it drops.  Simulation._new_block cuts this at the
+    shortest run's end and, on a ring, rounds it up to a segment's end.  No
     result depends on the chunk's length."""
-    return max(1, min(max(n_agents, 1024), 2**15 // (n_agents * batch)))
+    return max(1, min(1024, 2**15 // (n_agents * batch)))
 
 
 def _segment(dim: int) -> int:
@@ -334,20 +334,17 @@ def _segment(dim: int) -> int:
     return max(1, 200 // dim)
 
 
-def _windows(agents: np.ndarray, ring: int = 0, length: int = 0) -> list[int]:
+def _windows(agents: np.ndarray, length: int = 0) -> list[int]:
     """The bounds of a chunk's windows, from its (iteration, run) active
-    `agents` (0-based); no run's agent acts twice in a window.  On a ring of
-    `ring` agents a window is `ring` iterations from the chunk's start or,
-    given a segment `length`, one of the ring's fixed segments: a new window
-    starts at each agent whose position is a multiple of `length` (a chunk
-    of Simulation starts at one).  Neither needs a scan.  On a walk each
-    window runs up to the first iteration whose agent acted earlier in it in
-    the same run."""
+    `agents` (0-based); no run's agent acts twice in a window.  On a ring
+    with segments of `length` positions a window is one of the ring's fixed
+    segments: a new window starts at each agent whose position is a
+    multiple of `length` (a chunk of Simulation starts at one), with no
+    scan.  On a walk (no `length`) each window runs up to the first
+    iteration whose agent acted earlier in it in the same run."""
     n, width = agents.shape
-    if ring and length:
+    if length:
         return [0, *(np.flatnonzero(agents[1:, 0] % length == 0) + 1).tolist(), n]
-    if ring:
-        return list(range(0, n, ring)) + [n]
     key = (agents * width + np.arange(width)).ravel()
     order = np.argsort(key, kind="stable")
     repeat = key[order[1:]] == key[order[:-1]]
@@ -361,13 +358,12 @@ def _windows(agents: np.ndarray, ring: int = 0, length: int = 0) -> list[int]:
 
 
 class _Block:
-    """Per-iteration values of up to `size` consecutive iterations of a batch
-    of runs, as (iteration, run, ...) arrays: the active agent and the
+    """Per-iteration values of one chunk of `size` iterations of a batch of
+    runs, as (iteration, run, ...) arrays: the active agent and the
     receiver, the agent's new x and y and the token sent (the three blocks
     of `states`), and the RunTrace.values row."""
 
     def __init__(self, size: int, batch: int, dim: int):
-        self.n = 0
         self.agents = np.empty((size, batch), dtype=np.int64)
         self.receivers = np.empty((size, batch), dtype=np.int64)
         self.states = np.empty((size, batch, 3 * dim))
@@ -438,18 +434,17 @@ class Simulation:
     composition), and its new (x, y) in one more; the transfer runs come
     first in the batch.  A walk, whose windows follow no fixed positions, and
     a piadmm1 run that draws gamma, whose operators change every iteration,
-    step their token one iteration at a time.  A ring's chunks end where a
-    segment ends (whole cycles when N <= L), so every window is a whole
-    segment and neither the chunk length nor a run's batch-mates change a
-    transfer run's rounding.  The steps are recorded in blocks of up to
-    1,024 iterations, fewer where N B is large (_block_rows) or the runs end
-    sooner, on a ring rounded up to a segment's end (_segment_end).  The
-    metrics of each chunk of iterations are computed afterwards in one
-    vectorised pass, the only place where runs end: each at its chunk's
-    first diverging, converged or last allowed iteration, so a run that
-    stops on stop_eps has computed up to one chunk past its stop, a ring run
-    whose max_iters ends inside a segment up to the segment's end, and drops
-    those iterations.
+    step their token one iteration at a time.  Each chunk is recorded in a
+    block of its own (_new_block): up to 1,024 iterations, fewer where N B
+    is large (_block_rows) or the shortest run ends sooner, on a ring
+    rounded up to a segment's end (whole cycles when N <= L), so every
+    window is a whole segment and neither the chunk length nor a run's
+    batch-mates change a transfer run's rounding.  The metrics of each
+    chunk are computed afterwards in one vectorised pass, the only place
+    where runs end: each at its chunk's first diverging, converged or last
+    allowed iteration, so a run that stops on stop_eps has computed up to
+    one chunk past its stop, a ring run whose max_iters ends inside a
+    segment up to the segment's end, and drops those iterations.
     Ended runs leave the batch and stay ended.  `k` counts the iterations
     computed, or those that step() has returned.
 
@@ -478,7 +473,7 @@ class Simulation:
         # the transfer rows first, so that they and the others are slices
         self.runs, self._alive = runs, sorted(runs, key=lambda r: not r.transfer)
         self.k = 0
-        # step()'s chunk (the end of its iterations to return, first row and
+        # step()'s chunk (the end of its iterations to return, first
         # iteration, states, tokens) and x, y, z after the iteration it returned last
         self._stepped = self._now = None
         self.active = np.ones(len(runs), dtype=np.int64)
@@ -491,7 +486,7 @@ class Simulation:
                 (np.arange(self.n_agents), np.arange(len(runs))[:, None]), x0)
 
     def _columns(self) -> None:
-        """Per-run columns and operators of the runs still in the batch, and a new block."""
+        """Per-run columns and operators of the runs still in the batch."""
         runs = self._alive
         self._stack = stack_objectives([r.problem.objectives for r in runs])
         self._rho = np.array([[r.config.rho] for r in runs])
@@ -515,7 +510,6 @@ class Simulation:
         self._ops = self._operators(
             (np.arange(self.n_agents)[:, None], self._col[:, 0]), rho_eff, self._rho)
         self._maps = self._transfer_maps(self._ops[:, :t]) if t else {}
-        self._new_block()
 
     def _gammas(self, b: int, n: int) -> np.ndarray:
         """n gamma draws of the batch's row b, a piadmm1 run."""
@@ -573,22 +567,21 @@ class Simulation:
         ops = np.broadcast_to(ops, (len(ops), *np.broadcast(*sel).shape, ops.shape[-1]))
         return ops.transpose(1, 2, 0, 3).copy()
 
-    def _new_block(self) -> None:
+    def _new_block(self) -> _Block:
+        """The next chunk's block, the one place where a chunk's length is
+        decided: _block_rows iterations, none past the shortest run's end,
+        on a ring rounded up to end on a segment's end (see _windows), so
+        that every window of the chunk is a whole segment."""
         rows = min(_block_rows(self.n_agents, len(self._alive)),
-                   int(self._max_iters.max()) - self.k)  # none past the longest run's end
-        self._block = _Block(self._segment_end(rows), len(self._alive), self.dim)
+                   int(self._max_iters.min()) - self.k)
+        if self.cyclic:
+            n, length = self.n_agents, _segment(self.dim)
+            end = (int(self.active[0]) - 1 + rows) % n
+            rows += min(-(-end // length) * length, n) - end
+        self._block = _Block(rows, len(self._alive), self.dim)
         for b, r in enumerate(self._alive):
             r.blocks.append((self._block, b))
-
-    def _segment_end(self, rows: int) -> int:
-        """On a ring, `rows` iterations from the next one rounded up to end
-        on a segment's end (see _windows), so that every chunk's windows are
-        whole segments; on a walk, `rows`."""
-        if not self.cyclic:
-            return rows
-        n, length = self.n_agents, _segment(self.dim)
-        end = (int(self.active[0]) - 1 + rows) % n
-        return rows + min(-(-end // length) * length, n) - end
+        return self._block
 
     def _single(self) -> None:
         if len(self.runs) != 1:
@@ -620,7 +613,8 @@ class Simulation:
 
     def step(self) -> IterationRecord:
         """Advance a single run by one iteration: run()'s chunks, under its
-        stop rules, one iteration per call.  Once the run has ended, every
+        stop rules, one iteration per call, iteration k0 + i of a chunk that
+        starts at k0 read off row i of its block.  Once the run has ended, every
         call raises how it ended: its DivergenceError, or a RuntimeError
         naming max_iters or primal_eps."""
         self._single()
@@ -634,47 +628,43 @@ class Simulation:
                 if run.result.trace.diverged:
                     raise DivergenceError(reason.removeprefix("diverged: "))
                 raise RuntimeError(f"the run has ended: {reason}")
-            k0, (lo, xy, zs) = self.k, self._chunk()
+            k0, (xy, zs) = self.k, self._chunk()
             end = run.result.n_iterations if run.result else self.k
-            self._stepped, self.k = (end, lo, k0, xy[0], zs[0]), k0
-        _, lo, k0, xy, zs = self._stepped
+            self._stepped, self.k = (end, k0, xy[0], zs[0]), k0
+        _, k0, xy, zs = self._stepped
         i, block, p = self.k - k0, self._block, self.dim
         self._now, self.k = (xy[i, :, :p], xy[i, :, p:], zs[i]), self.k + 1
-        return IterationRecord.from_values(k0 + i, int(block.agents[lo + i, 0]),
-                                           block.values[lo + i, 0].tolist())
+        return IterationRecord.from_values(k0 + i, int(block.agents[i, 0]),
+                                           block.values[i, 0].tolist())
 
-    def _chunk(self) -> tuple[int, np.ndarray, np.ndarray]:
+    def _chunk(self) -> tuple[np.ndarray, np.ndarray]:
         """run()'s next chunk: advance the batch, score it and end the runs
-        that stop in it.  Returns the chunk's first row, and the (B, chunk,
-        N, 2p) states and (B, chunk, p) tokens after each of its iterations."""
+        that stop in it.  Returns the (B, chunk, N, 2p) states and (B, chunk,
+        p) tokens after each of its iterations."""
         # non-finite values are caught by the metrics pass, not by warnings
         with np.errstate(over="ignore", invalid="ignore"):
-            chunk = self._advance(int(self._max_iters.min()) - self.k)
+            chunk = self._advance()
             ended, xy, zs, self._fvals = self._metrics(chunk)
         self._end(ended)
-        return chunk[0], xy, zs
+        return xy, zs
 
-    def _advance(self, limit: int) -> tuple:
-        """Up to `limit` iterations of the state update of every run in the
-        batch, as many as the current block has free rows for (a full block
-        is followed by a new one), stepped window by window (see Simulation)
-        and recorded in those rows; on a ring `limit` is rounded up to a
-        segment's end.  The chunk's noise goes straight into the noise block of
-        s (see _operators), and a window fills the other blocks that the
-        token does not.  Per window, the transfer rows' tokens are one
-        product with their segment's T (_transfer_maps) and their new (x, y)
-        one more; the other rows step one iteration at a time.  Returns the
-        chunk's start for _metrics: its first row and iteration, the (x, y)
-        states side by side as (B, N, 2p) and the objective values."""
-        if self._block.n == len(self._block.agents):
-            self._new_block()
-        block, runs = self._block, self._alive
-        lo, k0, width, p, n_agents = block.n, self.k, len(runs), self.dim, self.n_agents
-        n = min(self._segment_end(limit), len(block.agents) - lo)
-        xy, t = self._xy, self._transfers
-        chunk = (lo, k0, xy.copy().transpose(1, 0, 2), self._fvals)
+    def _advance(self) -> tuple:
+        """The next chunk of iterations of every run in the batch, as many as
+        its new block has rows (_new_block), stepped window by window (see
+        Simulation) and recorded in the block.  The chunk's noise goes
+        straight into the noise block of s (see _operators), and a window
+        fills the other blocks that the token does not.  Per window, the
+        transfer rows' tokens are one product with their segment's T
+        (_transfer_maps) and their new (x, y) one more; the other rows step
+        one iteration at a time.  Returns the chunk's start for _metrics:
+        its first iteration, the (x, y) states side by side as (B, N, 2p)
+        and the objective values."""
+        block, runs = self._new_block(), self._alive
+        k0, width, p, n_agents = self.k, len(runs), self.dim, self.n_agents
+        n, xy, t = len(block.agents), self._xy, self._transfers
+        chunk = (k0, xy.copy().transpose(1, 0, 2), self._fvals)
 
-        agents, receivers = block.agents[lo : lo + n], block.receivers[lo : lo + n]
+        agents, receivers = block.agents, block.receivers
         if self.cyclic:
             ring = np.arange(self.active[0] - 1, self.active[0] + n) % n_agents
             agents[:], receivers[:] = ring[:n, None] + 1, ring[1:, None] + 1
@@ -694,7 +684,7 @@ class Simulation:
         s[..., -1] = 1.0
         rho_eff = np.empty((n, width - t, 1))
         for b in self._gamma_rows:
-            gamma = block.values[lo : lo + n, b, 5] = self._gammas(b, n)
+            gamma = block.values[:, b, 5] = self._gammas(b, n)
             if b >= t:  # a random gamma: the chunk's own operators
                 rho_eff[:, b - t, 0] = runs[b].config.rho * gamma
         if not self.cyclic:
@@ -703,13 +693,13 @@ class Simulation:
             ops = self._operators((ring[:n, None], np.arange(t, width)), rho_eff, self._rho[t:])
         for b in self._noise_rows:
             omega = runs[b].rng.normal(0.0, runs[b].config.sigma, size=(n, p))
-            block.values[lo : lo + n, b, 6] = np.sqrt(np.einsum("ij,ij->i", omega, omega))
+            block.values[:, b, 6] = np.sqrt(np.einsum("ij,ij->i", omega, omega))
             s[:, b, 0, 3 * p : 4 * p] = omega
 
         # the other rows' s, records and tokens
-        s_c, out, z_c = s[:, t:], block.states[lo : lo + n, t:, None], block.z[lo : lo + n, t:]
+        s_c, out, z_c = s[:, t:], block.states[:, t:, None], block.z[:, t:]
         s_z, z, tokens = s_c[:, :, 0, 2 * p : 3 * p], self._z[t:], self._z[:t]
-        for j0, j1 in pairwise(_windows(pick, n_agents if self.cyclic else 0, _segment(p))):
+        for j0, j1 in pairwise(_windows(pick, _segment(p) if self.cyclic else 0)):
             # the window's agents' states: gathered, stepped and written back once
             sel = (pick[j0:j1], self._col[:, 0])
             q0 = int(pick[j0, 0])  # on a ring, the window's first position
@@ -719,16 +709,15 @@ class Simulation:
             if not self._stack.affine:  # the window's gradients, evaluated at once
                 s[j0:j1, :, 0, 4 * p : 5 * p] = self._stack.gradient(sel, old[..., :p])
             if t:
-                states = block.states[lo + j0 : lo + j1, :t]
+                states = block.states[j0:j1, :t]
                 self._transfer(q0, s[j0:j1, :t], tokens, states)
                 tokens = states[-1, :, 2 * p :]
             for j in range(j0, j1) if t < width else ():
                 s_z[j] = z
                 np.matmul(s_c[j], ops[j], out=out[j])
                 z = z_c[j]
-            xy[at] = block.states[lo + j0 : lo + j1, :, : 2 * p]
-        block.n = lo + n
-        self._z, self.k = block.z[lo + n - 1].copy(), k0 + n
+            xy[at] = block.states[j0:j1, :, : 2 * p]
+        self._z, self.k = block.z[-1].copy(), k0 + n
         self.active = receivers[-1].copy()
         return chunk
 
@@ -758,7 +747,8 @@ class Simulation:
         np.matmul(s, xy_cols, out=out[:, :, None, : 2 * p])
 
     def _metrics(self, chunk: tuple) -> tuple[dict, np.ndarray, np.ndarray, np.ndarray]:
-        """Metrics of the chunk that _advance just recorded, and where runs end.
+        """Metrics of the chunk that _advance just recorded, one row of its
+        block per iteration, and where runs end.
 
         A run ends at its first iteration of the chunk that has a non-finite
         state, has non-finite metrics, has r_primal < stop_eps or is its
@@ -776,16 +766,15 @@ class Simulation:
         cannot prove them finite.  Returns, per ended row of the batch, the
         run's iterations, its transmissions, its stop reason and its (N, 2p)
         states after its last transmission (a row scored here, or the
-        chunk's start); the (B,
-        rows, N, 2p) states and (B, rows, p) tokens after each scored
-        iteration (all of the chunk's when every = 1); and the (B, N)
-        objective values after the chunk.
+        chunk's start); the (B, rows, N, 2p) states and (B, rows, p) tokens
+        after each scored iteration (all of the chunk's when every = 1); and
+        the (B, N) objective values after the chunk.
         """
-        (lo, k0, start, f0), block = chunk, self._block
-        hi, n, p, col = block.n, self.n_agents, self.dim, self._col
-        c, agents = hi - lo, block.agents[lo:hi].T - 1
+        (k0, start, f0), block = chunk, self._block
+        n, p, col = self.n_agents, self.dim, self._col
+        c, agents = len(block.agents), block.agents.T - 1
         rows = np.arange(c)
-        states = block.states[lo:hi].transpose(1, 0, 2)
+        states = block.states.transpose(1, 0, 2)
         zs = states[..., 2 * p :]
 
         # every agent's (x, y) before each iteration of the chunk and after
@@ -848,7 +837,7 @@ class Simulation:
         vals[..., 3] = np.sqrt(np.einsum("bij,bij->bi", dy, dy))
         ysum = y.sum(axis=2)
         vals[..., 4] = np.sqrt(np.einsum("bij,bij->bi", ysum, ysum))
-        block.values[lo + at, :, :5] = vals.transpose(1, 0, 2)
+        block.values[at, :, :5] = vals.transpose(1, 0, 2)
         bad_metrics = np.zeros_like(bad_state) if proved else \
             ~np.isfinite(vals[..., :3]).all(axis=2)
         events |= bad_metrics
@@ -942,7 +931,7 @@ class Simulation:
         run, cfg = self._alive[b], self._alive[b].config
 
         def cat(name: str) -> np.ndarray:
-            return np.concatenate([getattr(blk, name)[: blk.n, row] for blk, row in run.blocks])
+            return np.concatenate([getattr(blk, name)[:, row] for blk, row in run.blocks])
 
         senders = cat("agents")[:sent]
         trace = RunTrace(senders[:k], cat("values")[:k], stop_reason)

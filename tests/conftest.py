@@ -85,22 +85,19 @@ def z_before(transcript, k: int) -> np.ndarray:
     return transcript.z_values[k - 1] if k else np.zeros(transcript.dim)
 
 
-def per_iteration_advance(self, limit: int) -> tuple:
+def per_iteration_advance(self) -> tuple:
     """Simulation._advance as it was before its windows: every iteration
     gathers the active agents' (x_i, y_i), steps them and scatters them
     back, and a first-order x-update evaluates its gradient then (on a
     logistic batch, the input block g of the same operator).  Kept as
     the reference that the windowed loop equals bit for bit; install it
     with `monkeypatch.setattr(solver.Simulation, "_advance", ...)`."""
-    if self._block.n == len(self._block.agents):
-        self._new_block()
-    block, runs = self._block, self._alive
-    lo, k0, width, p = block.n, self.k, len(runs), self.dim
-    n = min(limit, len(block.agents) - lo)
+    block, runs = self._new_block(), self._alive
+    k0, width, p, n = self.k, len(runs), self.dim, len(block.agents)
     xy, z, rho = self._xy, self._z, self._rho
-    chunk = (lo, k0, xy.copy().transpose(1, 0, 2), self._fvals)
+    chunk = (k0, xy.copy().transpose(1, 0, 2), self._fvals)
 
-    agents, receivers = block.agents[lo : lo + n], block.receivers[lo : lo + n]
+    agents, receivers = block.agents, block.receivers
     # the active agent (0-based) of each iteration: one for all runs (a
     # cyclic batch, or a single run) is a basic slice of the (N, B, ...)
     # arrays; otherwise each run's agent is gathered
@@ -125,12 +122,12 @@ def per_iteration_advance(self, limit: int) -> tuple:
     for b in g:
         r, cfg = runs[b], runs[b].config
         gamma = solver.sample_gamma(cfg.gamma, r.rng, cfg.rho, r.lipschitz, self.n_agents, size=n)
-        block.values[lo : lo + n, b, 5] = gamma
+        block.values[:, b, 5] = gamma
         rho_eff[:, b, 0] = cfg.rho * gamma
     noise = np.zeros((n, width, p))
     for b in self._noise_rows:
         omega = runs[b].rng.normal(0.0, runs[b].config.sigma, size=(n, p))
-        block.values[lo : lo + n, b, 6] = np.sqrt(np.einsum("ij,ij->i", omega, omega))
+        block.values[:, b, 6] = np.sqrt(np.einsum("ij,ij->i", omega, omega))
         noise[:, b] = omega
 
     # the active agents' operators applied to s = (x_i, y_i, z, omega, 1),
@@ -140,15 +137,14 @@ def per_iteration_advance(self, limit: int) -> tuple:
     if len(g):  # piadmm1 is cyclic; its rows take the chunk's own operators
         ops[:, g] = self._operators((ring[:n, None], g), rho_eff[:, g], rho[g])
     s = np.ones((width, 1, ops.shape[-2]))
-    head, out = s[:, 0, :-1], block.states[lo : lo + n, :, None]
-    new_xy, new_z = block.states[lo : lo + n, :, : 2 * p], block.z[lo : lo + n]
+    head, out = s[:, 0, :-1], block.states[:, :, None]
+    new_xy, new_z = block.states[:, :, : 2 * p], block.z
     for j in range(n):
         sel = shared[j] if shared is not None else (walk[0][j], walk[1])
         grad = () if self._stack.affine else (self._stack.gradient(sel, xy[sel][:, :p]),)
         np.concatenate((xy[sel], z, noise[j], *grad), axis=1, out=head)
         np.matmul(s, ops[j], out=out[j])
         xy[sel], z = new_xy[j], new_z[j]
-    block.n = lo + n
     self._z, self.k = z.copy(), k0 + n
     self.active = receivers[-1].copy()
     return chunk
@@ -166,11 +162,11 @@ def state_fault(monkeypatch):
     metrics = solver.Simulation._metrics
 
     def faulty_metrics(self, chunk):
-        (lo, k0, *_), block = chunk, self._block
+        k0, block = chunk[0], self._block
         for b, r in enumerate(self._alive):
             _, start, change = faults.get(id(r.problem), (None, math.inf, None))
-            if start < k0 + block.n - lo:
-                rows = block.states[lo + max(start - k0, 0) : block.n, b]
+            if start < k0 + len(block.states):
+                rows = block.states[max(start - k0, 0) :, b]
                 rows[:] = change(rows)
         return metrics(self, chunk)
 

@@ -36,17 +36,17 @@ KINDS = {
 }
 
 
-def spy_batches(monkeypatch) -> list[int]:
-    """Record the width of every batch the engine starts."""
-    widths = []
+def spy_batches(monkeypatch, record=len) -> list:
+    """Record the width (or `record` of the runs) of every batch the engine starts."""
+    seen = []
     original = solver.Simulation._batch.__func__
 
     def batch(cls, runs):
-        widths.append(len(runs))
+        seen.append(record(runs))
         return original(cls, runs)
 
     monkeypatch.setattr(solver.Simulation, "_batch", classmethod(batch))
-    return widths
+    return seen
 
 
 def test_run_in_a_batch_equals_the_run_alone(monkeypatch):
@@ -204,6 +204,22 @@ def test_ragged_walk_batch_rows_end_as_they_would_alone(monkeypatch):
     assert batch[0].trace.stop_reason == "primal_eps"
     assert batch[0].n_iterations not in (50, 333, 700)
     assert [r.n_iterations for r in batch[1:]] == [50, 333, 700]
+    for spec, res in zip(rows, batch):
+        assert_identical(res, run(*spec))
+
+
+def test_a_batch_allocates_no_rows_past_its_shortest_run(monkeypatch):
+    # a chunk ends where the batch's shortest run ends, rounded up to whole
+    # cycles on a ring of 8 agents: the 50-iteration run's block holds 56
+    # rows, not the 1,024 of a full chunk
+    rows = [ridge_run(1, max_iters=50), ridge_run(2, max_iters=5000)]
+    batches = spy_batches(monkeypatch, list)
+    batch = run_batch(rows)
+    ((short, long),) = batches
+    assert [len(block.agents) for block, _ in short.blocks] == [56]
+    assert len(long.blocks[0][0].agents) == 56
+    assert [r.n_iterations for r in batch] == [50, 5000]
+    monkeypatch.undo()
     for spec, res in zip(rows, batch):
         assert_identical(res, run(*spec))
 

@@ -219,11 +219,19 @@ def test_a_ring_run_builds_its_transfer_maps_once(monkeypatch):
 
 def test_windows_hold_no_agent_twice_and_end_at_the_first_repeat():
     rng = np.random.default_rng(5)
-    ring = np.arange(3, 3 + 40)[:, None] % 7 * np.ones(2, dtype=np.int64)
-    assert _windows(ring) == _windows(ring, 7) == [0, 7, 14, 21, 28, 35, 40]
-    for n_agents, start, n in ((1, 0, 5), (3, 2, 3), (5, 4, 1), (8, 1, 17), (12, 5, 24)):
-        ring = np.arange(start, start + n)[:, None] % n_agents * np.ones(3, dtype=np.int64)
-        assert _windows(ring, n_agents) == _windows(ring)
+    ring = np.arange(40)[:, None] % 7 * np.ones(2, dtype=np.int64)
+    assert _windows(ring, 7) == _windows(ring, 100) == [0, 7, 14, 21, 28, 35, 40]
+    ring = np.arange(3, 3 + 17)[:, None] % 7 * np.ones(2, dtype=np.int64)
+    assert _windows(ring, 3) == [0, 3, 4, 7, 10, 11, 14, 17]
+    # a ring chunk starts where a segment starts; each window is the part of
+    # one segment that the chunk passes through
+    for n_agents, length, start, n in ((1, 1, 0, 5), (3, 2, 2, 3), (5, 2, 4, 1), (8, 3, 6, 17),
+                                       (12, 5, 10, 24), (12, 100, 0, 30)):
+        pos = np.arange(start, start + n) % n_agents
+        want = [0, *(j for j in range(1, n)
+                     if pos[j] // length != pos[j - 1] // length or pos[j] <= pos[j - 1]), n]
+        assert _windows(pos[:, None] * np.ones(3, dtype=np.int64), length) == want
+        assert all(len(set(pos[j0:j1])) == j1 - j0 for j0, j1 in zip(want, want[1:]))
     walks = rng.integers(0, 6, size=(60, 3))
     bounds = _windows(walks)
     assert bounds[0] == 0 and bounds[-1] == len(walks)
