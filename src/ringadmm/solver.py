@@ -383,8 +383,10 @@ class _Run:
     uniform per iteration, mapped to a neighbour by next_agent), drawn a
     chunk at a time.  Agent 1 is active first; wadmm walks, every other
     variant follows the ring.  A ring run whose operators repeat every cycle
-    (all but piadmm1 with a random gamma) takes its tokens from the
-    transfer maps of the ring's segments (see Simulation)."""
+    (all but piadmm1 with a random gamma), a transfer run, takes its tokens
+    from the transfer maps of the ring's segments; piadmm1 with a random
+    gamma takes them from a scan of each window's steps; a walk steps its
+    token one iteration at a time (see Simulation)."""
 
     def __init__(self, problem: Problem, graph: Graph, config: SolverConfig, every: int = 1):
         if graph.n_agents != problem.n_agents:
@@ -426,20 +428,27 @@ class Simulation:
     (_segment; L = 100 at p = 2), or a walk's runs of new agents (_windows).
     All that a window reads but the token is there at its start, so its
     agents' (x_i, y_i) are gathered, their gradients (first order) evaluated
-    and their new states written back once per window.  Every step is one
-    precomputed operator per run (_operators; a logistic one takes the
-    gradients as an input).  A ring run whose operators repeat every cycle,
+    and their new states written back once per window.  Every step is an
+    affine map of the state, read off the step functions (_step; a logistic
+    one takes the gradients as an input), and precomputed once per batch
+    composition as one operator per agent and run (_operators) where it
+    repeats every cycle.  A ring run whose operators repeat every cycle,
     a transfer run (`_Run.transfer`), takes a window's tokens in one product
     with its segment's map T (_transfer_maps, built once per batch
     composition), and its new (x, y) in one more; the transfer runs come
-    first in the batch.  A walk, whose windows follow no fixed positions, and
-    a piadmm1 run that draws gamma, whose operators change every iteration,
-    step their token one iteration at a time.  Each chunk is recorded in a
+    first in the batch.  A piadmm1 ring run that draws gamma, whose
+    operators change every iteration, takes a window's tokens from a
+    two-level scan of its steps' affine maps and its new (x, y) in one more
+    product (_scan), its operators read off at only the points the scan
+    needs.  A walk steps its token one iteration at a time: its windows end
+    at the first repeat in any run of the batch and at every chunk end, so
+    any regrouping of its products would make its rounding depend on its
+    batch-mates and the chunk length.  Each chunk is recorded in a
     block of its own (_new_block): up to 1,024 iterations, fewer where N B
     is large (_block_rows) or the shortest run ends sooner, on a ring
     rounded up to a segment's end (whole cycles when N <= L), so every
     window is a whole segment and neither the chunk length nor a run's
-    batch-mates change a transfer run's rounding.  The metrics of each
+    batch-mates change a ring run's rounding.  The metrics of each
     chunk are computed afterwards in one vectorised pass, the only place
     where runs end: each at its chunk's first diverging, converged or last
     allowed iteration, so a run that stops on stop_eps has computed up to
@@ -489,6 +498,8 @@ class Simulation:
         """Per-run columns and operators of the runs still in the batch."""
         runs = self._alive
         self._stack = stack_objectives([r.problem.objectives for r in runs])
+        first_order = runs[0].config.x_update == XUpdateMode.FIRST_ORDER
+        self._blocks = 5 if first_order and not self._stack.affine else 4  # of p inputs to _step
         self._rho = np.array([[r.config.rho] for r in runs])
         self._stop_eps = np.array([[r.config.stop_eps] for r in runs])
         self._max_iters = np.array([[r.config.max_iters] for r in runs])
@@ -545,24 +556,29 @@ class Simulation:
             maps[q0] = (T, z_cols[q0:q1], xy_cols[q0:q1])
         return maps
 
-    def _operators(self, sel, rho_eff, rho) -> np.ndarray:
-        """The updates of the agents that the (n, B) index arrays `sel` pick, as
-        (n, B, 4p + 1, 3p) maps A: (x_i', y_i', z') = s @ A for s = (x_i, y_i, z,
-        omega, 1), omega the noise added to x'; for a first-order step on a
-        logistic stack, the same (5p + 1, 3p) map for every agent, with s = (x_i,
-        y_i, z, omega, g, 1) and g the agent's gradient.  Read off x_update
-        (first_order_step, given g), y_update and z_update_incremental at the
-        unit vectors, less their value at 0, and at 0; a logistic exact prox
-        raises its ProxUnsupportedError here."""
-        mode = self.runs[0].config.x_update
-        blocks = 5 if not self._stack.affine and mode == XUpdateMode.FIRST_ORDER else 4
-        eye = np.eye(blocks * self.dim + 1, blocks * self.dim)[:, None, None]
-        x, y, z, omega, *g = [a.copy() for a in np.split(eye, blocks, axis=-1)]  # contiguous: faster
+    def _step(self, sel, s: np.ndarray, rho_eff, rho) -> np.ndarray:
+        """x_update (first_order_step, given g), y_update and
+        z_update_incremental at the (..., K) states s = (x_i, y_i, z, omega)
+        of the agents that the index arrays `sel` pick, or (x_i, y_i, z,
+        omega, g) for a first-order step on a logistic stack, g the agent's
+        gradient and omega the noise added to x': the new (x_i, y_i, z), as
+        (..., 3p).  A logistic exact prox raises its ProxUnsupportedError."""
+        mode, p = self.runs[0].config.x_update, self.dim
+        # contiguous copies: faster
+        x, y, z, omega, *g = [s[..., i * p : (i + 1) * p].copy() for i in range(self._blocks)]
         x_new = (first_order_step(z, y, g[0], rho_eff) if g else
                  x_update(self._stack, x, y, z, rho_eff, mode, sel)) + omega
         y_new = y_update(y, z, x_new, rho_eff)
         z_new = z_update_incremental(z, x, y, x_new, y_new, rho, self.n_agents)
-        ops = np.concatenate([x_new, y_new, z_new], axis=-1)
+        return np.concatenate([x_new, y_new, z_new], axis=-1)
+
+    def _operators(self, sel, rho_eff, rho) -> np.ndarray:
+        """The updates of the agents that the (n, B) index arrays `sel` pick, as
+        (n, B, K + 1, 3p) maps A: (x_i', y_i', z') = (s, 1) @ A for the states s
+        of _step, K = 4p or 5p.  Read off _step at the K unit vectors, less its
+        value at 0, and at 0."""
+        width = self._blocks * self.dim
+        ops = self._step(sel, np.eye(width + 1, width)[:, None, None], rho_eff, rho)
         ops[:-1] -= ops[-1]
         ops = np.broadcast_to(ops, (len(ops), *np.broadcast(*sel).shape, ops.shape[-1]))
         return ops.transpose(1, 2, 0, 3).copy()
@@ -655,8 +671,10 @@ class Simulation:
         straight into the noise block of s (see _operators), and a window
         fills the other blocks that the token does not.  Per window, the
         transfer rows' tokens are one product with their segment's T
-        (_transfer_maps) and their new (x, y) one more; the other rows step
-        one iteration at a time.  Returns the chunk's start for _metrics:
+        (_transfer_maps) and their new (x, y) one more; the other ring rows,
+        which draw gamma, take theirs from a scan of the window's steps
+        (_scan); a walk's rows step one iteration at a time.  Returns the
+        chunk's start for _metrics:
         its first iteration, the (x, y) states side by side as (B, N, 2p)
         and the objective values."""
         block, runs = self._new_block(), self._alive
@@ -678,27 +696,22 @@ class Simulation:
                 agents[:, b], receivers[:, b] = path[:-1], path[1:]
 
         # the chunk's gammas (piadmm1), and its noise (piadmm2) in the noise
-        # block of s; the rows past the transfer rows step through `ops`
+        # block of s
         pick = agents - 1
-        s = np.zeros((n, width, 1, self._ops.shape[-2]))
+        s = np.zeros((n, width, 1, self._blocks * p + 1))
         s[..., -1] = 1.0
-        rho_eff = np.empty((n, width - t, 1))
+        rho_eff = np.empty((n, width - t, 1, 1))  # the scan rows' rho * gamma
         for b in self._gamma_rows:
             gamma = block.values[:, b, 5] = self._gammas(b, n)
-            if b >= t:  # a random gamma: the chunk's own operators
-                rho_eff[:, b - t, 0] = runs[b].config.rho * gamma
-        if not self.cyclic:
-            ops = self._ops[pick, self._col[:, 0]]
-        elif t < width:  # piadmm1 with random gammas
-            ops = self._operators((ring[:n, None], np.arange(t, width)), rho_eff, self._rho[t:])
+            if b >= t:
+                rho_eff[:, b - t, 0, 0] = runs[b].config.rho * gamma
         for b in self._noise_rows:
             omega = runs[b].rng.normal(0.0, runs[b].config.sigma, size=(n, p))
             block.values[:, b, 6] = np.sqrt(np.einsum("ij,ij->i", omega, omega))
             s[:, b, 0, 3 * p : 4 * p] = omega
 
-        # the other rows' s, records and tokens
-        s_c, out, z_c = s[:, t:], block.states[:, t:, None], block.z[:, t:]
-        s_z, z, tokens = s_c[:, :, 0, 2 * p : 3 * p], self._z[t:], self._z[:t]
+        ops = None if self.cyclic else self._ops[pick, self._col[:, 0]]
+        z, s_z, out = self._z, s[:, :, 0, 2 * p : 3 * p], block.states[:, :, None]
         for j0, j1 in pairwise(_windows(pick, _segment(p) if self.cyclic else 0)):
             # the window's agents' states: gathered, stepped and written back once
             sel = (pick[j0:j1], self._col[:, 0])
@@ -709,13 +722,15 @@ class Simulation:
             if not self._stack.affine:  # the window's gradients, evaluated at once
                 s[j0:j1, :, 0, 4 * p : 5 * p] = self._stack.gradient(sel, old[..., :p])
             if t:
-                states = block.states[j0:j1, :t]
-                self._transfer(q0, s[j0:j1, :t], tokens, states)
-                tokens = states[-1, :, 2 * p :]
-            for j in range(j0, j1) if t < width else ():
+                self._transfer(q0, s[j0:j1, :t], z[:t], block.states[j0:j1, :t])
+            if self.cyclic and t < width:
+                self._scan((pick[j0:j1, t:, None], self._col[t:]), s[j0:j1, t:],
+                           rho_eff[j0:j1], z[t:], block.states[j0:j1, t:])
+            for j in range(j0, j1) if not self.cyclic else ():  # a walk's chain
                 s_z[j] = z
-                np.matmul(s_c[j], ops[j], out=out[j])
-                z = z_c[j]
+                np.matmul(s[j], ops[j], out=out[j])
+                z = block.z[j]
+            z = block.z[j1 - 1]
             xy[at] = block.states[j0:j1, :, : 2 * p]
         self._z, self.k = block.z[-1].copy(), k0 + n
         self.active = receivers[-1].copy()
@@ -746,6 +761,51 @@ class Simulation:
         s[1:, :, 0, 2 * p : 3 * p] = tokens[:-1]
         np.matmul(s, xy_cols, out=out[:, :, None, : 2 * p])
 
+    def _scan(self, sel, s: np.ndarray, rho_eff: np.ndarray, z0: np.ndarray,
+              out: np.ndarray) -> None:
+        """The scan rows' iterations of a ring window, from the (m, B', 1, K +
+        1) rows s of the agents that `sel` picks, with the z block at 0, their
+        (m, B', 1, 1) rho * gamma and their (B', p) tokens z0 before it.  Each
+        step is [z, 1] @ W_j for the token z before it, W_j (p + 1, 3p) read
+        off _step at the p unit tokens, less its value at 0, with the other
+        inputs 0, and at s_j; so z_j = z_(j-1) M_j + c_j with M_j and c_j
+        W_j's z columns.  The tokens are a two-level scan of the (p + 1) x (p
+        + 1) maps [[M_j, 0], [c_j, 1]]: prefix products within blocks of
+        about sqrt(m) steps, carried across the blocks, then combined, all
+        batched; the new (x, y) are one more product, written with the
+        tokens to `out` (m, B', 3p).  The block length depends on m alone,
+        and a ring window is a whole segment, so neither a row's batch-mates
+        nor the chunk length change its rounding.  The tokens from the first
+        non-finite one on are NaN, as the chain makes them non-finite."""
+        m, width, p = len(s), len(z0), self.dim
+        points = np.zeros((m, width, p + 2, self._blocks * p))
+        points[..., 1 : p + 1, 2 * p : 3 * p] = np.eye(p)
+        points[..., -1:, :] = s[..., :-1]
+        w = self._step(sel, points, rho_eff, self._rho[self._transfers :, :, None])
+        w[..., 1 : p + 1, :] -= w[..., :1, :]
+        w = w[..., 1:, :]
+        size = math.isqrt(m - 1) + 1
+        blocks = -(-m // size)
+        maps = np.zeros((blocks * size, width, p + 1, p + 1))
+        maps[:m, ..., :p] = w[..., 2 * p :]
+        maps[m:, :, :p, :p] = np.eye(p)  # the last block is padded with identities
+        maps[..., p, p] = 1.0
+        maps = maps.reshape(blocks, size, width, p + 1, p + 1)
+        for i in range(1, size):
+            maps[:, i] = maps[:, i - 1] @ maps[:, i]
+        carry = np.empty((blocks, width, 1, p + 1))  # [z, 1] before each block
+        carry[0, :, 0, :p], carry[0, ..., p] = z0, 1.0
+        for b in range(1, blocks):
+            np.matmul(carry[b - 1], maps[b - 1, -1], out=carry[b])
+        tokens = np.empty((blocks * size + 1, width, 1, p + 1))  # [z_j, 1] for j = 0, 1, ...
+        tokens[0] = carry[0]
+        np.matmul(carry[:, None], maps, out=tokens[1:].reshape(blocks, size, width, 1, p + 1))
+        if not np.isfinite(tokens[m]).all():
+            bad = np.logical_or.accumulate(~np.isfinite(tokens[1 : m + 1]).all(axis=(2, 3)))
+            tokens[1 : m + 1][bad] = math.nan
+        np.matmul(tokens[:m], w[..., : 2 * p], out=out[:, :, None, : 2 * p])
+        out[..., 2 * p :] = tokens[1 : m + 1, :, 0, :p]
+
     def _metrics(self, chunk: tuple) -> tuple[dict, np.ndarray, np.ndarray, np.ndarray]:
         """Metrics of the chunk that _advance just recorded, one row of its
         block per iteration, and where runs end.
@@ -761,12 +821,14 @@ class Simulation:
         next chunk's objective values, and the last trace row of a run that
         diverges on the next chunk's first iteration.  _result keeps each
         run's own checkpoint rows of them.  Every ending is still found on
-        its own row: r_primal is scored on every row when some run has
-        stop_eps > 0, and every metric on every row when _finite_metrics
-        cannot prove them finite.  Returns, per ended row of the batch, the
-        run's iterations, its transmissions, its stop reason and its (N, 2p)
-        states after its last transmission (a row scored here, or the
-        chunk's start); the (B, rows, N, 2p) states and (B, rows, p) tokens
+        its own row: when some run has stop_eps > 0, r_primal is scored in
+        full on every row where its lower bound, the gap of the agent that
+        receives the token, is below stop_eps (with a relative margin of
+        1e-9 for rounding), and every metric on every row when
+        _finite_metrics cannot prove them finite.  Returns, per ended row of
+        the batch, the run's iterations, its transmissions, its stop reason
+        and its (N, 2p) states after its last transmission (a row scored
+        here, or the chunk's start); the (B, rows, N, 2p) states and (B, rows, p) tokens
         after each scored iteration (all of the chunk's when every = 1); and
         the (B, N) objective values after the chunk.
         """
@@ -816,16 +878,23 @@ class Simulation:
         events = bad_state | (k0 + rows + 1 >= self._max_iters)
         converged = np.zeros_like(bad_state)
         proved = self._finite_metrics(start, states, fpool)
-        if proved and not self._eps:
+        if proved:
+            if self._eps:
+                # r_primal is at least the receiver's gap (an O(p) bound), so
+                # it is scored in full only where that gap is below stop_eps,
+                # with a margin for the two sums' rounding
+                x_recv = pool[col, last[col, rows + 1, block.receivers.T - 1], :p]
+                near = np.linalg.norm(zs - x_recv, axis=2) < self._stop_eps * (1 + 1e-9)
+                maybe = np.flatnonzero(near.any(axis=0))
+                converged[:, maybe] = gather(maybe)[-1] < self._stop_eps
+                events |= converged
             at = asked(events)
             scored = gather(at)
-        else:  # an r_primal stop, or metrics not proved finite, may be on any row
+        else:  # non-finite metrics may end a run on any row
             scored = gather(rows)
             converged = scored[-1] < self._stop_eps
             events |= converged
-            at = asked(events) if proved else rows
-            if len(at) < c:
-                scored = [a[:, at] for a in scored]
+            at = rows
         xy, f, gap, sq, r_primal = scored
         x, y = xy[..., :p], xy[..., p:]
         vals = np.empty((len(col), len(at), 5))

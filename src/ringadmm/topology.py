@@ -65,18 +65,15 @@ def generate_graph(n_agents: int, eta: float, seed: int) -> Graph:
         (min(i, i % n_agents + 1), max(i, i % n_agents + 1))
         for i in range(1, n_agents + 1)
     }
-    pool = [
-        (u, v)
-        for u in range(1, n_agents + 1)
-        for v in range(u + 1, n_agents + 1)
-        if (u, v) not in edges
-    ]
+    # every non-ring pair (u, v), u < v, in lexicographic order
+    u, v = np.triu_indices(n_agents, 1)
+    keep = (v - u > 1) & ~((u == 0) & (v == n_agents - 1))
+    pool_u, pool_v = u[keep] + 1, v[keep] + 1
     extra = target - len(edges)
     rng = np.random.default_rng(seed)
     if extra > 0:
-        picks = rng.choice(len(pool), size=extra, replace=False)
-        for idx in picks:
-            edges.add(pool[idx])
+        picks = rng.choice(len(pool_u), size=extra, replace=False)
+        edges.update(zip(pool_u[picks].tolist(), pool_v[picks].tolist()))
     return Graph(n_agents, frozenset(edges))
 
 

@@ -255,6 +255,73 @@ def check_step_equations() -> tuple[bool, str]:
     return True, f"worst relative step-equation error {worst:.2e}"
 
 
+def token_rounding_error(problem: solver.Problem, graph: topology.Graph,
+                         config: solver.SolverConfig, result: solver.RunResult,
+                         wide=np.longdouble) -> float:
+    """The largest distance of `result`'s tokens from the same run replayed
+    in the `wide` float type, relative to the replay's largest |z|.  The
+    replay steps the float64 operators of Simulation._operators, built for
+    the run's own agent order and gamma column, from its start, with every
+    state and product in `wide`; a logistic first-order step takes its
+    gradient at the replay's state, in float64.  A run without noise
+    (piadmm2's is not recorded)."""
+    sim = solver.Simulation(problem, graph, config)
+    agents, p = result.transcript.senders - 1, problem.dim
+    gamma = result.trace.values[: len(agents), 5] if config.variant == "piadmm1" else 1.0
+    rho_eff = np.broadcast_to(config.rho * gamma, len(agents))[:, None, None]
+    ops = sim._operators((agents[:, None], np.zeros(1, dtype=np.int64)), rho_eff, sim._rho)
+    ops = ops[:, 0].astype(wide)
+    xy = np.hstack([result.history.x0, result.history.y0]).astype(wide)
+    s = np.zeros(ops.shape[1], dtype=wide)
+    s[-1] = 1
+    tokens = np.empty((len(agents), p), dtype=wide)
+    for j, a in enumerate(agents.tolist()):
+        s[: 2 * p] = xy[a]
+        if sim._blocks == 5:  # a logistic first-order step
+            s[4 * p : 5 * p] = problem.objectives[a].gradient(xy[a, :p].astype(float))
+        new = s @ ops[j]
+        xy[a], tokens[j] = new[: 2 * p], new[2 * p :]
+        s[2 * p : 3 * p] = tokens[j]
+    err = np.abs(result.transcript.z_values - tokens).max() / np.abs(tokens).max()
+    return float(err)
+
+
+# runs of each token path: a ring transfer run, a piadmm1 run that draws
+# gamma (the scan), a walk and a logistic first-order ring run
+PRECISION_RUNS = {
+    "transfer": dict(variant=solver.Variant.IADMM_RANDINIT, n_agents=50, max_iters=3000),
+    "drawn gamma": dict(variant=solver.Variant.PIADMM1, n_agents=50, max_iters=3000),
+    "walk": dict(variant=solver.Variant.WADMM_BASELINE, n_agents=20, max_iters=2000),
+    "logistic first order": dict(variant=solver.Variant.IADMM_RANDINIT, n_agents=10,
+                                 max_iters=2000, problem="logistic",
+                                 x_update=solver.XUpdateMode.FIRST_ORDER),
+}
+# about 4 times the largest error measured on these runs with six seeds
+# each (2.3e-12, a transfer run; the others at most 5.7e-13)
+TOKEN_PRECISION_BOUND = 1e-11
+
+
+def check_token_precision(wide=np.longdouble) -> tuple[bool, str]:
+    """Every PRECISION_RUNS run's token_rounding_error within
+    TOKEN_PRECISION_BOUND; where `wide` is no wider than float64 the check
+    measures nothing and says so."""
+    name = np.dtype(wide).name
+    if np.finfo(wide).nmant <= np.finfo(np.float64).nmant:
+        return True, f"measured nothing: {name} is no wider than float64 on this host"
+    errors = {}
+    for label, kw in PRECISION_RUNS.items():
+        cfg = _quick_cfg(init=solver.InitSpec.uniform(-1, 1), stop_eps=0.0,
+                         gamma=solver.GammaSpec.uniform(0.9, 1.1), **kw)
+        graph, problem = build_problem(cfg)
+        result = solver.run(problem, graph, cfg)
+        errors[label] = token_rounding_error(problem, graph, cfg, result, wide)
+    worst = max(errors.values())
+    listed = ", ".join(f"{label} {err:.1e}" for label, err in errors.items())
+    return worst <= TOKEN_PRECISION_BOUND, (
+        f"token error relative to max |z| against a {name} replay of the same operators, "
+        f"draws and agent order (the recurrence's rounding, not the operators'): {listed}")
+
+
 def check_exact_attack() -> tuple[bool, str]:
     cfg = _quick_cfg(variant=solver.Variant.IADMM, max_iters=50 * 8, stop_eps=0.0)
     graph, problem = build_problem(cfg)
@@ -326,6 +393,7 @@ ALL_CHECKS: list[tuple[str, Callable[[], tuple[bool, str]]]] = [
     ("dual_gradient_identity", check_dual_gradient_identity),
     ("step_equations", check_step_equations),
     ("reduction_identities", check_reductions),
+    ("token_precision", check_token_precision),
     ("exact_recursion_attack", check_exact_attack),
     ("backward_error_bounds", check_backward_bounds),
     ("measurement_system_oracle", check_system_oracle),

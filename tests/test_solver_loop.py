@@ -18,7 +18,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import assert_fills_checkpoints, aug_lagrangian, make_cfg
+from conftest import assert_fills_checkpoints, assert_identical, aug_lagrangian, make_cfg
 from ringadmm.harness import build_problem
 from ringadmm.solver import (
     DivergenceError,
@@ -30,6 +30,7 @@ from ringadmm.solver import (
     Variant,
     XUpdateMode,
     run,
+    run_batch,
 )
 from ringadmm.verify import step_equation_errors
 
@@ -152,6 +153,26 @@ def test_stop_in_the_middle_of_a_chunk():
     assert error is None
     assert_same_run(res, sim, records, tokens)
     assert len(res.transcript.senders) == res.n_iterations
+
+
+@pytest.mark.parametrize("kind", ["iadmm", "wadmm", "piadmm1"])
+def test_a_stop_eps_run_ends_as_with_r_primal_scored_on_every_row(kind, monkeypatch):
+    """The metrics pass scores r_primal in full only on the rows where the
+    receiver's gap, a lower bound of it, is below stop_eps.  A ring run, a
+    walk and a gamma-drawing run, alone and in a batch beside a run without
+    stop_eps, must end as when every row is scored (metrics not proved
+    finite)."""
+    cfg = make_cfg(n_agents=8, max_iters=50_000, stop_eps=1e-6, **VARIANT_CONFIGS[kind])
+    graph, problem = build_problem(cfg)
+    other = make_cfg(n_agents=8, max_iters=3000, seed_solver=4, **VARIANT_CONFIGS[kind])
+    specs = [(problem, graph, cfg, 8), (problem, graph, other)]
+    got = [run(*specs[0])] + run_batch(specs)
+    with monkeypatch.context() as patch:
+        patch.setattr(Simulation, "_finite_metrics", lambda self, *chunk: False)
+        want = [run(*specs[0])] + run_batch(specs)
+    assert [r.trace.stop_reason for r in got] == ["primal_eps", "primal_eps", "max_iters"]
+    for g, w in zip(got, want):
+        assert_identical(g, w)
 
 
 def test_metric_overflow_reports_the_same_iteration():

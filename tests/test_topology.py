@@ -55,6 +55,24 @@ class TestGenerateGraph:
         assert bfs_connected(g)
         assert len(g.edges) == target
 
+    @pytest.mark.parametrize("n, eta", [(3, 1.0), (4, 1.0), (5, 0.75), (10, 0.25), (10, 1.0),
+                                        (23, 0.3), (50, 0.5), (100, 0.3)])
+    def test_graphs_equal_those_of_the_list_comprehension_pool(self, n, eta):
+        """The edge pool as it was built before: a list of every non-ring
+        pair (u, v), u < v, in lexicographic order, picked by index."""
+        for seed in (0, 1, 7):
+            edges = {(min(i, i % n + 1), max(i, i % n + 1)) for i in range(1, n + 1)}
+            pool = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)
+                    if (u, v) not in edges]
+            extra = target_edge_count(n, eta) - len(edges)
+            if extra > 0:
+                for idx in np.random.default_rng(seed).choice(len(pool), size=extra,
+                                                               replace=False):
+                    edges.add(pool[idx])
+            g = generate_graph(n, eta, seed)
+            assert g.edges == frozenset(edges) and list(g.edges) == list(frozenset(edges))
+            assert all(type(u) is int and type(v) is int for u, v in g.edges)
+
     def test_ring_edge_missing_rejected(self):
         with pytest.raises(ValueError):
             Graph(4, frozenset({(1, 2), (2, 3), (3, 4)}))  # no (1, 4)
