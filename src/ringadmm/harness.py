@@ -11,10 +11,10 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import adversary
 from .config import (ConfigError, ExperimentConfig, apply_seed, check_keys, parse_kv_text,
                      sweep_grid)
 from .objectives import (
@@ -29,6 +29,9 @@ from .records import SCHEMA_LINE, Transcript
 from .solver import (DivergenceError, Problem, RunResult, Variant, descent_regimes,
                      kkt_residuals, run, run_batch)
 from .topology import Graph, generate_graph, write_edgelist
+
+if TYPE_CHECKING:  # the attacks are imported by run_attack, so run and sweep skip them
+    from . import adversary
 
 PLANTED_STREAM = 0  # sub-stream of seeds.data holding the hidden label model
 
@@ -179,6 +182,8 @@ def run_attack(
     the last sender, `colluding` its target; each file has the sorted
     distinct `attack.coordinates`.
     """
+    from . import adversary
+
     cfg.validate()
     if transcript.n_agents != cfg.n_agents:
         raise ConfigError(

@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:  # scipy is imported where a sparse matrix is first built
+    import scipy.sparse as sp
 
 
 class SingularMatrixError(ValueError):
@@ -101,6 +104,8 @@ class SparseSystem:
 
     def matrix(self) -> sp.csr_matrix:
         if self._csr is None:
+            import scipy.sparse as sp
+
             coo = sp.coo_matrix(
                 (self.vals, (self.rows, self.cols)), shape=(self.n_rows, self.n_cols)
             )

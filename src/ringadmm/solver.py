@@ -495,7 +495,9 @@ class Simulation:
                 (np.arange(self.n_agents), np.arange(len(runs))[:, None]), x0)
 
     def _columns(self) -> None:
-        """Per-run columns and operators of the runs still in the batch."""
+        """Per-run columns of the runs still in the batch, and the operators
+        of those that step through them: a ring's transfer rows, a walk's
+        every row."""
         runs = self._alive
         self._stack = stack_objectives([r.problem.objectives for r in runs])
         first_order = runs[0].config.x_update == XUpdateMode.FIRST_ORDER
@@ -515,12 +517,14 @@ class Simulation:
         self._gamma_rows = [b for b, r in enumerate(runs) if r.config.variant == Variant.PIADMM1]
         self._noise_rows = [b for b, r in enumerate(runs) if r.config.variant == Variant.PIADMM2]
         self._transfers = t = sum(r.transfer for r in runs)  # the first rows
-        rho_eff = self._rho.copy()  # rho * gamma for a transfer piadmm1 run's constant gamma
+        # a ring's scan rows build their operators per window (_scan)
+        cols = self._col[:t, 0] if self.cyclic else self._col[:, 0]
+        rho_eff = self._rho[cols]  # rho * gamma for a transfer piadmm1 run's constant gamma
         for b in [b for b in self._gamma_rows if b < t]:
             rho_eff[b] = runs[b].config.rho * self._gammas(b, 1)
         self._ops = self._operators(
-            (np.arange(self.n_agents)[:, None], self._col[:, 0]), rho_eff, self._rho)
-        self._maps = self._transfer_maps(self._ops[:, :t]) if t else {}
+            (np.arange(self.n_agents)[:, None], cols), rho_eff, self._rho[cols])
+        self._maps = self._transfer_maps(self._ops) if t else {}
 
     def _gammas(self, b: int, n: int) -> np.ndarray:
         """n gamma draws of the batch's row b, a piadmm1 run."""

@@ -131,9 +131,12 @@ def per_iteration_advance(self) -> tuple:
         noise[:, b] = omega
 
     # the active agents' operators applied to s = (x_i, y_i, z, omega, 1),
-    # or to (x_i, y_i, z, omega, g, 1) with the active agents' gradients g
+    # or to (x_i, y_i, z, omega, g, 1) with the active agents' gradients g:
+    # those the batch keeps, of its first rows (a ring's transfer rows, or a
+    # walk's every row), and the chunk's own for the gamma rows
     pick = ring[:n] if self.cyclic else walk
-    ops = self._ops[pick]
+    ops = np.empty((n, width, *self._ops.shape[2:]))
+    ops[:, : self._ops.shape[1]] = self._ops[pick]
     if len(g):  # piadmm1 is cyclic; its rows take the chunk's own operators
         ops[:, g] = self._operators((ring[:n, None], g), rho_eff[:, g], rho[g])
     s = np.ones((width, 1, ops.shape[-2]))

@@ -149,7 +149,8 @@ def ridge_run(seed, **overrides):
 
 def test_ragged_operator_batch_rows_end_as_they_would_alone(monkeypatch):
     # plain ridge objectives step as precomputed operators; each end of a
-    # row rebuilds the operators of the rows that stay
+    # row rebuilds the operators of the transfer rows that stay (a drawn-
+    # gamma row builds its own per window)
     randinit = dict(init=InitSpec.uniform(-1, 1))
     first_order = dict(x_update=XUpdateMode.FIRST_ORDER, max_iters=5000)
     rows = [
@@ -171,13 +172,14 @@ def test_ragged_operator_batch_rows_end_as_they_would_alone(monkeypatch):
 
     def spy_columns(sim):
         columns(sim)
-        rebuilt.append((len(sim._alive), sim._ops.shape[:2]))
+        rebuilt.append((len(sim._alive), sim._transfers, sim._ops.shape[:2]))
 
     monkeypatch.setattr(solver.Simulation, "_columns", spy_columns)
     batch = run_batch(rows)
     assert sorted(widths) == [2, 6]
-    assert all(shape == (8, width) for width, shape in rebuilt)
-    assert [w for w, _ in rebuilt] == [6, 5, 4, 3, 2, 1, 2, 1]  # every row ends alone
+    assert all(shape == (8, t) for _, t, shape in rebuilt)
+    assert any(t < width for width, t, _ in rebuilt)  # while the drawn-gamma row is in
+    assert [w for w, _, _ in rebuilt] == [6, 5, 4, 3, 2, 1, 2, 1]  # every row ends alone
     reasons = [r.trace.stop_reason for r in batch]
     assert reasons[0] == "primal_eps" and reasons[7] == "max_iters"
     assert reasons[6].startswith("diverged: ")
