@@ -1,16 +1,17 @@
 """Time two source trees of ringadmm in alternating pairs of benchmark runs.
 
     python scripts/bench_pairs.py OLD_TREE NEW_TREE --label L
-    python scripts/bench_pairs.py OLD_TREE NEW_TREE --label L --first-seed 9101
+    python scripts/bench_pairs.py OLD_TREE NEW_TREE --label L --claim sweep --first-seed 9101
 
 Each run is one `perfbench/run.py --workload W --seed S --seconds T --trace 0`
 of a tree's own benchmark, started in that tree, with T the `run_seconds` of
 NEW_TREE's BENCHMARK.json.  A pair runs both trees on one workload and seed,
 back to back; the k-th pair overall (from 0) runs OLD_TREE first when k is
-even and NEW_TREE first when k is odd.  The pairs are those of PAIRS, in its
-order: 10 of `runs`, the count a gain claim needs, then 3 each of `attacks`
-and `sweep`; each workload runs on consecutive seeds that follow the previous
-workload's, from --first-seed on.
+even and NEW_TREE first when k is odd.  The workloads run in the order of
+WORKLOADS: the one named by --claim (`runs` by default) for CLAIM_PAIRS
+pairs, the count a gain claim needs, and each other for OTHER_PAIRS; each
+workload runs on consecutive seeds that follow the previous workload's, from
+--first-seed on.
 
 Writes BENCH_<L>.json into the current directory: per workload and
 end-to-end metric (those of NEW_TREE's BENCHMARK.json) each side's median
@@ -36,7 +37,14 @@ import sys
 import numpy as np
 
 SIDES = ("parent", "change")
-PAIRS = {"runs": 10, "attacks": 3, "sweep": 3}
+WORKLOADS = ("runs", "attacks", "sweep")
+CLAIM_PAIRS, OTHER_PAIRS = 10, 3
+
+
+def pair_counts(claim: str) -> dict[str, int]:
+    """Pairs per workload, in run order, when `claim` is the workload whose
+    gain is claimed."""
+    return {w: CLAIM_PAIRS if w == claim else OTHER_PAIRS for w in WORKLOADS}
 
 
 def quartiles(values: list[float]) -> dict:
@@ -91,6 +99,8 @@ def main(argv=None) -> int:
     parser.add_argument("old_tree")
     parser.add_argument("new_tree")
     parser.add_argument("--label", required=True)
+    parser.add_argument("--claim", choices=WORKLOADS, default="runs",
+                        help="the workload whose gain is claimed: it gets 10 pairs, the others 3")
     parser.add_argument("--first-seed", type=int, default=9101)
     parser.add_argument("--change", default="", help="one line on what the change does")
     args = parser.parse_args(argv)
@@ -98,12 +108,13 @@ def main(argv=None) -> int:
     with open(os.path.join(trees["change"], "BENCHMARK.json")) as fh:
         spec = json.load(fh)
     metrics, seconds = spec["end_to_end"], spec["run_seconds"]
+    pairs = pair_counts(args.claim)
     seeds, next_seed = {}, args.first_seed
-    for w, n in PAIRS.items():
+    for w, n in pairs.items():
         seeds[w], next_seed = list(range(next_seed, next_seed + n)), next_seed + n
-    runs = {w: {side: [] for side in SIDES} for w in PAIRS}
+    runs = {w: {side: [] for side in SIDES} for w in pairs}
     k = 0
-    for w in PAIRS:
+    for w in pairs:
         for seed in seeds[w]:
             for side in (SIDES if k % 2 == 0 else SIDES[::-1]):
                 runs[w][side].append(bench_once(trees[side], w, seed, seconds))
@@ -112,7 +123,7 @@ def main(argv=None) -> int:
             k += 1
 
     def per_side(fn) -> dict:
-        return {w: {side: fn(runs[w][side]) for side in SIDES} for w in PAIRS}
+        return {w: {side: fn(runs[w][side]) for side in SIDES} for w in pairs}
 
     def op_medians(side_runs: list[dict]) -> dict:
         labels = {label: [] for r in side_runs for label in r["op_s"]}
@@ -124,11 +135,12 @@ def main(argv=None) -> int:
     bench = {
         "label": args.label,
         "change": args.change,
-        "command": "python3 perfbench/run.py --workload {" + ",".join(PAIRS)
+        "claim": args.claim,
+        "command": "python3 perfbench/run.py --workload {" + ",".join(pairs)
                    + f"}} --seed S --seconds {seconds:g} --trace 0",
-        "pairs": PAIRS,
+        "pairs": pairs,
         "seeds": seeds,
-        "order": f"pairs run in the order {', '.join(PAIRS)}, seeds ascending; the k-th pair "
+        "order": f"pairs run in the order {', '.join(pairs)}, seeds ascending; the k-th pair "
                  "overall (from 0) runs the parent first when k is even, the change first "
                  "when k is odd",
         "host": f"{os.cpu_count()} vCPUs, {platform.system()} {platform.machine()}, Python "
@@ -140,10 +152,10 @@ def main(argv=None) -> int:
                                     "failed": sum(r["failed"] for r in rs),
                                     "all_correct": all(r["correct"] for r in rs)}),
         "end_to_end": {w: summarize(runs[w]["parent"], runs[w]["change"], metrics)
-                       for w in PAIRS},
+                       for w in pairs},
         "import_s": {w: summarize(runs[w]["parent"], runs[w]["change"],
                                   [{"name": "import_s", "unit": "s", "better": "lower"}])
-                     ["import_s"] for w in PAIRS},
+                     ["import_s"] for w in pairs},
         "op_seconds_by_kind": per_side(op_medians),
         "runs": per_side(lambda rs: [{k: v for k, v in r.items() if k != "op_s"} for r in rs]),
     }
@@ -151,10 +163,10 @@ def main(argv=None) -> int:
     with open(path, "w") as fh:
         json.dump(bench, fh, indent=1)
         fh.write("\n")
-    for w in PAIRS:
+    for w in pairs:
         s = bench["end_to_end"][w]["ops_per_s"]
         print(f"{w}: ops_per_s {s['parent']['median']:.3f} -> {s['change']['median']:.3f} "
-              f"(change wins {s['change_wins']} of {PAIRS[w]})")
+              f"(change wins {s['change_wins']} of {pairs[w]})")
     print(f"wrote {path}")
     return 0
 

@@ -185,6 +185,16 @@ def check_keys(keys) -> None:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
 
+def parse_value(name: str, text: str) -> Any:
+    """The value of key `name` (one of KEYS) read from `text`, or the
+    ConfigError that reading it raises, which ExperimentConfig.from_parsed
+    raises in turn."""
+    try:
+        return _BY_NAME[name].parse(name, text)
+    except ConfigError as exc:  # the config that sets it fails
+        return exc
+
+
 @dataclass
 class AttackOptions:
     kind: str = "lsq"               # lsq | exact | backward | colluding
@@ -290,11 +300,23 @@ class ExperimentConfig(SolverConfig):
     @classmethod
     def from_mapping(cls, kv: dict[str, str]) -> "ExperimentConfig":
         check_keys(kv)
+        return cls.from_parsed({name: parse_value(name, text) for name, text in kv.items()})
+
+    @classmethod
+    def from_parsed(cls, values: dict[str, Any]) -> "ExperimentConfig":
+        """The validated config whose keys named in `values` hold their
+        parse_value results: the first of them in KEYS order that is a
+        ConfigError is raised instead, as from_mapping raises the first key
+        that does not parse.  A sweep parses its base and grid values once
+        and builds every point from them."""
         cfg = cls()
         a = cfg.attack
-        for name, attr, parse, _, _ in KEYS:
-            if name in kv:
-                setattr(a if name.startswith("attack.") else cfg, attr, parse(name, kv[name]))
+        for name, attr, _, _, _ in KEYS:
+            if name in values:
+                value = values[name]
+                if isinstance(value, ConfigError):
+                    raise value.with_traceback(None)
+                setattr(a if name.startswith("attack.") else cfg, attr, value)
         cfg.validate()
         return cfg
 

@@ -6,6 +6,7 @@ and parameter sweeps.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import math
 import os
@@ -16,7 +17,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .config import (ConfigError, ExperimentConfig, apply_seed, check_keys, parse_kv_text,
-                     sweep_grid)
+                     parse_value, sweep_grid)
 from .objectives import (
     LogisticObjective,
     OptimizerError,
@@ -25,7 +26,7 @@ from .objectives import (
     generate_logistic_data,
     generate_ridge_data,
 )
-from .records import SCHEMA_LINE, Transcript
+from .records import CSV_EOL, SCHEMA_LINE, Transcript
 from .solver import (DivergenceError, Problem, RunResult, Variant, descent_regimes,
                      kkt_residuals, run, run_batch)
 from .topology import Graph, generate_graph, write_edgelist
@@ -274,10 +275,13 @@ def run_configs(cfgs: list[ExperimentConfig],
     """Validate, build and run every config, each trace's metrics filled
     every `every[i]` iterations and on its last row (all rows by default).
     Configs with equal `problem_key` share one built (Graph, Problem), which
-    no run changes; the sharing ends with the call.  The runs that share N,
-    p, the x-update, the schedule kind and the objective kind step together
-    as one batch (solver.run_batch).  Returns, in order, each run's result
-    or the exception that stopped it."""
+    no run changes, and so its Lipschitz bound, found once; the sharing ends
+    with the call.  The runs that share N, p, the x-update, the schedule
+    kind and the objective kind step together as one batch
+    (solver.run_batch).  Returns, in order, each run's result or the
+    exception that stopped it; a result builds its transcript and history
+    on first access (see solver.RunResult), so a caller that reads only the
+    traces, as run_sweep does, builds neither."""
     out: list = [None] * len(cfgs)
     built: dict[tuple, tuple[Graph, Problem]] = {}
     specs: dict[int, tuple] = {}
@@ -304,61 +308,67 @@ def run_sweep(
     row per checkpoint.
 
     An unknown key in the spec or the base config, or a bad seed, raises
-    ConfigError before any point is built.  Failures of individual grid
-    points are recorded in their rows' status column and the sweep
-    continues.  Returns the number of failed runs.
+    ConfigError before any point is built.  The base values that no grid
+    key overrides and every grid value are parsed once; each point's config
+    is built from them (ExperimentConfig.from_parsed), so a point fails on
+    the first key in KEYS order that does not parse, as from_mapping of its
+    merged text would.  Failures of individual grid points are recorded in
+    their rows' status column and the sweep continues.  Each point's rows
+    become text as soon as its result is read, and the result is dropped:
+    only the traces are read, so no point builds its transcript or history.
+    Returns the number of failed runs.
     """
     grid, seeds = parse_sweep_spec(sweep_text)
     base_kv = parse_kv_text(base_cfg_text)
     check_keys(base_kv.keys() | grid.keys())  # else every point fails alike
     keys = sorted(grid)
-    combos = list(itertools.product(*(grid[k] for k in keys))) if keys else [()]
+    base = {k: parse_value(k, v) for k, v in base_kv.items() if k not in grid}
+    values = [[(text, parse_value(k, text)) for text in grid[k]] for k in keys]
     points: list[tuple] = []  # (overrides, seed, config or why it has none)
-    for combo in combos:
+    for combo in itertools.product(*values):
+        overrides = ";".join(f"{k}={text}" for k, (text, _) in zip(keys, combo))
+        parsed = {**base, **{k: value for k, (_, value) in zip(keys, combo)}}
         for seed in seeds if seeds is not None else [None]:
-            kv = dict(base_kv)
-            kv.update(dict(zip(keys, combo)))
-            overrides = ";".join(f"{k}={v}" for k, v in zip(keys, combo))
             try:
-                cfg = ExperimentConfig.from_mapping(kv)
+                cfg = ExperimentConfig.from_parsed(parsed)
                 if seed is not None:
                     apply_seed(cfg, seed)
             except Exception as exc:  # keep sweeping; record the failure
                 cfg = exc
             points.append((overrides, seed, cfg))
-    parsed = [i for i, point in enumerate(points) if isinstance(point[2], ExperimentConfig)]
-    cfgs = [points[i][2] for i in parsed]
-    results = dict(zip(parsed, run_configs(cfgs, [_trace_every(cfg) for cfg in cfgs])))
+    ok = [i for i, point in enumerate(points) if isinstance(point[2], ExperimentConfig)]
+    cfgs = [points[i][2] for i in ok]
+    results = dict(zip(ok, run_configs(cfgs, [_trace_every(cfg) for cfg in cfgs])))
 
     failures = 0
-    rows: list[list] = []
+    out = io.StringIO()
+    w = csv.writer(out)
+    w.writerow(SWEEP_COLUMNS)
     for run_index, (overrides, seed, cfg) in enumerate(points):
-        result = results.get(run_index, cfg)
+        result = results.pop(run_index, cfg)
         seed_col = "" if seed is None else seed
         if isinstance(result, RunResult) and not len(result.trace):  # diverged at iteration 0
             result = DivergenceError(result.trace.stop_reason.removeprefix("diverged: "))
         if isinstance(result, Exception):
             failures += 1
-            rows.append([
+            w.writerow([
                 run_index, overrides, seed_col, "", "", "", "", "", "", "", "",
                 f"error:{type(result).__name__}:{result}",
             ])
             if not quiet:
                 print(f"sweep point {overrides} seed={seed} failed: {result}")
             continue
-        # k, agent, the five metrics and k + 1 communication units, as the
-        # trace's IterationRecord of row k holds them
+        # the point's run_index, overrides and seed as csv.writer quotes
+        # them, then k, agent, the five metrics and k + 1 communication
+        # units, as the trace's IterationRecord of row k holds them
+        head = io.StringIO()
+        csv.writer(head).writerow([run_index, overrides, seed_col])
+        row = head.getvalue().removesuffix(CSV_EOL).replace("%", "%%") \
+            + ",%d,%d,%r,%r,%r,%r,%r,%d,ok" + CSV_EOL
         ks = result.trace.checkpoints(_trace_every(cfg))
-        for k, agent, values in zip(ks.tolist(), result.trace.agents[ks].tolist(),
-                                    result.trace.values[ks, :5].tolist()):
-            rows.append([run_index, overrides, seed_col, k, agent, *map(repr, values),
-                         k + 1, "ok"])
+        out.write("".join([row % r for r in zip(
+            ks.tolist(), result.trace.agents[ks].tolist(),
+            *result.trace.values[ks, :5].T.tolist(), (ks + 1).tolist())]))
 
-    def write(fh):
-        fh.write(SCHEMA_LINE + "\n")
-        w = csv.writer(fh)
-        w.writerow(SWEEP_COLUMNS)
-        w.writerows(rows)
-
-    _atomic_write(out_path, write)
+    _atomic_write(out_path, lambda fh: fh.write(SCHEMA_LINE + "\n" + out.getvalue()))
     return failures

@@ -17,6 +17,7 @@ Variants:
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -138,6 +139,7 @@ class Problem:
 
     objectives: Sequence
     x_star: np.ndarray
+    _lipschitz: float | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -148,7 +150,12 @@ class Problem:
         return len(self.objectives)
 
     def lipschitz(self) -> float:
-        return max(f.lipschitz_bound() for f in self.objectives)
+        """The largest of the objectives' Lipschitz bounds, found once per
+        Problem: every run reads it when it starts, and run_configs shares
+        one Problem among its runs."""
+        if self._lipschitz is None:
+            self._lipschitz = max(f.lipschitz_bound() for f in self.objectives)
+        return self._lipschitz
 
 
 def gamma_lower_bound(rho: float, lipschitz: float, n_agents: int) -> float:
@@ -307,6 +314,14 @@ def initialize(
 
 @dataclass
 class RunResult:
+    """A run's trace, transcript, state history, final x, y and z, and its
+    number of iterations.
+
+    A result of the solver builds its transcript and history on first
+    access to either, from the blocks of its run's chunks, which it holds
+    until then (Simulation._result): run_sweep reads the trace alone and
+    builds neither."""
+
     trace: RunTrace
     transcript: Transcript
     history: StateHistory
@@ -314,6 +329,23 @@ class RunResult:
     y: np.ndarray
     z: np.ndarray
     n_iterations: int
+
+    @classmethod
+    def _deferred(cls, records, trace: RunTrace, x: np.ndarray, y: np.ndarray,
+                  z: np.ndarray, n_iterations: int) -> "RunResult":
+        """A result whose transcript and history are records(), called on
+        first access."""
+        out = cls.__new__(cls)
+        vars(out).update(trace=trace, x=x, y=y, z=z, n_iterations=n_iterations,
+                         _records=records)
+        return out
+
+    def __getattr__(self, name: str):
+        # reached only for attributes that are not set
+        if name not in ("transcript", "history") or "_records" not in vars(self):
+            raise AttributeError(f"'RunResult' object has no attribute {name!r}")
+        self.transcript, self.history = vars(self).pop("_records")()
+        return vars(self)[name]
 
 
 def _block_rows(n_agents: int, batch: int) -> int:
@@ -332,6 +364,16 @@ def _segment(dim: int) -> int:
     segment's token map T, (L + 1) p x L p, then holds about 200^2 doubles
     (320 kB) whatever N is."""
     return max(1, 200 // dim)
+
+
+def _ring_after(a0: int, n: int, r, a) -> np.ndarray:
+    """On a ring chunk whose row 0 is agent a0 (all 0-based), the row of
+    _metrics' pool that holds the (x, y) of agents `a` after chunk rows `r`
+    (index arrays that broadcast; r = -1 is before the chunk): agent a last
+    acted, at or before row r, on row r - ((a0 + r - a) mod N), the pool's
+    row N plus that, or before the chunk when it is negative, row a."""
+    prev = r - (a0 + r - a) % n
+    return np.where(prev >= 0, n + prev, a)
 
 
 def _windows(agents: np.ndarray, length: int = 0) -> list[int]:
@@ -829,7 +871,10 @@ class Simulation:
         full on every row where its lower bound, the gap of the agent that
         receives the token, is below stop_eps (with a relative margin of
         1e-9 for rounding), and every metric on every row when
-        _finite_metrics cannot prove them finite.  Returns, per ended row of
+        _finite_metrics cannot prove them finite.  The states are gathered
+        only at the rows read: on a ring through the arithmetic of
+        _ring_after, on a walk from a table of every agent's last update
+        after every row.  Returns, per ended row of
         the batch, the run's iterations, its transmissions, its stop reason
         and its (N, 2p) states after its last transmission (a row scored
         here, or the chunk's start); the (B, rows, N, 2p) states and (B, rows, p) tokens
@@ -844,26 +889,39 @@ class Simulation:
         zs = states[..., 2 * p :]
 
         # every agent's (x, y) before each iteration of the chunk and after
-        # its last: row `last[:, r]` of `pool`, the start states followed by
-        # the chunk's updates (so `last[:, r + 1]` is after iteration r); the
-        # objective values likewise from `fpool`
+        # its last: row `after(r, a)` of `pool`, the start states followed by
+        # the chunk's updates, holds agent a's after chunk row r (r = -1:
+        # before the chunk); the objective values likewise from `fpool`.
+        # The index arrays a lead with one axis per distinct schedule of the
+        # batch: one on a ring, where the arithmetic of _ring_after needs no
+        # table, and one per run on a walk.
         pool = np.concatenate([start, states[..., : 2 * p]], axis=1)
-        last = np.empty((len(col), c + 1, n), dtype=np.int64)
-        last[:] = np.arange(n)
-        last[col, rows + 1, agents] = rows + n
-        np.maximum.accumulate(last, axis=1, out=last)
         fpool = np.concatenate([f0, self._stack.value((agents, col), states[..., :p])], axis=1)
+        if self.cyclic:
+            who, a0 = agents[:1], int(agents[0, 0])
+
+            def after(r, a):
+                return _ring_after(a0, n, r, a)
+        else:
+            who = agents
+            latest = np.empty((len(col), c + 1, n), dtype=np.int64)
+            latest[:] = np.arange(n)
+            latest[col, rows + 1, agents] = rows + n
+            np.maximum.accumulate(latest, axis=1, out=latest)
+
+            def after(r, a):
+                return latest[col.reshape(-1, *[1] * (a.ndim - 1)), r + 1, a]
 
         def gather(at: np.ndarray) -> list:
             """The (x, y) states, objective values, gaps z - x_i, their
             squared norms and r_primal after the chunk rows `at`."""
-            after = last[:, at + 1]
-            xy = pool[col[..., None], after]
+            idx = after(at[:, None], np.arange(n)[None, None])
+            xy = pool[col[..., None], idx]
             # gaps are formed before any reduction so near-consensus values do
             # not cancel catastrophically
             gap = zs[:, at, None, :] - xy[..., :p]
             sq = np.einsum("bcij,bcij->bci", gap, gap)
-            return [xy, fpool[col[..., None], after], gap, sq, np.sqrt(sq.max(axis=2))]
+            return [xy, fpool[col[..., None], idx], gap, sq, np.sqrt(sq.max(axis=2))]
 
         def asked(events: np.ndarray) -> np.ndarray:
             """The chunk rows some run asks for, those at and before the
@@ -887,7 +945,7 @@ class Simulation:
                 # r_primal is at least the receiver's gap (an O(p) bound), so
                 # it is scored in full only where that gap is below stop_eps,
                 # with a margin for the two sums' rounding
-                x_recv = pool[col, last[col, rows + 1, block.receivers.T - 1], :p]
+                x_recv = pool[col, after(rows, block.receivers.T[: len(who)] - 1), :p]
                 near = np.linalg.norm(zs - x_recv, axis=2) < self._stop_eps * (1 + 1e-9)
                 maybe = np.flatnonzero(near.any(axis=0))
                 converged[:, maybe] = gather(maybe)[-1] < self._stop_eps
@@ -906,7 +964,7 @@ class Simulation:
         vals[..., 1] = f.sum(axis=2) + np.einsum("bcij,bcij->bc", y, gap) \
             + 0.5 * self._rho * sq.sum(axis=2)
         vals[..., 2] = r_primal
-        dy = states[:, at, p : 2 * p] - pool[col, last[col, at, agents[:, at]], p:]
+        dy = states[:, at, p : 2 * p] - pool[col, after(at - 1, who[:, at]), p:]
         vals[..., 3] = np.sqrt(np.einsum("bij,bij->bi", dy, dy))
         ysum = y.sum(axis=2)
         vals[..., 4] = np.sqrt(np.einsum("bij,bij->bi", ysum, ysum))
@@ -1001,33 +1059,48 @@ class Simulation:
 
     def _result(self, b: int, k: int, sent: int, stop_reason: str,
                 final: np.ndarray) -> RunResult:
+        """Row b's result: its trace, from its first k rows, and final
+        states now; its transcript and history, from its first `sent`
+        rows, on first access (_records), so that a caller that reads the
+        trace alone concatenates nothing else."""
         run, cfg = self._alive[b], self._alive[b].config
-
-        def cat(name: str) -> np.ndarray:
-            return np.concatenate([getattr(blk, name)[:, row] for blk, row in run.blocks])
-
-        senders = cat("agents")[:sent]
-        trace = RunTrace(senders[:k], cat("values")[:k], stop_reason)
+        trace = RunTrace(_cat(run.blocks, "agents", k), _cat(run.blocks, "values", k),
+                         stop_reason)
         # _metrics scored more rows than these; keep the run's own
         skipped = np.ones(k, dtype=bool)
         skipped[trace.checkpoints(run.every)] = False
         trace.values[skipped, :5] = math.nan
-        transcript = Transcript(
-            n_agents=self.n_agents,
-            rho=cfg.rho,
-            senders=senders,
-            receivers=cat("receivers")[:sent],
-            z_values=cat("z")[:sent],
-            deterministic_init=cfg.variant not in RANDOMIZED_INIT_VARIANTS
-            or cfg.init.kind == "zeros",
-            stopped_by_eps=stop_reason == "primal_eps",
-            stop_eps=cfg.stop_eps,
-        )
-        history = StateHistory(x0=run.x0, y0=run.y0, agents=senders,
-                               x_new=cat("x")[:sent], y_new=cat("y")[:sent])
+        meta = dict(n_agents=self.n_agents, rho=cfg.rho,
+                    deterministic_init=cfg.variant not in RANDOMIZED_INIT_VARIANTS
+                    or cfg.init.kind == "zeros",
+                    stopped_by_eps=stop_reason == "primal_eps", stop_eps=cfg.stop_eps)
         x, y = final[:, : self.dim].copy(), final[:, self.dim :].copy()
-        z = transcript.z_values[sent - 1].copy() if sent else np.zeros(self.dim)
-        return RunResult(trace, transcript, history, x, y, z, k)
+        z, i = np.zeros(self.dim), sent - 1  # the token after the last transmission
+        for blk, row in run.blocks if sent else ():
+            if i < len(blk.z):
+                z = blk.z[i, row].copy()
+                break
+            i -= len(blk.z)
+        records = functools.partial(_records, run.blocks, sent, meta, run.x0, run.y0)
+        return RunResult._deferred(records, trace, x, y, z, k)
+
+
+def _cat(blocks: list, name: str, n: int) -> np.ndarray:
+    """The first n rows of a run's _Block attribute `name`, from the (block,
+    row) pairs that hold its iterations (see _Run)."""
+    return np.concatenate([getattr(blk, name)[:, row] for blk, row in blocks])[:n]
+
+
+def _records(blocks: list, sent: int, meta: dict, x0: np.ndarray,
+             y0: np.ndarray) -> tuple[Transcript, StateHistory]:
+    """A run's Transcript (its other fields in `meta`) and StateHistory (its
+    start x0, y0) of its first `sent` iterations in `blocks` (see _cat)."""
+    senders = _cat(blocks, "agents", sent)
+    transcript = Transcript(senders=senders, receivers=_cat(blocks, "receivers", sent),
+                            z_values=_cat(blocks, "z", sent), **meta)
+    history = StateHistory(x0=x0, y0=y0, agents=senders, x_new=_cat(blocks, "x", sent),
+                           y_new=_cat(blocks, "y", sent))
+    return transcript, history
 
 
 def run(problem: Problem, graph: Graph, config: SolverConfig, every: int = 1) -> RunResult:

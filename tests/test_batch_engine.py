@@ -424,3 +424,135 @@ def test_ridge_objectives_built_alone_run_like_a_shared_stack():
     stacked, gathered = run_batch(runs)
     assert_identical(gathered, stacked)
     assert_identical(stacked, run(*runs[0]))
+
+
+# ---- a sweep point computes only the rows it writes
+
+
+def count_records(monkeypatch) -> list[str]:
+    """Record every Transcript and StateHistory the solver builds."""
+    built = []
+    for name in ("Transcript", "StateHistory"):
+        original = getattr(solver, name)
+        monkeypatch.setattr(solver, name,
+                            lambda *a, name=name, original=original, **kw:
+                            built.append(name) or original(*a, **kw))
+    return built
+
+
+def test_sweep_builds_no_transcript_or_history(monkeypatch, tmp_path):
+    built = count_records(monkeypatch)
+    failures = run_sweep(BASE, GRID, str(tmp_path / "sweep.csv"))
+    assert failures and built == []
+    cfg = make_cfg(n_agents=6, max_iters=40)
+    result = run(*build_problem(cfg)[::-1], cfg)
+    assert built == []
+    result.history  # either record builds both, once
+    result.transcript
+    assert built == ["Transcript", "StateHistory"]
+
+
+def test_run_configs_results_build_their_records_as_run_alone():
+    # a ring stopping on stop_eps, a walk, a drawn-gamma ring, a noisy
+    # ring and a short ring, each with its records read in either order
+    cfgs = [make_cfg(n_agents=6, stop_eps=1e-6, max_iters=5000, seed_data=1),
+            make_cfg(n_agents=6, max_iters=333, seed_data=2, **KINDS["wadmm"]),
+            make_cfg(n_agents=6, max_iters=300, seed_data=3, **KINDS["piadmm1"]),
+            make_cfg(n_agents=6, max_iters=301, seed_data=4, **KINDS["piadmm2"]),
+            make_cfg(n_agents=6, max_iters=50, seed_data=5, **KINDS["iadmm_randinit"])]
+    results = harness.run_configs(cfgs)
+    assert results[0].trace.stop_reason == "primal_eps"
+    for i, (cfg, res) in enumerate(zip(cfgs, results)):
+        assert (res.history if i % 2 else res.transcript) is not None
+        assert_identical(res, run(*build_problem(cfg)[::-1], cfg))
+
+
+def bad_base(line: str) -> str:
+    return BASE + line + "\n"
+
+
+@pytest.mark.parametrize("base, grid", [
+    # a bad base value that no point overrides: every point fails on it
+    (bad_base("solver.rho = ten"), "solver.variant = iadmm, wadmm\nseed = 1, 2\n"),
+    # a bad base value that every point overrides: every point runs
+    (bad_base("solver.rho = ten"), "solver.rho = 0.01, 10\nseed = 1, 2\n"),
+    # a bad base value and a bad override: a point reports the first of its
+    # bad keys in KEYS order (network.eta before solver.x_update before
+    # solver.stop_eps), and a bad seeds.* key of the base fails validate()
+    # before the point's seed replaces it
+    (bad_base("solver.x_update = sideways"),
+     "network.eta = 0.5, wide\nsolver.stop_eps = 0, tiny\nseed = 3\n"),
+    (bad_base("seeds.graph = -1"), "solver.rho = 1, 2\nseed = 4\n"),
+], ids=["bad_base", "overridden", "bad_base_and_override", "bad_base_seed"])
+def test_sweep_parses_its_base_once_with_the_rows_of_a_per_point_parse(base, grid, tmp_path):
+    want, outcomes = reference_sweep(base, grid)
+    path = tmp_path / "sweep.csv"
+    assert run_sweep(base, grid, str(path)) == outcomes.count("error")
+    with open(path, newline="") as fh:
+        assert fh.read() == want
+
+
+def test_sweep_point_errors_name_the_first_bad_key_in_key_order(tmp_path):
+    path = tmp_path / "sweep.csv"
+    run_sweep(bad_base("solver.x_update = sideways"),
+              "network.eta = 0.5, wide\nsolver.stop_eps = 0, tiny\nseed = 3\n", str(path))
+    with open(path, newline="") as fh:
+        status = [row[-1] for row in csv.reader(fh.readlines()[2:])]
+    assert status == ["error:ConfigError:solver.x_update: unknown mode 'sideways'"] * 2 \
+        + ["error:ConfigError:network.eta: expected number, got 'wide'"] * 2
+
+
+def accumulated_table(agents: np.ndarray, n: int) -> np.ndarray:
+    """The (B, c + 1, N) last-update table of a chunk's 0-based (B, c)
+    agents: row r + 1 holds N plus each agent's latest chunk row at or
+    before r, or the agent itself before its first."""
+    width, c = agents.shape
+    table = np.empty((width, c + 1, n), dtype=np.int64)
+    table[:] = np.arange(n)
+    table[np.arange(width)[:, None], np.arange(c) + 1, agents] = np.arange(c) + n
+    return np.maximum.accumulate(table, axis=1)
+
+
+@pytest.mark.parametrize("n_agents, p, max_iters, every, steps", [
+    (7, 2, [50, 333, 1500], [1, 7, 3], 0),     # whole cycles; short last chunks
+    (7, 40, [53, 400, 401], [1, 5, 7], 0),     # segments of 5 positions: starts mid-cycle
+    (130, 2, [300, 451], [130, 1], 0),         # N larger than a segment (100 at p = 2)
+    (12, 40, [1500], [1], 17),                 # after step(), in segments of 5
+])
+def test_ring_latest_updates_equal_the_accumulated_table(n_agents, p, max_iters, every, steps,
+                                                        monkeypatch):
+    metrics, ring_after = solver.Simulation._metrics, solver._ring_after
+    chunks, calls = [], []
+
+    def spy_metrics(sim, chunk):
+        chunks.append(sim._block.agents.T - 1)
+        return metrics(sim, chunk)
+
+    def spy_ring_after(a0, n, r, a):
+        got, table = ring_after(a0, n, r, a), accumulated_table(chunks[-1], n)
+        r, a = np.broadcast_arrays(r, a)
+        assert (got == table[:, r + 1, a]).all()  # where _metrics reads it
+        rows = np.arange(-1, table.shape[1] - 1)[:, None]
+        assert (ring_after(a0, n, rows, np.arange(n)) == table).all()  # and everywhere
+        calls.append(a0)
+        return got
+
+    monkeypatch.setattr(solver.Simulation, "_metrics", spy_metrics)
+    monkeypatch.setattr(solver, "_ring_after", spy_ring_after)
+    specs = [(*build_problem(cfg)[::-1], cfg, e) for i, (k, e) in enumerate(zip(max_iters, every))
+             for cfg in [make_cfg(n_agents=n_agents, p=p, max_iters=k, seed_data=i,
+                                  seed_solver=i + 9, stop_eps=1e-9 if i == 0 else 0.0,
+                                  **KINDS[("iadmm_randinit", "piadmm1", "piadmm2")[i % 3]])]]
+    if steps:
+        sim = solver.Simulation(*specs[0])
+        for _ in range(steps):
+            sim.step()
+        results = [sim.run()]
+    else:
+        results = run_batch(specs)
+    assert calls
+    if p == 40:
+        assert any(a0 % n_agents for a0 in calls)  # some chunk starts mid-cycle
+    monkeypatch.undo()
+    for spec, res in zip(specs, results):
+        assert_identical(res, run(*spec))

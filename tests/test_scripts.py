@@ -1,7 +1,9 @@
 """The experiment scripts and the output comparison run end to end at a tiny size."""
 
 import importlib.util
+import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -148,3 +150,33 @@ def test_bench_pairs_summary_compares_the_sides_pair_by_pair():
     setup = out["setup_s"]
     assert (setup["change_wins"], setup["ties"]) == (1, 1)  # lower is better: 0.4 < 0.5 wins
     assert setup["worse_by_frac"] == 0.45 / 0.4 - 1.0 > 0
+
+
+@pytest.mark.parametrize("claim, want", [
+    (None, {"runs": 10, "attacks": 3, "sweep": 3}),
+    ("sweep", {"runs": 3, "attacks": 3, "sweep": 10}),
+])
+def test_bench_pairs_gives_the_claimed_workload_ten_pairs(claim, want, tmp_path, monkeypatch):
+    script = load_script("bench_pairs.py")
+    tree = tmp_path / "tree"
+    tree.mkdir()
+    metric = {"name": "ops_per_s", "unit": "1/s", "better": "higher", "bound": 0.24}
+    (tree / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 1, "end_to_end": [metric]}))
+    started = []
+
+    def bench_once(tree, workload, seed, seconds):
+        started.append((os.path.basename(tree), workload, seed))
+        return {"seed": seed, "ops_per_s": 1.0, "attempted": 1, "failed": 0, "correct": True,
+                "import_s": 0.1, "op_s": {workload: [0.5]}}
+
+    monkeypatch.setattr(script, "bench_once", bench_once)
+    monkeypatch.chdir(tmp_path)
+    argv = [str(tree), str(tree), "--label", "t", "--first-seed", "5"]
+    assert script.main(argv + (["--claim", claim] if claim else [])) == 0
+    record = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert record["pairs"] == want and list(record["pairs"]) == ["runs", "attacks", "sweep"]
+    seeds = range(5, 5 + sum(want.values()))
+    assert [s for _, _, s in started] == [s for s in seeds for _ in range(2)]
+    assert [w for _, w, _ in started[::2]] == [w for w, n in want.items() for _ in range(n)]
+    with pytest.raises(SystemExit):
+        script.main(argv + ["--claim", "walks"])
