@@ -2,6 +2,7 @@
 
     python scripts/bench_pairs.py OLD_TREE NEW_TREE --label L
     python scripts/bench_pairs.py OLD_TREE NEW_TREE --label L --claim sweep --first-seed 9101
+    python scripts/bench_pairs.py OLD_TREE NEW_TREE --label L --claim none
 
 Each run is one `perfbench/run.py --workload W --seed S --seconds T --trace 0`
 of a tree's own benchmark, started in that tree, with T the `run_seconds` of
@@ -9,14 +10,16 @@ NEW_TREE's BENCHMARK.json.  A pair runs both trees on one workload and seed,
 back to back; the k-th pair overall (from 0) runs OLD_TREE first when k is
 even and NEW_TREE first when k is odd.  The workloads run in the order of
 WORKLOADS: the one named by --claim (`runs` by default) for CLAIM_PAIRS
-pairs, the count a gain claim needs, and each other for OTHER_PAIRS; each
-workload runs on consecutive seeds that follow the previous workload's, from
---first-seed on.
+pairs, the count a gain claim needs, and each other for OTHER_PAIRS; with
+--claim none, for a change that claims no gain, every workload runs for
+NONE_PAIRS.  Each workload runs on consecutive seeds that follow the
+previous workload's, from --first-seed on.
 
 Writes BENCH_<L>.json into the current directory: per workload and
 end-to-end metric (those of NEW_TREE's BENCHMARK.json) each side's median
 and quartiles, the pairs the change wins, the ratio change / parent and how
-much worse the change reads against the metric's bound; each side's raw
+much worse the change reads against the metric's bound, and a verdict
+against that bound (see verdict), printed too; each side's raw
 import time (`setup.import_s` of the benchmark's record) and median op time
 per op label, divided by the host slowdown as the benchmark's own op times
 are; and every run's figures.  Nothing under either tree's
@@ -38,12 +41,14 @@ import numpy as np
 
 SIDES = ("parent", "change")
 WORKLOADS = ("runs", "attacks", "sweep")
-CLAIM_PAIRS, OTHER_PAIRS = 10, 3
+CLAIM_PAIRS, OTHER_PAIRS, NONE_PAIRS = 10, 3, 5
 
 
-def pair_counts(claim: str) -> dict[str, int]:
+def pair_counts(claim: str | None) -> dict[str, int]:
     """Pairs per workload, in run order, when `claim` is the workload whose
-    gain is claimed."""
+    gain is claimed, or None when no gain is claimed."""
+    if claim is None:
+        return dict.fromkeys(WORKLOADS, NONE_PAIRS)
     return {w: CLAIM_PAIRS if w == claim else OTHER_PAIRS for w in WORKLOADS}
 
 
@@ -52,23 +57,41 @@ def quartiles(values: list[float]) -> dict:
     return {"median": float(median), "q1": float(q1), "q3": float(q3), "n": len(values)}
 
 
+def verdict(old: list[float], new: list[float], higher: bool, worse_by: float,
+            bound: float) -> str:
+    """`worse` when the change's median reads worse than the parent's by
+    more than `bound` (a fraction); else `unresolved` when the parent's
+    quartile spread, over its median, exceeds the bound, unless every
+    change run beats every parent run; else `within bound`."""
+    if worse_by > bound:
+        return "worse"
+    q1, median, q3 = np.percentile(old, [25, 50, 75])
+    beats_all = min(new) > max(old) if higher else max(new) < min(old)
+    if (q3 - q1) / abs(median) > bound and not beats_all:
+        return "unresolved"
+    return "within bound"
+
+
 def summarize(parent: list[dict], change: list[dict], metrics: list[dict]) -> dict:
     """Per metric of `metrics` (BENCHMARK.json's end_to_end entries: name,
     unit, better, bound), the two sides' runs compared pair by pair: the
-    i-th run of `parent` is paired with the i-th of `change`."""
+    i-th run of `parent` is paired with the i-th of `change`; a metric with
+    a bound gets its verdict."""
     out = {}
     for m in metrics:
-        name, higher = m["name"], m["better"] == "higher"
+        name, higher, bound = m["name"], m["better"] == "higher", m.get("bound")
         old, new = [r[name] for r in parent], [r[name] for r in change]
         ratio = statistics.median(new) / statistics.median(old)
+        worse_by = 1.0 - ratio if higher else ratio - 1.0
         out[name] = {
             "parent": quartiles(old),
             "change": quartiles(new),
             "change_wins": sum((b > a) if higher else (b < a) for a, b in zip(old, new)),
             "ties": sum(a == b for a, b in zip(old, new)),
             "ratio_change_over_parent": ratio,
-            "worse_by_frac": 1.0 - ratio if higher else ratio - 1.0,
-            "bound": m.get("bound"),
+            "worse_by_frac": worse_by,
+            "bound": bound,
+            "verdict": None if bound is None else verdict(old, new, higher, worse_by, bound),
             "unit": m["unit"],
         }
     return out
@@ -99,8 +122,9 @@ def main(argv=None) -> int:
     parser.add_argument("old_tree")
     parser.add_argument("new_tree")
     parser.add_argument("--label", required=True)
-    parser.add_argument("--claim", choices=WORKLOADS, default="runs",
-                        help="the workload whose gain is claimed: it gets 10 pairs, the others 3")
+    parser.add_argument("--claim", choices=(*WORKLOADS, "none"), default="runs",
+                        help="the workload whose gain is claimed: it gets 10 pairs, the others "
+                             "3; none: every workload gets 5")
     parser.add_argument("--first-seed", type=int, default=9101)
     parser.add_argument("--change", default="", help="one line on what the change does")
     args = parser.parse_args(argv)
@@ -108,7 +132,8 @@ def main(argv=None) -> int:
     with open(os.path.join(trees["change"], "BENCHMARK.json")) as fh:
         spec = json.load(fh)
     metrics, seconds = spec["end_to_end"], spec["run_seconds"]
-    pairs = pair_counts(args.claim)
+    claim = None if args.claim == "none" else args.claim
+    pairs = pair_counts(claim)
     seeds, next_seed = {}, args.first_seed
     for w, n in pairs.items():
         seeds[w], next_seed = list(range(next_seed, next_seed + n)), next_seed + n
@@ -135,7 +160,7 @@ def main(argv=None) -> int:
     bench = {
         "label": args.label,
         "change": args.change,
-        "claim": args.claim,
+        "claim": claim,
         "command": "python3 perfbench/run.py --workload {" + ",".join(pairs)
                    + f"}} --seed S --seconds {seconds:g} --trace 0",
         "pairs": pairs,
@@ -164,9 +189,9 @@ def main(argv=None) -> int:
         json.dump(bench, fh, indent=1)
         fh.write("\n")
     for w in pairs:
-        s = bench["end_to_end"][w]["ops_per_s"]
-        print(f"{w}: ops_per_s {s['parent']['median']:.3f} -> {s['change']['median']:.3f} "
-              f"(change wins {s['change_wins']} of {pairs[w]})")
+        for name, s in bench["end_to_end"][w].items():
+            print(f"{w}: {name} {s['parent']['median']:.4g} -> {s['change']['median']:.4g} "
+                  f"(change wins {s['change_wins']} of {pairs[w]}; {s['verdict']})")
     print(f"wrote {path}")
     return 0
 

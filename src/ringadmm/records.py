@@ -90,6 +90,8 @@ class RunTrace:
     def checkpoints(self, every: int) -> np.ndarray:
         """Rows k with k % every == 0, plus the last row; `every` may exceed
         any int64, as it is capped at the trace length."""
+        if every < 1:
+            raise ValueError(f"every must be at least 1, got {every}")
         ks = np.arange(0, len(self), min(every, len(self) or 1))
         if len(self) and ks[-1] != len(self) - 1:
             ks = np.append(ks, len(self) - 1)
@@ -229,8 +231,10 @@ class StateHistory:
         return np.concatenate((self.x0, self.x_new)), np.concatenate((self.y0, self.y_new))
 
     def trajectory(self, agent: int) -> tuple[np.ndarray, np.ndarray]:
-        """States x_agent^k, y_agent^k for k = 0 .. K+1 as (K+2, p) arrays."""
+        """States x_agent^k, y_agent^k, agent in 1..N, for k = 0 .. K+1 as (K+2, p) arrays."""
         n = self.n_agents
+        if not 1 <= agent <= n:
+            raise ValueError(f"agent must be in 1..{n}, got {agent}")
         # stacked row holding the agent's state after each iteration
         last = np.where(self.agents == agent, n + np.arange(len(self.agents)), agent - 1)
         src = np.concatenate(([agent - 1], np.maximum.accumulate(last)))

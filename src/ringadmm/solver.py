@@ -400,14 +400,18 @@ def _windows(agents: np.ndarray, length: int = 0) -> list[int]:
 
 
 class _Block:
-    """Per-iteration values of one chunk of `size` iterations of a batch of
-    runs, as (iteration, run, ...) arrays: the active agent and the
-    receiver, the agent's new x and y and the token sent (the three blocks
-    of `states`), and the RunTrace.values row."""
+    """One chunk of `size` iterations of a batch of runs, the record that a
+    run's end is read from: the (B, p) tokens `z0` before it, the (size + 1,
+    B) `path` of agents that hold the token (the active agents and the
+    receivers are its first and last `size` rows), and per (iteration, run)
+    the agent's new x and y and the token sent (the three blocks of
+    `states`) and the RunTrace.values row."""
 
-    def __init__(self, size: int, batch: int, dim: int):
-        self.agents = np.empty((size, batch), dtype=np.int64)
-        self.receivers = np.empty((size, batch), dtype=np.int64)
+    def __init__(self, size: int, z0: np.ndarray):
+        batch, dim = z0.shape
+        self.z0 = z0
+        self.path = np.empty((size + 1, batch), dtype=np.int64)
+        self.agents, self.receivers = self.path[:-1], self.path[1:]
         self.states = np.empty((size, batch, 3 * dim))
         self.x = self.states[..., :dim]
         self.y = self.states[..., dim : 2 * dim]
@@ -525,7 +529,7 @@ class Simulation:
         self.runs, self._alive = runs, sorted(runs, key=lambda r: not r.transfer)
         self.k = 0
         # step()'s chunk (the end of its iterations to return, first
-        # iteration, states, tokens) and x, y, z after the iteration it returned last
+        # iteration, states) and x, y, z after the iteration it returned last
         self._stepped = self._now = None
         self.active = np.ones(len(runs), dtype=np.int64)
         self._xy = np.stack([np.hstack([r.x0, r.y0]) for r in self._alive], axis=1)
@@ -630,17 +634,17 @@ class Simulation:
         return ops.transpose(1, 2, 0, 3).copy()
 
     def _new_block(self) -> _Block:
-        """The next chunk's block, the one place where a chunk's length is
-        decided: _block_rows iterations, none past the shortest run's end,
-        on a ring rounded up to end on a segment's end (see _windows), so
-        that every window of the chunk is a whole segment."""
+        """The next chunk's block, from the batch's tokens, and the one place
+        where a chunk's length is decided: _block_rows iterations, none past
+        the shortest run's end, on a ring rounded up to end on a segment's
+        end (see _windows), so that every window of the chunk is a whole segment."""
         rows = min(_block_rows(self.n_agents, len(self._alive)),
                    int(self._max_iters.min()) - self.k)
         if self.cyclic:
             n, length = self.n_agents, _segment(self.dim)
             end = (int(self.active[0]) - 1 + rows) % n
             rows += min(-(-end // length) * length, n) - end
-        self._block = _Block(rows, len(self._alive), self.dim)
+        self._block = _Block(rows, self._z)
         for b, r in enumerate(self._alive):
             r.blocks.append((self._block, b))
         return self._block
@@ -676,9 +680,9 @@ class Simulation:
     def step(self) -> IterationRecord:
         """Advance a single run by one iteration: run()'s chunks, under its
         stop rules, one iteration per call, iteration k0 + i of a chunk that
-        starts at k0 read off row i of its block.  Once the run has ended, every
-        call raises how it ended: its DivergenceError, or a RuntimeError
-        naming max_iters or primal_eps."""
+        starts at k0 read off row i of its block and of _chunk's states.  Once
+        the run has ended, every call raises how it ended: its
+        DivergenceError, or a RuntimeError naming max_iters or primal_eps."""
         self._single()
         run = self.runs[0]
         if run.every != 1:
@@ -690,25 +694,25 @@ class Simulation:
                 if run.result.trace.diverged:
                     raise DivergenceError(reason.removeprefix("diverged: "))
                 raise RuntimeError(f"the run has ended: {reason}")
-            k0, (xy, zs) = self.k, self._chunk()
+            k0, xy = self.k, self._chunk()
             end = run.result.n_iterations if run.result else self.k
-            self._stepped, self.k = (end, k0, xy[0], zs[0]), k0
-        _, k0, xy, zs = self._stepped
+            self._stepped, self.k = (end, k0, xy[0]), k0
+        _, k0, xy = self._stepped
         i, block, p = self.k - k0, self._block, self.dim
-        self._now, self.k = (xy[i, :, :p], xy[i, :, p:], zs[i]), self.k + 1
+        self._now, self.k = (xy[i, :, :p], xy[i, :, p:], block.z[i, 0].copy()), self.k + 1
         return IterationRecord.from_values(k0 + i, int(block.agents[i, 0]),
                                            block.values[i, 0].tolist())
 
-    def _chunk(self) -> tuple[np.ndarray, np.ndarray]:
+    def _chunk(self) -> np.ndarray:
         """run()'s next chunk: advance the batch, score it and end the runs
-        that stop in it.  Returns the (B, chunk, N, 2p) states and (B, chunk,
-        p) tokens after each of its iterations."""
+        that stop in it.  Returns the (B, scored rows, N, 2p) states after
+        the iterations _metrics scored (all of the chunk's when every = 1)."""
         # non-finite values are caught by the metrics pass, not by warnings
         with np.errstate(over="ignore", invalid="ignore"):
             chunk = self._advance()
-            ended, xy, zs, self._fvals = self._metrics(chunk)
+            ended, xy, self._fvals = self._metrics(chunk)
         self._end(ended)
-        return xy, zs
+        return xy
 
     def _advance(self) -> tuple:
         """The next chunk of iterations of every run in the batch, as many as
@@ -719,19 +723,18 @@ class Simulation:
         transfer rows' tokens are one product with their segment's T
         (_transfer_maps) and their new (x, y) one more; the other ring rows,
         which draw gamma, take theirs from a scan of the window's steps
-        (_scan); a walk's rows step one iteration at a time.  Returns the
-        chunk's start for _metrics:
-        its first iteration, the (x, y) states side by side as (B, N, 2p)
-        and the objective values."""
+        (_scan); a walk's rows step one iteration at a time.  The block's
+        path is written once, and its last row is the next active agents.
+        Returns the chunk's start for _metrics: its first iteration, the (x,
+        y) states side by side as (B, N, 2p) and the objective values."""
         block, runs = self._new_block(), self._alive
         k0, width, p, n_agents = self.k, len(runs), self.dim, self.n_agents
         n, xy, t = len(block.agents), self._xy, self._transfers
         chunk = (k0, xy.copy().transpose(1, 0, 2), self._fvals)
 
-        agents, receivers = block.agents, block.receivers
         if self.cyclic:
             ring = np.arange(self.active[0] - 1, self.active[0] + n) % n_agents
-            agents[:], receivers[:] = ring[:n, None] + 1, ring[1:, None] + 1
+            block.path[:] = ring[:, None] + 1
         else:
             # a walking run draws nothing but its walk from its stream (no
             # random start, gamma or noise)
@@ -739,11 +742,11 @@ class Simulation:
                 path = [int(self.active[b])]
                 for u in r.rng.random(n).tolist():
                     path.append(next_agent(r.graph, path[-1], u))
-                agents[:, b], receivers[:, b] = path[:-1], path[1:]
+                block.path[:, b] = path
 
         # the chunk's gammas (piadmm1), and its noise (piadmm2) in the noise
         # block of s
-        pick = agents - 1
+        pick = block.agents - 1
         s = np.zeros((n, width, 1, self._blocks * p + 1))
         s[..., -1] = 1.0
         rho_eff = np.empty((n, width - t, 1, 1))  # the scan rows' rho * gamma
@@ -779,7 +782,7 @@ class Simulation:
             z = block.z[j1 - 1]
             xy[at] = block.states[j0:j1, :, : 2 * p]
         self._z, self.k = block.z[-1].copy(), k0 + n
-        self.active = receivers[-1].copy()
+        self.active = block.path[-1].copy()
         return chunk
 
     def _transfer(self, q0: int, s: np.ndarray, z0: np.ndarray, out: np.ndarray) -> None:
@@ -852,7 +855,7 @@ class Simulation:
         np.matmul(tokens[:m], w[..., : 2 * p], out=out[:, :, None, : 2 * p])
         out[..., 2 * p :] = tokens[1 : m + 1, :, 0, :p]
 
-    def _metrics(self, chunk: tuple) -> tuple[dict, np.ndarray, np.ndarray, np.ndarray]:
+    def _metrics(self, chunk: tuple) -> tuple[dict, np.ndarray, np.ndarray]:
         """Metrics of the chunk that _advance just recorded, one row of its
         block per iteration, and where runs end.
 
@@ -876,10 +879,11 @@ class Simulation:
         _ring_after, on a walk from a table of every agent's last update
         after every row.  Returns, per ended row of
         the batch, the run's iterations, its transmissions, its stop reason
-        and its (N, 2p) states after its last transmission (a row scored
-        here, or the chunk's start); the (B, rows, N, 2p) states and (B, rows, p) tokens
-        after each scored iteration (all of the chunk's when every = 1); and
-        the (B, N) objective values after the chunk.
+        and its final (N, p) x and y and (p,) z: after the chunk row of its
+        last transmission (a row scored here), or the chunk's start states
+        and the block's `z0` when it sent nothing of the chunk; the (B, rows,
+        N, 2p) states after each scored iteration (all of the chunk's when
+        every = 1); and the (B, N) objective values after the chunk.
         """
         (k0, start, f0), block = chunk, self._block
         n, p, col = self.n_agents, self.dim, self._col
@@ -989,8 +993,10 @@ class Simulation:
             else:
                 ended[b] = (k + 1, k + 1, "primal_eps" if converged[b, r] else "max_iters")
             last = ended[b][1] - 1 - k0  # the chunk row after which the run's states are final
-            ended[b] += (xy[b, np.searchsorted(at, last)] if last >= 0 else start[b],)
-        return ended, xy, zs[:, at], f[:, -1]
+            final, z = (xy[b, np.searchsorted(at, last)], zs[b, last]) if last >= 0 else \
+                (start[b], block.z0[b])
+            ended[b] += (final[:, :p].copy(), final[:, p:].copy(), z.copy())
+        return ended, xy, f[:, -1]
 
     def _finite_metrics(self, start: np.ndarray, states: np.ndarray, f: np.ndarray) -> bool:
         """Whether accuracy, the Lagrangian and r_primal are finite on every
@@ -1047,7 +1053,7 @@ class Simulation:
 
     def _end(self, ended: dict[int, tuple]) -> None:
         """Results of the ended rows (row -> iterations, transmissions, stop
-        reason, final states); the other rows stay in the batch."""
+        reason, final x, y and z); the other rows stay in the batch."""
         for b, end in ended.items():
             self._alive[b].result = self._result(b, *end)
         stay = [b for b in range(len(self._alive)) if b not in ended]
@@ -1057,12 +1063,12 @@ class Simulation:
             self._fvals, self.active = self._fvals[stay], self.active[stay]
             self._columns()
 
-    def _result(self, b: int, k: int, sent: int, stop_reason: str,
-                final: np.ndarray) -> RunResult:
-        """Row b's result: its trace, from its first k rows, and final
-        states now; its transcript and history, from its first `sent`
-        rows, on first access (_records), so that a caller that reads the
-        trace alone concatenates nothing else."""
+    def _result(self, b: int, k: int, sent: int, stop_reason: str, x: np.ndarray,
+                y: np.ndarray, z: np.ndarray) -> RunResult:
+        """Row b's result: its trace, from its first k rows, and the final x,
+        y and z that _metrics found, now; its transcript and history, from
+        its first `sent` rows, on first access (_records), so that a caller
+        that reads the trace alone concatenates nothing else."""
         run, cfg = self._alive[b], self._alive[b].config
         trace = RunTrace(_cat(run.blocks, "agents", k), _cat(run.blocks, "values", k),
                          stop_reason)
@@ -1074,13 +1080,6 @@ class Simulation:
                     deterministic_init=cfg.variant not in RANDOMIZED_INIT_VARIANTS
                     or cfg.init.kind == "zeros",
                     stopped_by_eps=stop_reason == "primal_eps", stop_eps=cfg.stop_eps)
-        x, y = final[:, : self.dim].copy(), final[:, self.dim :].copy()
-        z, i = np.zeros(self.dim), sent - 1  # the token after the last transmission
-        for blk, row in run.blocks if sent else ():
-            if i < len(blk.z):
-                z = blk.z[i, row].copy()
-                break
-            i -= len(blk.z)
         records = functools.partial(_records, run.blocks, sent, meta, run.x0, run.y0)
         return RunResult._deferred(records, trace, x, y, z, k)
 

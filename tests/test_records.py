@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from ringadmm.records import SCHEMA_LINE, TRACE_COLUMNS, RunTrace, Transcript, TranscriptError
+from ringadmm.records import (SCHEMA_LINE, TRACE_COLUMNS, RunTrace, StateHistory, Transcript,
+                              TranscriptError)
 
 # awkward floats: repr must round-trip them exactly as the csv module wrote them
 ODD = [math.nan, -0.0, 0.0, 1e300, -1e-300, 1e-300, -1e300, math.inf, -math.inf,
@@ -84,6 +85,32 @@ def test_trace_csv_matches_csv_module_byte_for_byte():
     fh = io.StringIO(newline="")
     RunTrace().write_csv(fh)
     assert fh.getvalue() == csv_writer_trace(RunTrace(), 1)
+
+
+@pytest.mark.parametrize("every", [0, -1, -(2**70)])
+def test_trace_checkpoints_refuse_every_below_one(every):
+    trace = RunTrace(agents=np.arange(1, 6), values=np.zeros((5, 7)))
+    with pytest.raises(ValueError, match=f"every must be at least 1, got {every}$"):
+        trace.checkpoints(every)
+    with pytest.raises(ValueError, match=f"every must be at least 1, got {every}$"):
+        trace.write_csv(io.StringIO(), every)
+
+
+def test_trajectory_follows_its_own_agent_and_refuses_one_outside_1_to_n():
+    """Agents [1, 2, 3, 1] of N = 3: agent a's row k is its start until it
+    first acts, then its state after its latest update."""
+    x0, y0 = np.arange(6.0).reshape(3, 2), -np.arange(6.0).reshape(3, 2)
+    x_new, y_new = 10.0 + np.arange(8.0).reshape(4, 2), 20.0 + np.arange(8.0).reshape(4, 2)
+    history = StateHistory(x0=x0, y0=y0, agents=np.array([1, 2, 3, 1]), x_new=x_new, y_new=y_new)
+    for agent, rows in [(1, [-1, 0, 0, 0, 3]), (2, [-1, -1, 1, 1, 1]),
+                        (3, [-1, -1, -1, 2, 2])]:
+        x, y = history.trajectory(agent)
+        want = [x0[agent - 1] if r < 0 else x_new[r] for r in rows]
+        assert np.array_equal(x, want)
+        assert np.array_equal(y, [y0[agent - 1] if r < 0 else y_new[r] for r in rows])
+    for agent in (0, 4, -1):
+        with pytest.raises(ValueError, match=rf"agent must be in 1\.\.3, got {agent}$"):
+            history.trajectory(agent)
 
 
 VALID = (

@@ -180,3 +180,59 @@ def test_bench_pairs_gives_the_claimed_workload_ten_pairs(claim, want, tmp_path,
     assert [w for _, w, _ in started[::2]] == [w for w, n in want.items() for _ in range(n)]
     with pytest.raises(SystemExit):
         script.main(argv + ["--claim", "walks"])
+
+
+def test_bench_pairs_verdict_against_the_bound():
+    verdict = load_script("bench_pairs.py").verdict
+    steady, spread = [10.0, 10.0, 10.0, 10.0], [6.0, 8.0, 12.0, 14.0]  # quartile spread 0.4
+    assert verdict(steady, [7.0] * 4, True, 0.3, 0.24) == "worse"
+    assert verdict(steady, [9.0] * 4, True, 0.1, 0.24) == "within bound"
+    assert verdict(spread, [9.0] * 4, True, 0.1, 0.24) == "unresolved"
+    assert verdict(spread, [15.0] * 4, True, -0.5, 0.24) == "within bound"  # beats every run
+    assert verdict(spread, [5.0] * 4, False, -0.5, 0.24) == "within bound"
+    assert verdict(spread, [5.0, 7.0], False, -0.4, 0.24) == "unresolved"
+
+
+def test_bench_pairs_claim_none_gives_every_workload_five_pairs(tmp_path, monkeypatch, capsys):
+    script = load_script("bench_pairs.py")
+    trees = {side: tmp_path / side for side in ("parent", "change")}
+    metrics = [{"name": "ops_per_s", "unit": "1/s", "better": "higher", "bound": 0.24},
+               {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25}]
+    for tree in trees.values():
+        tree.mkdir()
+        (tree / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 1,
+                                                         "end_to_end": metrics}))
+    # each side's (ops_per_s, setup_s) per pair: runs within bound, attacks
+    # worse on ops_per_s, and sweep's parent setup_s too spread to tell
+    figures = {
+        "runs": {"parent": [(10.0, 0.2)] * 5, "change": [(10.5, 0.21)] * 5},
+        "attacks": {"parent": [(10.0, 0.2)] * 5, "change": [(7.0, 0.2)] * 5},
+        "sweep": {"parent": [(10.0, s) for s in (0.1, 0.2, 0.3, 0.4, 0.5)],
+                  "change": [(10.0, 0.3)] * 5},
+    }
+    started = []
+
+    def bench_once(tree, workload, seed, seconds):
+        started.append((os.path.basename(tree), workload, seed))
+        ops, setup = figures[workload][os.path.basename(tree)][(seed - 5) % 5]
+        return {"seed": seed, "ops_per_s": ops, "setup_s": setup, "attempted": 1, "failed": 0,
+                "correct": True, "import_s": 0.1, "op_s": {workload: [0.5]}}
+
+    monkeypatch.setattr(script, "bench_once", bench_once)
+    monkeypatch.chdir(tmp_path)
+    argv = [str(trees["parent"]), str(trees["change"]), "--label", "t", "--first-seed", "5"]
+    assert script.main(argv + ["--claim", "none"]) == 0
+    record = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert record["claim"] is None
+    assert record["pairs"] == {"runs": 5, "attacks": 5, "sweep": 5}
+    assert [s for _, _, s in started] == [s for s in range(5, 20) for _ in range(2)]
+    verdicts = {w: {name: m["verdict"] for name, m in record["end_to_end"][w].items()}
+                for w in record["end_to_end"]}
+    assert verdicts == {
+        "runs": {"ops_per_s": "within bound", "setup_s": "within bound"},
+        "attacks": {"ops_per_s": "worse", "setup_s": "within bound"},
+        "sweep": {"ops_per_s": "within bound", "setup_s": "unresolved"},
+    }
+    out = capsys.readouterr().out
+    assert "attacks: ops_per_s 10 -> 7 (change wins 0 of 5; worse)" in out
+    assert "sweep: setup_s 0.3 -> 0.3 (change wins 2 of 5; unresolved)" in out

@@ -18,7 +18,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import assert_fills_checkpoints, assert_identical, aug_lagrangian, make_cfg
+from conftest import assert_fills_checkpoints, assert_identical, aug_lagrangian, bits, make_cfg
 from ringadmm.harness import build_problem
 from ringadmm.solver import (
     DivergenceError,
@@ -410,3 +410,67 @@ def test_every_must_be_positive_and_step_needs_every_row():
         run(problem, graph, cfg, every=0)
     with pytest.raises(ValueError, match="step.. .* needs every = 1"):
         Simulation(problem, graph, cfg, every=8).step()
+
+
+# ---- the final x, y and z a result hands over
+
+
+def assert_final_states(res):
+    """result.z is the token of the last transmission (zeros when nothing
+    was sent), result.x and result.y each agent's state after it, and every
+    receiver but the last is the next iteration's sender."""
+    tr = res.transcript
+    assert bits(res.z) == bits(tr.z_values[-1] if len(tr.senders) else np.zeros(tr.dim))
+    for agent in range(1, tr.n_agents + 1):
+        x, y = res.history.trajectory(agent)
+        assert bits(res.x[agent - 1]) == bits(x[-1]), agent
+        assert bits(res.y[agent - 1]) == bits(y[-1]), agent
+    assert tr.receivers[:-1].tolist() == tr.senders[1:].tolist()
+
+
+# the first row of the second chunk of a run alone, and of a batch of up to
+# four runs of N = 8 that all reach it
+SECOND_CHUNK = _block_rows(8, 1)
+FINAL_STATE_ENDINGS = {
+    # (config, fault start, fault factor, stop reason): a ring's max_iters
+    # ends inside its chunk's last cycle
+    "max_iters": (dict(max_iters=50), math.inf, 1.0, "max_iters"),
+    "primal_eps": (dict(max_iters=50_000, stop_eps=1e-6), math.inf, 1.0, "primal_eps"),
+    "non_finite_mid_chunk": (dict(max_iters=200), 13, math.nan,
+                             "diverged: non-finite state at iteration 13 "),
+    "non_finite_on_a_chunks_first_row": (
+        dict(max_iters=SECOND_CHUNK + 10), SECOND_CHUNK, math.nan,
+        f"diverged: non-finite state at iteration {SECOND_CHUNK} "),
+    "metrics_overflow": (dict(max_iters=200), 70, 1e200,
+                         "diverged: metrics overflowed at iteration 70 "),
+}
+# a transfer ring, a drawn-gamma ring and a walk
+FINAL_STATE_KINDS = ("iadmm_randinit", "piadmm1", "wadmm")
+
+
+@pytest.mark.parametrize("kind", FINAL_STATE_KINDS)
+@pytest.mark.parametrize("ending", sorted(FINAL_STATE_ENDINGS))
+def test_results_hand_over_the_states_after_their_last_transmission(ending, kind, state_fault):
+    """Each ending, alone and beside a transfer ring, a drawn-gamma ring and
+    a walk that end on max_iters later: a run that diverges on a chunk's
+    first row takes the block's start tokens, not the diverged row's."""
+    assert _block_rows(8, 4) == SECOND_CHUNK
+    kw, start, factor, reason = FINAL_STATE_ENDINGS[ending]
+    cfg = make_cfg(n_agents=8, **kw, **VARIANT_CONFIGS[kind])
+    graph, problem = build_problem(cfg)
+
+    def case():
+        return state_fault(problem, start, lambda out: out * factor), graph, cfg
+
+    others = []
+    for i, other in enumerate(FINAL_STATE_KINDS):
+        c = make_cfg(n_agents=8, max_iters=SECOND_CHUNK + 20, seed_data=i + 5,
+                     seed_solver=i + 9, **VARIANT_CONFIGS[other])
+        others.append((*build_problem(c)[::-1], c))
+    alone = run(*case())
+    assert alone.trace.stop_reason.startswith(reason)
+    batch = run_batch([case(), *others])
+    for res in [alone, *batch]:
+        assert_final_states(res)
+    assert_identical(batch[0], alone)
+    assert [r.trace.stop_reason for r in batch[1:]] == ["max_iters"] * 3
