@@ -22,7 +22,10 @@ much worse the change reads against the metric's bound, and a verdict
 against that bound (see verdict), printed too; each side's raw
 import time (`setup.import_s` of the benchmark's record) and median op time
 per op label, divided by the host slowdown as the benchmark's own op times
-are; and every run's figures.  Nothing under either tree's
+are, with the ratio change / parent of those medians, printed too; and
+every run's figures.  A workload's op_p50_s is the median of a mix of op
+kinds and can move with the mix or with drift over the series; the
+per-kind ratios show which kinds a change moved.  Nothing under either tree's
 `perfbench/` changes; the benchmark writes its own `.bench_out/` records
 there.
 """
@@ -97,6 +100,22 @@ def summarize(parent: list[dict], change: list[dict], metrics: list[dict]) -> di
     return out
 
 
+def op_medians(side_runs: list[dict]) -> dict:
+    """The median op seconds per op label over one side's runs."""
+    labels = {label: [] for r in side_runs for label in r["op_s"]}
+    for r in side_runs:
+        for label, times in r["op_s"].items():
+            labels[label] += times
+    return {label: statistics.median(t) for label, t in labels.items()}
+
+
+def kind_ratios(parent: list[dict], change: list[dict]) -> dict:
+    """Per op label that both sides ran, the change's median op seconds over
+    the parent's."""
+    old, new = op_medians(parent), op_medians(change)
+    return {label: new[label] / old[label] for label in old if label in new}
+
+
 def bench_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
     """One benchmark run of `tree`: its end-to-end figures, op counts, raw
     import time and op seconds per label."""
@@ -150,13 +169,6 @@ def main(argv=None) -> int:
     def per_side(fn) -> dict:
         return {w: {side: fn(runs[w][side]) for side in SIDES} for w in pairs}
 
-    def op_medians(side_runs: list[dict]) -> dict:
-        labels = {label: [] for r in side_runs for label in r["op_s"]}
-        for r in side_runs:
-            for label, times in r["op_s"].items():
-                labels[label] += times
-        return {label: round(statistics.median(t), 4) for label, t in labels.items()}
-
     bench = {
         "label": args.label,
         "change": args.change,
@@ -181,7 +193,10 @@ def main(argv=None) -> int:
         "import_s": {w: summarize(runs[w]["parent"], runs[w]["change"],
                                   [{"name": "import_s", "unit": "s", "better": "lower"}])
                      ["import_s"] for w in pairs},
-        "op_seconds_by_kind": per_side(op_medians),
+        "op_seconds_by_kind": per_side(lambda rs: {label: round(t, 4)
+                                                   for label, t in op_medians(rs).items()}),
+        "op_ratio_by_kind": {w: kind_ratios(runs[w]["parent"], runs[w]["change"])
+                             for w in pairs},
         "runs": per_side(lambda rs: [{k: v for k, v in r.items() if k != "op_s"} for r in rs]),
     }
     path = f"BENCH_{args.label}.json"
@@ -192,6 +207,11 @@ def main(argv=None) -> int:
         for name, s in bench["end_to_end"][w].items():
             print(f"{w}: {name} {s['parent']['median']:.4g} -> {s['change']['median']:.4g} "
                   f"(change wins {s['change_wins']} of {pairs[w]}; {s['verdict']})")
+    for w in pairs:
+        medians = bench["op_seconds_by_kind"][w]
+        for label, ratio in bench["op_ratio_by_kind"][w].items():
+            print(f"{w}: op {label} {medians['parent'][label]:.4g} -> "
+                  f"{medians['change'][label]:.4g} s (change / parent {ratio:.3f})")
     print(f"wrote {path}")
     return 0
 

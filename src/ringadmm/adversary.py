@@ -70,27 +70,32 @@ class AttackReport:
     def write_csv(self, fh: IO[str], agent: int, coordinates: list[int] | None = None) -> None:
         """Columns: k, coordinate (1-indexed), truth_x, est_x, truth_y, est_y,
         abs_err_x, abs_err_y.  Truth columns are empty when unscored.  The
-        bytes are those of the csv module writing the floats' reprs."""
+        bytes are those of the csv module writing the floats' reprs.
+
+        States change only at the agent's activations, so the rows of k fall
+        into runs of bitwise equal values (0.0 and -0.0 are not equal
+        here).  Each run's line tails ",c,values\\r\\n" are formatted once, and
+        its lines are the strings of k joined with them, one write per run."""
         ex = self.est_x[agent]
         kk, p = ex.shape
         coords = list(range(1, p + 1)) if coordinates is None else list(coordinates)
         if agent in self.truth_x:
             cols = [self.truth_x[agent], ex, self.truth_y[agent], self.est_y[agent],
                     self.err_x[agent], self.err_y[agent]]
-            fmt = "{!r},{!r},{!r},{!r},{!r},{!r}"
+            fmt = ",{},{!r},{!r},{!r},{!r},{!r},{!r}" + CSV_EOL
         else:
             cols = [ex, self.est_y[agent]]
-            fmt = ",{!r},,{!r},,"
+            fmt = ",{},,{!r},,{!r},," + CSV_EOL
         vals = np.stack([c[:, np.array(coords, dtype=np.int64) - 1] for c in cols], axis=-1)
-        # states change only at the agent's activations: format each distinct
-        # row of k once (bitwise distinct, so -0.0 and nan keep their text)
         bits = vals.reshape(kk, -1).view(np.uint64)
         fresh = np.concatenate(([True], np.any(bits[1:] != bits[:-1], axis=1)))
-        texts = [[fmt.format(*v) for v in row] for row in vals[fresh].tolist()]
+        starts = np.flatnonzero(fresh).tolist()
+        ks = list(map(str, range(kk)))
         fh.write(SCHEMA_LINE + "\n" + ",".join(REPORT_COLUMNS) + CSV_EOL)
-        fh.writelines(f"{k},{c},{text}{CSV_EOL}"
-                      for k, o in enumerate((np.cumsum(fresh) - 1).tolist())
-                      for c, text in zip(coords, texts[o]))
+        for a, b, row in zip(starts, starts[1:] + [kk], vals[fresh].tolist()):
+            # k.join(tails) is k's lines: k, the first tail, k, the second, ...
+            tails = [""] + [fmt.format(c, *v) for c, v in zip(coords, row)]
+            fh.write("".join([k.join(tails) for k in ks[a:b]]))
 
 
 def score_report(report: AttackReport, history: StateHistory) -> AttackReport:

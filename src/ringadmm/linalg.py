@@ -128,12 +128,6 @@ class SparseSystem:
         return out
 
 
-def _norm(v: np.ndarray) -> float:
-    """||v|| of a real 1-D array: what np.linalg.norm computes, without its
-    dispatch."""
-    return math.sqrt(v.dot(v))
-
-
 @dataclass
 class LsqrResult:
     x: np.ndarray
@@ -179,15 +173,17 @@ def lsqr(system: SparseSystem, tol: float = 1e-10, max_iter: int | None = None) 
     if max_iter is None:
         max_iter = 10 * (m + n)
 
+    sqrt, hypot = math.sqrt, math.hypot
+    subtract, multiply = np.subtract, np.multiply
     x = np.zeros(n)
     u = b.copy()
-    beta = _norm(u)
-    normb = beta
+    beta = sqrt(u.dot(u))
+    stop_r = tol * beta  # tol * ||b||
     if beta == 0.0:
         return LsqrResult(x, 0.0, 0, True, np.array([0.0]))
     u /= beta
     v = at @ u
-    alpha = _norm(v)
+    alpha = sqrt(v.dot(v))
     if alpha == 0.0:
         # A'b = 0: x = 0 already minimizes the residual.
         return LsqrResult(x, beta, 0, True, np.array([beta]))
@@ -203,22 +199,24 @@ def lsqr(system: SparseSystem, tol: float = 1e-10, max_iter: int | None = None) 
 
     # u, v, w and x are updated in place, each by the same operations on the
     # same operands as u = A v - alpha u, v = A'u - beta v, x += (phi/rho) w
-    # and w = v - (theta/rho) w, so they equal those expressions bit for bit
+    # and w = v - (theta/rho) w, so they equal those expressions bit for bit;
+    # ||u|| and ||v|| are sqrt(u.u), what np.linalg.norm computes, without its
+    # dispatch
     for it in range(1, max_iter + 1):
         iterations = it
         u *= alpha
-        np.subtract(a @ v, u, out=u)
-        beta = _norm(u)
+        subtract(a @ v, u, out=u)
+        beta = sqrt(u.dot(u))
         if beta > 0.0:
             u /= beta
         v *= beta
-        np.subtract(at @ u, v, out=v)
-        alpha = _norm(v)
+        subtract(at @ u, v, out=v)
+        alpha = sqrt(v.dot(v))
         if alpha > 0.0:
             v /= alpha
         anorm_sq += alpha * alpha + beta * beta
 
-        rho = math.hypot(rhobar, beta)
+        rho = hypot(rhobar, beta)
         c = rhobar / rho
         s = beta / rho
         theta = s * alpha
@@ -226,14 +224,14 @@ def lsqr(system: SparseSystem, tol: float = 1e-10, max_iter: int | None = None) 
         phi = c * phibar
         phibar = s * phibar
 
-        x += np.multiply(w, phi / rho, out=step)
+        x += multiply(w, phi / rho, out=step)
         w *= theta / rho
-        np.subtract(v, w, out=w)
+        subtract(v, w, out=w)
         history.append(phibar)
 
         # phibar estimates ||r||; alpha*|c|*phibar estimates ||A'r||.
-        anorm = math.sqrt(anorm_sq)
-        if phibar <= tol * normb:
+        anorm = sqrt(anorm_sq)
+        if phibar <= stop_r:
             converged = True
             break
         if alpha * abs(c) <= tol * anorm:

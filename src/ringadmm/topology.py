@@ -87,8 +87,8 @@ def next_agent(graph: Graph, prev: int, u: float) -> int:
 
 
 def write_edgelist(graph: Graph, fh: IO[str]) -> None:
-    """Text edge list: first line N, then one "u v" line per edge."""
-    fh.write(f"{graph.n_agents}\n")
-    for u, v in sorted(graph.edges):
-        fh.write(f"{u} {v}\n")
+    """Text edge list: first line N, then one "u v" line per edge, in sorted
+    order, written at once."""
+    lines = [f"{u} {v}\n" for u, v in sorted(graph.edges)]
+    fh.write(f"{graph.n_agents}\n" + "".join(lines))
 

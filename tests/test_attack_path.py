@@ -10,9 +10,12 @@ import csv
 import dataclasses
 import io
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_cfg, z_before
 from ringadmm.adversary import (
@@ -471,6 +474,64 @@ def test_report_csv_repeats_only_bitwise_equal_rows(scored):
     fh = io.StringIO(newline="")
     rep.write_csv(fh, 1)
     assert fh.getvalue() == ref_write_csv(rep, 1)
+
+
+SIGN = 1 << 63
+# 0.0, -0.0, the default nan, its negation, a quiet and a signalling nan payload
+ODD_BITS = [0, SIGN, 0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001,
+            0x7FF0000000000001]
+
+
+def float_bits(x: float) -> int:
+    return struct.unpack("<Q", struct.pack("<d", x))[0]
+
+
+def bit_twin(bits: int) -> int:
+    """The same number in other bits: a zero or nan with its sign flipped;
+    any other value as it is."""
+    x = struct.unpack("<d", struct.pack("<Q", bits))[0]
+    return bits ^ SIGN if x == 0.0 or math.isnan(x) else bits
+
+
+@st.composite
+def run_reports(draw):
+    """A one-agent report whose rows come in runs of repeated values, as the
+    attacks' reports do; a run may repeat its predecessor in other bits.
+    Returns the report and the coordinates to write."""
+    p = draw(st.integers(1, 3))
+    scored = draw(st.booleans())
+    n_cols = 4 if scored else 2  # est_x, est_y, then truth_x, truth_y
+    lengths = draw(st.just([1]) | st.lists(st.integers(1, 5), min_size=1, max_size=8))
+    element = st.sampled_from(ODD_BITS) | st.floats(width=64).map(float_bits)
+    rows = []
+    for _ in lengths:
+        if rows and draw(st.booleans()):
+            rows.append([bit_twin(b) for b in rows[-1]])
+        else:
+            rows.append(draw(st.lists(element, min_size=n_cols * p, max_size=n_cols * p)))
+    table = np.repeat(np.array(rows, dtype=np.uint64), lengths, axis=0)
+    table = table.view(np.float64).reshape(-1, n_cols, p)
+    rep = AttackReport(kind="lsq")
+    rep.est_x[1], rep.est_y[1] = table[:, 0].copy(), table[:, 1].copy()
+    if scored:
+        rep.truth_x[1], rep.truth_y[1] = table[:, 2].copy(), table[:, 3].copy()
+        with np.errstate(all="ignore"):
+            rep.err_x[1] = np.abs(rep.est_x[1] - rep.truth_x[1])
+            rep.err_y[1] = np.abs(rep.est_y[1] - rep.truth_y[1])
+    coordinates = draw(st.none() | st.lists(st.integers(1, p), max_size=5))
+    return rep, coordinates
+
+
+@settings(max_examples=200, deadline=None)
+@given(run_reports())
+def test_report_csv_of_repeated_rows_matches_csv_module(drawn):
+    """Scored or not, any coordinate list (empty, unsorted, repeated), any
+    run lengths down to a single row, runs that differ only in bits."""
+    rep, coordinates = drawn
+    fh = io.StringIO(newline="")
+    rep.write_csv(fh, 1, coordinates)
+    with np.errstate(all="ignore"):
+        assert fh.getvalue() == ref_write_csv(rep, 1, coordinates)
 
 
 def test_scored_run_report_matches_csv_module(runs):

@@ -236,3 +236,34 @@ def test_bench_pairs_claim_none_gives_every_workload_five_pairs(tmp_path, monkey
     out = capsys.readouterr().out
     assert "attacks: ops_per_s 10 -> 7 (change wins 0 of 5; worse)" in out
     assert "sweep: setup_s 0.3 -> 0.3 (change wins 2 of 5; unresolved)" in out
+
+
+def test_bench_pairs_gives_each_op_kinds_median_ratio(tmp_path, monkeypatch, capsys):
+    script = load_script("bench_pairs.py")
+    tree = tmp_path / "tree"
+    tree.mkdir()
+    metric = {"name": "ops_per_s", "unit": "1/s", "better": "higher", "bound": 0.24}
+    (tree / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 1, "end_to_end": [metric]}))
+    calls = []
+
+    def bench_once(tree, workload, seed, seconds):
+        # calls 2, 3, 6, 7, ... run the change: the side run first alternates by pair
+        calls.append(seed)
+        change = len(calls) % 4 in (2, 3)
+        op_s = {"fast": [0.1, 0.3, 0.2], "slow": [1.0, 2.0]}
+        if change:
+            op_s = {"fast": [t / 2 for t in op_s["fast"]], "slow": [4.0], "new": [0.5]}
+        return {"seed": seed, "ops_per_s": 1.0, "attempted": 1, "failed": 0, "correct": True,
+                "import_s": 0.1, "op_s": op_s}
+
+    monkeypatch.setattr(script, "bench_once", bench_once)
+    monkeypatch.chdir(tmp_path)
+    assert script.main([str(tree), str(tree), "--label", "t", "--claim", "none"]) == 0
+    record = json.loads((tmp_path / "BENCH_t.json").read_text())
+    for w in ("runs", "attacks", "sweep"):
+        assert record["op_ratio_by_kind"][w] == {"fast": 0.5, "slow": 4.0 / 1.5}
+        assert record["op_seconds_by_kind"][w]["parent"] == {"fast": 0.2, "slow": 1.5}
+    out = capsys.readouterr().out
+    assert "attacks: op fast 0.2 -> 0.1 s (change / parent 0.500)" in out
+    assert "sweep: op slow 1.5 -> 4 s (change / parent 2.667)" in out
+    assert out.index("sweep: ops_per_s") < out.index("runs: op fast")

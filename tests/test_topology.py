@@ -139,3 +139,11 @@ def test_edgelist_roundtrip():
     edges = {tuple(int(tok) for tok in ln.split()) for ln in edge_lines}
     assert len(edges) == len(edge_lines)
     assert edges == g.edges
+
+
+def test_edgelist_bytes():
+    """N on the first line, then "u v" lines in sorted edge order, each ending in \\n."""
+    g = Graph(5, frozenset({(4, 5), (1, 2), (2, 4), (3, 4), (2, 3), (1, 5), (1, 3)}))
+    buf = io.StringIO(newline="")
+    write_edgelist(g, buf)
+    assert buf.getvalue() == "5\n1 2\n1 3\n1 5\n2 3\n2 4\n3 4\n4 5\n"
